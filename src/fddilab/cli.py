@@ -39,7 +39,7 @@ def emit_report(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Render rows with a stable column order; identical input, identical bytes."""
     if fmt == JSON:
         payload = [{col: row.get(col, "") for col in columns} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, default=float) + "\n"
     out = io.StringIO()
     out.write(",".join(columns) + "\n")
     for row in rows:
@@ -76,6 +76,25 @@ def _read_digits(path: str, alphabet: str) -> str:
     if bad:
         raise CliDataError(f"bad-input-symbol: {sorted(bad)} not in {alphabet!r}")
     return symbols
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _read_bits(path: str) -> list[int]:
+    return list(_read_digits(path, "01").encode("ascii").translate(_BIT_VALUES))
+
+
+def _bit_text(bits) -> str:
+    return bytes(bits).translate(_BIT_DIGITS).decode("ascii")
+
+
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_manifest(subcommand: str, params: dict, input_paths: list[str],
@@ -148,10 +167,10 @@ def cmd_codec(args) -> int:
     else:
         if args.decode:
             raise CliDataError(f"unsupported: {args.scheme} decode")
-        bits = [int(c) for c in _read_digits(args.infile, "01")]
+        bits = _read_bits(args.infile)
         if args.scheme == "nrzi":
             signal = phy_codec.nrzi_encode(bits, initial_level=args.initial_level)
-            text = "".join(str(lv) for lv in signal.levels) + "\n"
+            text = _bit_text(signal.levels) + "\n"
         else:
             signal = phy_codec.mlt3_encode(bits)
             glyphs = {-1: "-", 0: "0", 1: "+"}
@@ -164,8 +183,7 @@ def cmd_codec(args) -> int:
 
 def cmd_scrambler(args) -> int:
     if args.action == "dump":
-        bits = scrambler.keystream(args.bits)
-        _write("".join(map(str, bits)) + "\n", args.out)
+        _write(_bit_text(scrambler.keystream(args.bits)) + "\n", args.out)
         _maybe_manifest(args, {"action": "dump", "bits": args.bits}, [])
         return 0
     # analyze
@@ -197,11 +215,11 @@ def cmd_scrambler(args) -> int:
 
 
 def cmd_sonet_map(args) -> int:
-    bits = [int(c) for c in _read_digits(args.infile, "01")]
+    bits = _read_bits(args.infile)
     layout = spm.build_spe_layout()
     frames = spm.map_fddi(bits, layout)
     recovered = spm.extract_fddi(frames, layout)
-    _write("".join(map(str, recovered)) + "\n", args.out)
+    _write(_bit_text(recovered) + "\n", args.out)
     if recovered != bits:
         raise CliDataError("roundtrip-mismatch: extracted bits differ from input")
     arith = spm.spe_arithmetic_report()
@@ -400,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scrambler", help="keystream dump / 4b5b match analysis")
     p.add_argument("action", choices=["dump", "analyze"])
-    p.add_argument("--bits", type=int, default=scrambler.PERIOD)
+    p.add_argument("--bits", type=_count, default=scrambler.PERIOD)
     p.add_argument("--table", help="alternate 4b/5b code table file")
     common(p)
     p.set_defaults(handler=cmd_scrambler)

@@ -22,6 +22,7 @@ sequences here are plain 0/1 bit streams in transmission order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Sequence
 
 from .phy_codec import CodeTable
@@ -39,8 +40,8 @@ class ScramblerState:
     position: int = 0
 
     def __post_init__(self):
-        if len(self.registers) != STAGES:
-            raise ValueError(f"need {STAGES} register bits")
+        if len(self.registers) != STAGES or not set(self.registers) <= {0, 1}:
+            raise ValueError(f"need {STAGES} register bits of 0 or 1")
         if not any(self.registers):
             raise ValueError("all-zero scrambler state is degenerate")
 
@@ -58,14 +59,28 @@ def next_bit(state: ScramblerState) -> tuple[int, ScramblerState]:
     return out, ScramblerState((feedback,) + r[:6], state.position + 1)
 
 
+def _walk_period() -> tuple[list[int], list[tuple[int, ...]]]:
+    """One period of output bits and the register contents at each phase."""
+    bits, registers = [], []
+    st = seed()
+    for _ in range(PERIOD):
+        registers.append(st.registers)
+        bit, st = next_bit(st)
+        bits.append(bit)
+    return bits, registers
+
+
+# Phase = bits emitted since the all-ones seed, modulo the period. The
+# polynomial is primitive, so every non-zero register state has a phase.
+_PERIOD_BITS, _REGISTERS = _walk_period()
+_PHASE = {regs: phase for phase, regs in enumerate(_REGISTERS)}
+
+
 def keystream(n: int, state: ScramblerState | None = None) -> list[int]:
     """The next n scrambler output bits (from seed if no state given)."""
-    st = state or seed()
-    bits = []
-    for _ in range(n):
-        b, st = next_bit(st)
-        bits.append(b)
-    return bits
+    if n < 0:
+        raise ValueError(f"keystream length {n} is negative")
+    return scramble_with_state([0] * n, state or seed())[0]
 
 
 def sequence_127() -> list[int]:
@@ -85,29 +100,28 @@ def scramble(data: Sequence[int], frame_start: bool = True,
     operation is an involution: scrambling twice restores the input.
     """
     if frame_start:
-        st = seed()
+        state = seed()
     elif state is None:
         raise ValueError("need a carried-over state when frame_start is False")
-    else:
-        st = state
-    skip = frozenset(exempt)
-    out = []
-    for i, bit in enumerate(data):
-        key, st = next_bit(st)
-        out.append(bit if i in skip else bit ^ key)
-    return out
+    return scramble_with_state(data, state, exempt)[0]
 
 
 def scramble_with_state(data: Sequence[int], state: ScramblerState,
                         exempt: Iterable[int] = ()) -> tuple[list[int], ScramblerState]:
-    """Scramble continuing from ``state``; returns the end state as well."""
-    skip = frozenset(exempt)
-    st = state
-    out = []
-    for i, bit in enumerate(data):
-        key, st = next_bit(st)
-        out.append(bit if i in skip else bit ^ key)
-    return out, st
+    """Scramble continuing from ``state``; returns the end state as well.
+
+    The keystream is read from the precomputed period at the state's
+    phase; ``next_bit`` stays the bit-by-bit reference it is tested against.
+    """
+    n = len(data)
+    phase = _PHASE[tuple(state.registers)]
+    key = (_PERIOD_BITS * ((phase + n) // PERIOD + 1))[phase:phase + n]
+    out = list(map(xor, data, key))
+    for i in exempt:
+        if 0 <= i < n:
+            out[i] = data[i]
+    end = (phase + n) % PERIOD
+    return out, ScramblerState(_REGISTERS[end], state.position + n)
 
 
 @dataclass(frozen=True)
@@ -134,95 +148,70 @@ class MatchReport:
     table_version: str
     symbol_count: int
 
-    @property
-    def best(self) -> MatchResult:
-        return self.with_fragments
-
 
 # The search walks windows of the periodic sequence. No valid-symbol cover
 # can be unbounded (that would need the 127-bit sequence itself to be a
 # symbol stream at every alignment), but cap the walk defensively.
 _SCAN_CAP = 5 * PERIOD + 10
+# Tiled periods covering the furthest bit a window read can reach.
+_TILES = (PERIOD + _SCAN_CAP + 10) // PERIOD + 1
 
 
-def _window_match(bits: Sequence[int], start: int, align: int,
-                  codes: Sequence[str], allow_fragments: bool):
-    """Maximal window at (start, align); returns (length, lead, syms, trail)."""
-    period = len(bits)
+def _piece(text: str, i: int, pieces: set[str], most: int) -> str:
+    """Longest text[i:i+k], k <= most, in ``pieces`` (a prefix-closed set)."""
+    return next((text[i:i + k] for k in range(most, 0, -1) if text[i:i + k] in pieces), "")
 
-    def at(i: int) -> str:
-        return str(bits[i % period])
 
-    lead = ""
-    need = 5 - align
-    if align:
-        if not allow_fragments:
-            return 0, "", (), ""
-        # grow the leading fragment while it still matches some symbol
-        # at this interior offset; bits before the window are unconstrained
-        while len(lead) < need:
-            cand = lead + at(start + len(lead))
-            if not any(c[align:align + len(cand)] == cand for c in codes):
-                break
-            lead = cand
-        if len(lead) < need:
-            # window never reaches a symbol boundary
-            return len(lead), lead, (), ""
-    length = len(lead)
+def _window_match(text: str, start: int, align: int, codes: set[str],
+                  pieces: dict[int, set[str]], allow_fragments: bool):
+    """Maximal window at (start, align); returns (length, lead, syms, trail).
+
+    ``text`` is the tiled period; ``pieces[a]`` holds every piece of a
+    symbol that begins at offset ``a`` inside it.
+    """
+    # bits before the window are unconstrained, so the leading fragment
+    # only has to match some symbol from offset ``align`` on
+    lead = _piece(text, start, pieces[align], 5 - align) if align else ""
+    if align and len(lead) < 5 - align:
+        return len(lead), lead, (), ""  # window never reaches a symbol boundary
     i = start + len(lead)
     syms = []
-    while length < _SCAN_CAP:
-        chunk = "".join(at(i + j) for j in range(5))
-        if chunk not in codes:
-            break
-        syms.append(chunk)
-        length += 5
+    while i - start < _SCAN_CAP and text[i:i + 5] in codes:
+        syms.append(text[i:i + 5])
         i += 5
-    trail = ""
-    if allow_fragments:
-        for t in range(4, 0, -1):
-            head = "".join(at(i + j) for j in range(t))
-            if any(c.startswith(head) for c in codes):
-                trail = head
-                length += t
-                break
-    return length, lead, tuple(syms), trail
+    trail = _piece(text, i, pieces[0], 4) if allow_fragments else ""
+    return i - start + len(trail), lead, tuple(syms), trail
 
 
 def longest_valid_match(table: CodeTable) -> MatchReport:
     """Exhaustive search over every (offset, polarity, alignment) triple."""
-    base = sequence_127()
-    codes = [s.code for s in table.symbols]
+    base = "".join(map(str, _PERIOD_BITS)) * _TILES
+    codes = {s.code for s in table.symbols}
     names = {s.code: s.meaning for s in table.symbols}
-    best: dict[bool, tuple] = {True: None, False: None}
-    for polarity, bits in (("sequence", base),
-                           ("complement", [1 - b for b in base])):
+    pieces = {a: {c[a:a + k] for c in codes for k in range(1, 6 - a)} for a in range(5)}
+    best: dict[bool, MatchResult | None] = {True: None, False: None}
+    for polarity, text in (("sequence", base),
+                           ("complement", base.translate(str.maketrans("01", "10")))):
         for start in range(PERIOD):
             for allow_fragments in (False, True):
                 aligns = range(5) if allow_fragments else (0,)
                 for align in aligns:
                     length, lead, syms, trail = _window_match(
-                        bits, start, align, codes, allow_fragments)
+                        text, start, align, codes, pieces, allow_fragments)
                     if length >= _SCAN_CAP:
                         raise RuntimeError("unbounded symbol cover of the sequence")
                     cur = best[allow_fragments]
-                    if cur is None or length > cur[0]:
-                        window = "".join(
-                            str(bits[(start + j) % PERIOD]) for j in range(length))
-                        best[allow_fragments] = (
-                            length, start, polarity, align, window,
-                            lead, tuple(names[c] for c in syms), trail)
-
-    def result(model: str, entry) -> MatchResult:
-        length, start, polarity, align, window, lead, syms, trail = entry
-        return MatchResult(model=model, length_bits=length, offset=start,
-                           polarity=polarity, alignment=align, bits=window,
-                           leading_fragment=lead, symbols=syms,
-                           trailing_fragment=trail)
+                    if cur is None or length > cur.length_bits:
+                        best[allow_fragments] = MatchResult(
+                            model="with_fragments" if allow_fragments else "whole_symbol",
+                            length_bits=length, offset=start, polarity=polarity,
+                            alignment=align, bits=text[start:start + length],
+                            leading_fragment=lead, symbols=tuple(names[c] for c in syms),
+                            trailing_fragment=trail)
 
     return MatchReport(
-        with_fragments=result("with_fragments", best[True]),
-        whole_symbol=result("whole_symbol", best[False]),
+        with_fragments=best[True],
+        whole_symbol=best[False],
         table_version=table.version,
         symbol_count=len(table.symbols),
     )

@@ -13,6 +13,8 @@ stretch contains one stuff-control bit that the user cannot drive.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -66,6 +68,15 @@ DEFAULT_CONTROL_INDEX = 8
 STUFF_CONTROL_BIT = 7      # bit index within the byte, MSB-first order
 FIXED_STUFF_FILL = 0       # fixed stuff is all-zeros before scrambling
 
+# Frame bits move as ASCII digit bytes: a byte value of 0 is "0", any
+# other value "1" (a set bit), and back.
+_DIGITS = b"0" + b"1" * 255
+_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_FILL_DIGITS = format(FIXED_STUFF_FILL, "08b").encode() * SPE_BYTES
+# which bits of a byte carry user data ("u"), MSB-first, by byte tag
+_USER_MASK = {USER_DATA: "u" * 8, STUFF_CONTROL: "".join(
+    "-" if bit == STUFF_CONTROL_BIT else "u" for bit in range(8))}
+
 
 class UnknownLevelError(ValueError):
     """STS level outside the published hierarchy."""
@@ -88,14 +99,6 @@ class RateEntry:
     payload_rate_kbps: int
     oc: str
     stm: str | None
-
-    @property
-    def line_rate_mbps(self) -> float:
-        return self.line_rate_kbps / 1000
-
-    @property
-    def payload_rate_mbps(self) -> float:
-        return self.payload_rate_kbps / 1000
 
 
 def sts_rates(n: int) -> RateEntry:
@@ -155,27 +158,19 @@ class SpeLayout:
     classification: tuple[str, ...]
     run_length: int
     control_index: int
-    user_bit_positions: tuple[tuple[int, int], ...] = field(repr=False)
+    user_runs: tuple[tuple[int, int], ...] = field(repr=False)
 
     @property
     def capacity_bits(self) -> int:
-        return len(self.user_bit_positions)
+        return sum(stop - start for start, stop in self.user_runs)
 
     def byte_runs(self) -> list[int]:
         """Lengths of maximal user-affectable byte runs, transmission order."""
-        runs = []
-        cur = 0
-        for tag in self.classification:
-            if tag in (USER_DATA, STUFF_CONTROL):
-                cur += 1
-            elif cur:
-                runs.append(cur)
-                cur = 0
-        if cur:
-            runs.append(cur)
-        return runs
+        marks = "".join("u" if tag in _USER_MASK else "-" for tag in self.classification)
+        return [len(run) for run in re.findall("u+", marks)]
 
 
+@functools.cache
 def build_spe_layout(run_length: int = DEFAULT_RUN_LENGTH,
                      control_index: int = DEFAULT_CONTROL_INDEX) -> SpeLayout:
     """Classify every SPE byte position.
@@ -183,7 +178,8 @@ def build_spe_layout(run_length: int = DEFAULT_RUN_LENGTH,
     ``run_length`` user-affectable bytes alternate with one fixed-stuff
     byte; each full run of 17 carries a stuff-control bit at position
     ``control_index``. Raises InfeasibleLayoutError when the parameters
-    break the 17-byte rule or starve the FDDI payload.
+    break the 17-byte rule or starve the FDDI payload. Each layout is
+    built once and shared: it is immutable.
     """
     if not 1 <= run_length <= MAX_USER_RUN_BYTES:
         raise InfeasibleLayoutError(
@@ -192,35 +188,26 @@ def build_spe_layout(run_length: int = DEFAULT_RUN_LENGTH,
         raise InfeasibleLayoutError(
             f"control_index {control_index} outside run of {run_length}")
 
-    tags: list[str] = []
-    for row in range(SPE_ROWS):
-        tags.append(PATH_OVERHEAD)
-        col = 0
-        remaining = SPE_COLS - 1
-        while col < remaining:
-            span = min(run_length, remaining - col)
-            for k in range(span):
-                # a full-length run needs its stuff-control bit; shorter
-                # tail runs are below the 17-byte limit already
-                if span >= MAX_USER_RUN_BYTES and k == min(control_index, span - 1):
-                    tags.append(STUFF_CONTROL)
-                else:
-                    tags.append(USER_DATA)
-            col += span
-            if col < remaining:
-                tags.append(FIXED_STUFF)
-                col += 1
+    # every row is alike: the overhead byte, then user runs between fixed stuff
+    row = [PATH_OVERHEAD]
+    while len(row) < SPE_COLS:
+        span = min(run_length, SPE_COLS - len(row))
+        for k in range(span):
+            # a full-length run needs its stuff-control bit; shorter
+            # tail runs are below the 17-byte limit already
+            if span >= MAX_USER_RUN_BYTES and k == min(control_index, span - 1):
+                row.append(STUFF_CONTROL)
+            else:
+                row.append(USER_DATA)
+        if len(row) < SPE_COLS:
+            row.append(FIXED_STUFF)
+    tags = row * SPE_ROWS
 
-    positions: list[tuple[int, int]] = []
-    for idx, tag in enumerate(tags):
-        if tag == USER_DATA:
-            positions.extend((idx, bit) for bit in range(8))
-        elif tag == STUFF_CONTROL:
-            positions.extend((idx, bit) for bit in range(8) if bit != STUFF_CONTROL_BIT)
-
+    # user bits as maximal (start, stop) runs of frame-bit indices
+    mask = "".join(_USER_MASK.get(tag, "--------") for tag in tags)
     layout = SpeLayout(classification=tuple(tags), run_length=run_length,
                        control_index=control_index,
-                       user_bit_positions=tuple(positions))
+                       user_runs=tuple(m.span() for m in re.finditer("u+", mask)))
     if layout.capacity_bits < FDDI_CODE_BITS_PER_FRAME:
         raise InfeasibleLayoutError(
             f"capacity {layout.capacity_bits} bits < {FDDI_CODE_BITS_PER_FRAME}")
@@ -246,14 +233,18 @@ def map_fddi(code_bits: Sequence[int], layout: SpeLayout | None = None) -> list[
     """
     layout = layout or build_spe_layout()
     capacity = layout.capacity_bits
+    digits = bytes(code_bits).translate(_DIGITS)
     frames = []
-    for start in range(0, len(code_bits), capacity):
-        chunk = code_bits[start:start + capacity]
-        octets = bytearray([FIXED_STUFF_FILL] * SPE_BYTES)
-        for (byte_idx, bit_idx), bit in zip(layout.user_bit_positions, chunk):
-            if bit:
-                octets[byte_idx] |= 1 << (7 - bit_idx)
-        frames.append(SpeFrame(layout=layout, data=bytes(octets),
+    for offset in range(0, len(digits), capacity):
+        chunk = digits[offset:offset + capacity]
+        padded = chunk.ljust(capacity, b"0")
+        buf = bytearray(_FILL_DIGITS)
+        pos = 0
+        for start, stop in layout.user_runs:
+            buf[start:stop] = padded[pos:pos + stop - start]
+            pos += stop - start
+        frames.append(SpeFrame(layout=layout,
+                               data=int(buf, 2).to_bytes(SPE_BYTES, "big"),
                                user_bits_filled=len(chunk)))
     return frames
 
@@ -267,14 +258,14 @@ def extract_fddi(frames: Iterable[SpeFrame],
             layout = frame.layout
         if frame.layout.classification != layout.classification:
             raise LayoutMismatchError("frame classification differs from layout")
-        for byte_idx, bit_idx in frame.layout.user_bit_positions[:frame.user_bits_filled]:
-            bits.append((frame.data[byte_idx] >> (7 - bit_idx)) & 1)
+        every, user = frame_bits(frame), []
+        for start, stop in frame.layout.user_runs:
+            user += every[start:stop]
+        bits += user[:frame.user_bits_filled]
     return bits
 
 
 def frame_bits(frame: SpeFrame) -> list[int]:
     """All 2349 x 8 frame bits in transmission order (for scrambling)."""
-    out = []
-    for octet in frame.data:
-        out.extend((octet >> (7 - b)) & 1 for b in range(8))
-    return out
+    digits = format(int.from_bytes(frame.data, "big"), f"0{SPE_BYTES * 8}b")
+    return list(digits.encode("ascii").translate(_VALUES))

@@ -107,6 +107,17 @@ def test_scrambler_dump(capsys):
     assert out.strip() == "1111111000"
 
 
+def test_scrambler_dump_negative_bits_is_usage_error(capsys):
+    for bad in ("-5", "ten"):
+        code, out, err = run(["scrambler", "dump", "--bits", bad], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --bits: need a non-negative integer, got {bad!r}")
+    code, out, _ = run(["scrambler", "dump", "--bits", "0"], capsys)
+    assert (code, out) == (0, "\n")
+
+
 def test_scrambler_analyze_reports_both_models(capsys):
     code, out, _ = run(["scrambler", "analyze"], capsys)
     assert code == 0
@@ -202,6 +213,19 @@ def test_fddi2_plan(tmp_path, capsys):
     assert "2,isochronous,tv,96,6144" in lines
     assert "3,isochronous,voice,2,128" in lines
     assert sum(1 for ln in lines if ",packet,(pool)," in ln) == 3
+
+
+def test_fddi2_plan_json_carries_kbps_as_numbers(tmp_path, capsys):
+    requests = tmp_path / "req.txt"
+    requests.write_text("tv 96\nvoice 3\n")
+    code, out, _ = run(["fddi2", "plan", "--modes", "piiipipiiiiiiiii",
+                        "--requests", str(requests), "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert {"wbc": 2, "mode": "isochronous", "channel": "tv", "bytes": 96,
+            "kbps": 6144.0} in rows
+    assert {"wbc": 3, "mode": "isochronous", "channel": "voice", "bytes": 3,
+            "kbps": 192.0} in rows
 
 
 def test_fddi2_plan_capacity_exceeded(tmp_path, capsys):

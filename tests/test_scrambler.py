@@ -79,6 +79,17 @@ def test_state_never_all_zero():
         ScramblerState((0,) * 7, 0)
 
 
+def test_keystream_rejects_negative_length():
+    assert keystream(0) == []
+    with pytest.raises(ValueError):
+        keystream(-1)
+
+
+def test_state_registers_must_be_bits():
+    with pytest.raises(ValueError):
+        ScramblerState((2, 1, 1, 1, 1, 1, 1), 0)
+
+
 def test_run_lengths_bounded():
     bits = keystream(254)
     text = "".join(map(str, bits))

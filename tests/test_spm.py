@@ -107,6 +107,14 @@ def test_layout_capacity():
     assert layout.capacity_bits >= 15625  # 125 Mbps x 125 us
 
 
+def test_layout_user_bits_are_261_runs():
+    layout = build_spe_layout()
+    assert len(layout.user_runs) == 261
+    assert all(start < stop for start, stop in layout.user_runs)
+    assert all(a[1] < b[0] for a, b in zip(layout.user_runs, layout.user_runs[1:]))
+    assert build_spe_layout() is layout
+
+
 def test_layout_infeasible_parameters():
     with pytest.raises(InfeasibleLayoutError):
         build_spe_layout(run_length=18)  # breaks the 17-byte rule
