@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -95,6 +96,17 @@ def _count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _duration(text: str) -> float:
+    """argparse type: a finite positive number (microseconds)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
+    return value
 
 
 def build_manifest(subcommand: str, params: dict, input_paths: list[str],
@@ -188,8 +200,11 @@ def cmd_scrambler(args) -> int:
         return 0
     # analyze
     if args.table:
-        with open(args.table, "r", encoding="utf-8") as fh:
-            table = phy_codec.parse_code_table(fh.read())
+        try:
+            with open(args.table, "r", encoding="utf-8") as fh:
+                table = phy_codec.parse_code_table(fh.read())
+        except ValueError as exc:
+            raise CliDataError(f"bad-table: {exc}")
     else:
         table = phy_codec.default_code_table()
     report = scrambler.longest_valid_match(table)
@@ -265,6 +280,8 @@ def cmd_simulate(args) -> int:
         raise CliDataError(
             "config-violations: " + ",".join(v.rule for v in exc.violations),
             rows=rows, columns=["metric", "value", "unit"])
+    except ValueError as exc:
+        raise CliDataError(f"bad-config: {exc}")
     rows = [
         {"metric": "throughput", "value": metrics.throughput, "unit": "fraction"},
         {"metric": "duration", "value": metrics.duration_us, "unit": "us"},
@@ -431,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="timed-token ring simulation")
     p.add_argument("--config", required=True)
-    p.add_argument("--duration", type=float, required=True, help="microseconds")
+    p.add_argument("--duration", type=_duration, required=True, help="microseconds")
     common(p)
     p.set_defaults(handler=cmd_simulate)
 

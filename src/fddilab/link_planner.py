@@ -18,7 +18,7 @@ from typing import Sequence
 DEFAULT_CONNECTOR_LOSS_DB = 0.3
 
 MAX_RING_STATIONS = 500
-MAX_RING_CABLE_KM = 100.0
+MAX_RING_CABLE_KM = 100
 
 OPTICAL_WAVELENGTH_NM = 1300
 

@@ -11,14 +11,14 @@ Protocol rules implemented per token visit at a station:
   it fits entirely inside the remaining window, so a late token carries
   no asynchronous traffic at all.
 
-Time is kept as exact rationals (microseconds); the event queue breaks
-ties on (time, station id, event kind), so a run is a pure function of
-(config, load, duration, seed).
+Time is counted in integer ticks of 1/L us, one L per run chosen so
+that every configured time is a whole number of ticks; Poisson arrivals
+are rounded up to a tick once, when they are drawn. A run is a pure
+function of (config, load, duration, seed).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import random
@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
+from .link_planner import MAX_RING_CABLE_KM, MAX_RING_STATIONS
 
-# Standard ring-sizing limits checked in compliance mode.
-MAX_STATIONS = 500
-MAX_CABLE_KM = 100
+LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
 
 # Ring-latency estimation constants. Both are model choices, not
 # protocol constants: fiber propagation at 5.085 us/km and a nominal
@@ -41,8 +39,6 @@ DEFAULT_STATION_DELAY_US = Fraction(1)
 
 SYNC = "sync"
 ASYNC = "async"
-
-_EV_TOKEN = 0
 
 
 class DomainError(ValueError):
@@ -121,12 +117,12 @@ def validate_config(cfg: RingConfig) -> list[Violation]:
             f"sync allocations {sync_total} us > T - D "
             f"= {cfg.ttrt_us - cfg.ring_latency_us} us"))
     if cfg.compliance:
-        if cfg.n_stations > MAX_STATIONS:
+        if cfg.n_stations > MAX_RING_STATIONS:
             out.append(Violation(
-                "StationCount", f"{cfg.n_stations} stations > {MAX_STATIONS}"))
-        if cfg.total_cable_km is not None and cfg.total_cable_km > MAX_CABLE_KM:
+                "StationCount", f"{cfg.n_stations} stations > {MAX_RING_STATIONS}"))
+        if cfg.total_cable_km is not None and cfg.total_cable_km > MAX_RING_CABLE_KM:
             out.append(Violation(
-                "TotalCable", f"{cfg.total_cable_km} km > {MAX_CABLE_KM} km"))
+                "TotalCable", f"{cfg.total_cable_km} km > {MAX_RING_CABLE_KM} km"))
     return out
 
 
@@ -207,43 +203,42 @@ class SimMetrics:
     trace: tuple[VisitRecord, ...] = field(repr=False, compare=False, default=())
 
 
+def _first_tick(t: float, ticks_per_us: int) -> int:
+    """The first tick N with float(N / L) >= t us, L = ticks_per_us: that
+    is ceil(t * L), unless ticks just below t * L already round to t."""
+    p, q = math.nextafter(t, 0.0).as_integer_ratio()
+    lo = p * ticks_per_us // q                      # float(lo / L) < t
+    p, q = t.as_integer_ratio()
+    hi = -(-p * ticks_per_us // q)                  # ceil(t * L), exact
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid / ticks_per_us >= t else (mid, hi)
+    return hi
+
+
 class _Queue:
-    """Per-(station, class) frame queue fed by a pre-generated arrival list."""
+    """Per-(station, class) frame queue and frame counters, in ticks. Poisson
+    arrivals (None when saturated) are drawn up to horizon us, and each is
+    rounded up to its first tick once, when it is drawn."""
 
-    __slots__ = ("frame_bytes", "frame_time", "destination", "saturated",
-                 "arrivals", "taken")
+    __slots__ = ("frame_bytes", "frame_ticks", "deliver_ticks", "arrivals",
+                 "taken", "sent", "delivered", "in_window")
 
-    def __init__(self, source: TrafficSource, duration: Fraction, rng_seed: int):
+    def __init__(self, source: TrafficSource, frame_ticks: int, deliver_ticks: int,
+                 horizon: float, rng_seed: int, ticks_per_us: int):
         self.frame_bytes = source.frame_bytes
-        self.frame_time = Fraction(source.frame_bytes * 8) / LINE_RATE_BITS_PER_US
-        self.destination = source.destination
-        self.saturated = source.rate_mbps is None
-        self.taken = 0
-        self.arrivals: list[float] = []
-        if not self.saturated:
+        self.frame_ticks = frame_ticks
+        self.deliver_ticks = deliver_ticks  # source to destination walk
+        self.taken = self.sent = self.delivered = self.in_window = 0
+        rate = source.rate_mbps             # bits per us
+        self.arrivals = None if rate is None else []
+        if rate is not None and rate > 0:
             rng = random.Random(rng_seed)
-            rate = source.rate_mbps          # bits per us
-            if rate <= 0:
-                return
-            mean_gap = source.frame_bytes * 8 / rate
-            t = rng.expovariate(1.0 / mean_gap)
-            horizon = float(duration)
+            lambd = 1.0 / (source.frame_bytes * 8 / rate)
+            t = rng.expovariate(lambd)
             while t <= horizon:
-                self.arrivals.append(t)
-                t += rng.expovariate(1.0 / mean_gap)
-
-    def available(self, now: Fraction) -> int:
-        if self.saturated:
-            return 1 << 30
-        return bisect_right(self.arrivals, float(now)) - self.taken
-
-    def take(self) -> float | None:
-        """Dequeue one frame; returns its arrival time (None if saturated)."""
-        if self.saturated:
-            return None
-        t = self.arrivals[self.taken]
-        self.taken += 1
-        return t
+                self.arrivals.append(_first_tick(t, ticks_per_us))
+                t += rng.expovariate(lambd)
 
 
 def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
@@ -267,130 +262,130 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         raise ValueError("need 0 <= warmup < duration")
 
     n = cfg.n_stations
-    t_target = cfg.ttrt_us
     hop = cfg.ring_latency_us / n
+    # One tick is 1/L us, L the lcm of every time's denominator, so the
+    # loop below runs on ints and stays exact.
+    frame_us = {b: Fraction(b * 8) / LINE_RATE_BITS_PER_US
+                for b in {s.frame_bytes for s in load.sources}}
+    L = math.lcm(*(x.denominator for x in (
+        hop, cfg.ttrt_us, duration, warmup, *cfg.sync_allocation_us,
+        *frame_us.values())))
 
-    queues: dict[tuple[int, str], _Queue] = {}
+    def ticks(x: Fraction) -> int:
+        return x.numerator * (L // x.denominator)
+
+    hop_t, ttrt, dur, warm = ticks(hop), ticks(cfg.ttrt_us), ticks(duration), ticks(warmup)
+    alloc = [ticks(a) for a in cfg.sync_allocation_us]
+    queues: dict[str, list[_Queue | None]] = {SYNC: [None] * n, ASYNC: [None] * n}
     for idx, src in enumerate(load.sources):
         if not 0 <= src.station < n:
             raise ValueError(f"traffic source station {src.station} out of range")
-        if src.traffic_class not in (SYNC, ASYNC):
+        if src.traffic_class not in queues:
             raise ValueError(f"unknown traffic class {src.traffic_class!r}")
-        key = (src.station, src.traffic_class)
-        if key in queues:
-            raise ValueError(f"duplicate traffic source for {key}")
-        queues[key] = _Queue(src, duration, rng_seed=seed * 1_000_003 + idx)
+        row = queues[src.traffic_class]
+        if row[src.station] is not None:
+            raise ValueError("duplicate traffic source for "
+                             f"{(src.station, src.traffic_class)}")
+        dst = src.destination if src.destination is not None else (src.station + 1) % n
+        row[src.station] = _Queue(
+            src, ticks(frame_us[src.frame_bytes]), ((dst - src.station) % n or n) * hop_t,
+            float(duration), seed * 1_000_003 + idx, L)
+    sync_q, async_q = queues[SYNC], queues[ASYNC]
+
+    def send(q: _Queue, start: int, budget: int) -> int:
+        """Send whole frames from start while they fit in budget; returns
+        the ticks used. Frame j (1..k) completes at start + j*ft."""
+        ft = q.frame_ticks
+        k = budget // ft
+        arr = q.arrivals
+        if arr is not None:
+            # a queued frame goes only once it has arrived
+            i = first = q.taken
+            end = min(len(arr), first + k)
+            t = start
+            while i < end and arr[i] <= t:
+                i += 1
+                t += ft
+            q.taken = i
+            k = i - first
+        if k <= 0:
+            return 0
+        q.sent += k
+        q.in_window += max(0, min(k, (dur - start) // ft)
+                           - min(k, max(0, (warm - start) // ft)))
+        q.delivered += min(k, max(0, (dur - q.deliver_ticks - start) // ft))
+        return k * ft
 
     # pretend a zero-load rotation preceded t=0 so first rotations read D
-    last_arrival = [i * hop - cfg.ring_latency_us for i in range(n)]
-    need_arrivals = load.probe_count > 0
-    arrivals_log: list[list[Fraction]] = [[] for _ in range(n)] if need_arrivals else []
-    max_gap = [None] * n
-
-    sent_bytes = {SYNC: 0, ASYNC: 0}
-    delivered_bytes = {SYNC: 0, ASYNC: 0}
-    in_flight = {SYNC: 0, ASYNC: 0}
-    window_bits = 0
+    last_arrival = [(i - n) * hop_t for i in range(n)]
+    arrivals_log = [[] for _ in range(n)] if load.probe_count > 0 else None
+    max_gap = [-1] * n
     visits = 0
     trace: list[VisitRecord] = []
 
-    def send_frames(station: int, cls: str, start: Fraction,
-                    budget: Fraction) -> Fraction:
-        """Send whole frames while they fit in budget; returns time used."""
-        q = queues.get((station, cls))
-        if q is None or budget <= 0:
-            return Fraction(0)
-        nonlocal window_bits
-        ft = q.frame_time
-        dst = q.destination if q.destination is not None else (station + 1) % n
-        hops = (dst - station) % n or n
-        if q.saturated:
-            # back-to-back frames fill the whole budget: account in bulk
-            k = math.floor(budget / ft)
-            if k <= 0:
-                return Fraction(0)
-            sent_bytes[cls] += k * q.frame_bytes
-            # frame j (1..k) completes at start + j*ft
-            in_window = (min(k, math.floor((duration - start) / ft))
-                         - min(k, max(0, math.floor((warmup - start) / ft))))
-            window_bits += max(0, in_window) * q.frame_bytes * 8
-            delivered = min(k, max(0, math.floor(
-                (duration - hops * hop - start) / ft)))
-            delivered_bytes[cls] += delivered * q.frame_bytes
-            in_flight[cls] += k - delivered
-            return k * ft
-        used = Fraction(0)
-        while q.available(start + used) > 0 and used + ft <= budget:
-            q.take()
-            used += ft
-            done = start + used
-            sent_bytes[cls] += q.frame_bytes
-            if warmup < done <= duration:
-                window_bits += q.frame_bytes * 8
-            if done + hops * hop <= duration:
-                delivered_bytes[cls] += q.frame_bytes
-            else:
-                in_flight[cls] += 1
-        return used
-
-    events: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, _EV_TOKEN)]
-    while events:
-        now, station, _kind = heapq.heappop(events)
-        if now > duration:
-            break
+    now = station = 0
+    while now <= dur:
         rotation = now - last_arrival[station]
         last_arrival[station] = now
-        if need_arrivals:
+        if arrivals_log is not None:
             arrivals_log[station].append(now)
-        if now > warmup:
-            prev = max_gap[station]
-            max_gap[station] = rotation if prev is None else max(prev, rotation)
+        if now > warm and rotation > max_gap[station]:
+            max_gap[station] = rotation
         visits += 1
 
-        sync_used = send_frames(station, SYNC, now, cfg.sync_allocation_us[station])
-        async_budget = t_target - rotation if rotation < t_target else Fraction(0)
-        async_used = send_frames(station, ASYNC, now + sync_used, async_budget)
-
+        q = sync_q[station]
+        sync_used = send(q, now, alloc[station]) if q is not None else 0
+        q = async_q[station]
+        async_used = (send(q, now + sync_used, ttrt - rotation)
+                      if q is not None and rotation < ttrt else 0)
         depart = now + sync_used + async_used
         if collect_trace:
-            trace.append(VisitRecord(station, now, rotation,
-                                     sync_used, async_used, depart))
-        heapq.heappush(events, (depart + hop, (station + 1) % n, _EV_TOKEN))
+            trace.append(VisitRecord(station, *(Fraction(x, L) for x in (
+                now, rotation, sync_used, async_used, depart))))
+        now = depart + hop_t
+        station = station + 1 if station + 1 < n else 0
 
-    span = duration - warmup
-    throughput = float(Fraction(window_bits) / (span * LINE_RATE_BITS_PER_US))
+    counts = {SYNC: [0, 0, 0], ASYNC: [0, 0, 0]}  # bytes sent, delivered; in flight
+    window_bits = 0
+    for cls, tally in counts.items():
+        for q in queues[cls]:
+            if q is not None:
+                tally[0] += q.sent * q.frame_bytes
+                tally[1] += q.delivered * q.frame_bytes
+                tally[2] += q.sent - q.delivered
+                window_bits += q.in_window * q.frame_bytes * 8
+    throughput = float(Fraction(window_bits)
+                       / ((duration - warmup) * LINE_RATE_BITS_PER_US))
 
     sync_stations = [i for i in range(n) if cfg.sync_allocation_us[i] > 0]
-    gap_pool = sync_stations or range(n)
-    gaps = [max_gap[i] for i in gap_pool if max_gap[i] is not None]
-    max_sync_gap = float(max(gaps)) if gaps else None
+    gaps = [max_gap[i] for i in sync_stations or range(n) if max_gap[i] >= 0]
+    max_sync_gap = max(gaps) / L if gaps else None
 
     probe_delays: list[float] = []
-    if load.probe_count > 0:
+    if arrivals_log is not None:
         rng = random.Random(seed * 1_000_003 + 7919)
-        last_per_station = [float(a[-1]) if a else 0.0 for a in arrivals_log]
-        horizon = min(last_per_station)
+        horizon = min(a[-1] / L if a else 0.0 for a in arrivals_log)
         lo = float(warmup)
         if horizon > lo:
             for _ in range(load.probe_count):
                 t = rng.uniform(lo, horizon)
-                st = rng.randrange(n)
-                arr = arrivals_log[st]
-                idx = bisect_right(arr, t)
+                arr = rng.choice(arrivals_log)      # draws as randrange(n)
+                p, q = t.as_integer_ratio()
+                idx = bisect_right(arr, p * L // q)  # first arrival after t
                 if idx < len(arr):
-                    probe_delays.append(float(arr[idx]) - t)
+                    probe_delays.append(arr[idx] / L - t)
 
     return SimMetrics(
         duration_us=float(duration),
         warmup_us=float(warmup),
         n_token_visits=visits,
         throughput=throughput,
-        sync_bytes_sent=sent_bytes[SYNC],
-        async_bytes_sent=sent_bytes[ASYNC],
-        sync_bytes_delivered=delivered_bytes[SYNC],
-        async_bytes_delivered=delivered_bytes[ASYNC],
-        sync_frames_in_flight=in_flight[SYNC],
-        async_frames_in_flight=in_flight[ASYNC],
+        sync_bytes_sent=counts[SYNC][0],
+        async_bytes_sent=counts[ASYNC][0],
+        sync_bytes_delivered=counts[SYNC][1],
+        async_bytes_delivered=counts[ASYNC][1],
+        sync_frames_in_flight=counts[SYNC][2],
+        async_frames_in_flight=counts[ASYNC][2],
         max_sync_gap_us=max_sync_gap,
         mean_access_delay_us=(sum(probe_delays) / len(probe_delays)
                               if probe_delays else None),
@@ -473,11 +468,16 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
             rate = None
         else:
             rate = float(rate)
+            if not 0 <= rate < math.inf:
+                raise ValueError(f"rate_mbps must be finite and >= 0, got {rate}")
+        frame_bytes = int(entry.get("frame_bytes", 100))
+        if frame_bytes < 1:
+            raise ValueError(f"frame_bytes must be >= 1, got {frame_bytes}")
         sources.append(TrafficSource(
             station=int(entry["station"]),
             traffic_class=entry["class"],
             rate_mbps=rate,
-            frame_bytes=int(entry.get("frame_bytes", 100)),
+            frame_bytes=frame_bytes,
             destination=(int(entry["destination"])
                          if entry.get("destination") is not None else None),
         ))

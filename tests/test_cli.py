@@ -278,3 +278,77 @@ def test_emit_report_quotes_and_units():
     text = emit_report([{"metric": "a,b", "value": 1.5, "unit": "us"}],
                        ["metric", "value", "unit"], "csv")
     assert text == 'metric,value,unit\n"a,b",1.5,us\n'
+
+
+def test_simulate_duration_must_be_finite_and_positive(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360}))
+    for bad in ("nan", "inf", "1e400", "0", "-5", "ten"):
+        code, out, err = run(["simulate", "--config", str(config),
+                              "--duration", bad], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --duration: need a finite positive number, got {bad!r}")
+    code, _, _ = run(["simulate", "--config", str(config),
+                      "--duration", "33333.3"], capsys)
+    assert code == 0
+
+
+def _simulate_config(tmp_path, capsys, doc):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    return run(["simulate", "--config", str(config), "--duration", "5000"],
+               capsys)
+
+
+def test_simulate_out_of_range_source_is_bad_config(tmp_path, capsys):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,
+        "traffic": [{"station": 7, "class": "async", "rate_mbps": 5}]})
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad-config: traffic source station 7 out of range\n"
+
+
+def test_simulate_negative_or_non_finite_rate_is_bad_config(tmp_path, capsys):
+    for rate in (-3, "nan", "inf", float("nan"), float("-inf")):
+        code, out, err = _simulate_config(tmp_path, capsys, {
+            "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,
+            "traffic": [{"station": 1, "class": "async", "rate_mbps": rate}]})
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad-config: rate_mbps must be finite and >= 0")
+        assert err.count("\n") == 1
+
+
+def test_simulate_zero_frame_bytes_is_bad_config(tmp_path, capsys):
+    code, _, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,
+        "traffic": [{"station": 1, "class": "async", "rate_mbps": 5,
+                     "frame_bytes": 0}]})
+    assert code == 1
+    assert err == "error: bad-config: frame_bytes must be >= 1, got 0\n"
+
+
+def test_scrambler_analyze_malformed_table_is_bad_table(tmp_path, capsys):
+    shipped = [
+        "11110 data 0", "01001 data 1", "10100 data 2", "10101 data 3",
+        "01010 data 4", "01011 data 5", "01110 data 6", "01111 data 7",
+        "10010 data 8", "10011 data 9", "10110 data A", "10111 data B",
+        "11010 data C", "11011 data D", "11100 data E", "11101 data F"]
+    tables = {
+        "repeated": (shipped + ["11110 control I"],
+                     "pattern 11110 mapped twice"),
+        "short": (shipped[:1], "expected 16 data symbols, got 1"),
+        "kind": (shipped + ["11111 idle I"], "unknown symbol kind 'idle'"),
+    }
+    for name, (lines, reason) in tables.items():
+        table = tmp_path / f"{name}.txt"
+        table.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["scrambler", "analyze", "--table", str(table)],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad-table: {reason}\n"

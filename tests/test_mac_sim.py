@@ -254,3 +254,27 @@ def test_config_from_dict():
     assert load.sources[0].rate_mbps is None
     assert load.sources[1].destination == 2
     assert load.probe_count == 50
+
+
+def test_config_from_dict_rejects_negative_or_non_finite_rate():
+    for rate in (-3, "-0.5", "nan", float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="rate_mbps must be finite and >= 0"):
+            config_from_dict({
+                "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 400,
+                "traffic": [{"station": 0, "class": "async", "rate_mbps": rate}]})
+    _, load = config_from_dict({
+        "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 400,
+        "traffic": [{"station": 0, "class": "async", "rate_mbps": 0}]})
+    assert load.sources[0].rate_mbps == 0
+
+
+def test_ring_limits_shared_with_link_planner():
+    from fddilab import link_planner
+    details = {v.rule: v.detail for v in validate_config(
+        RingConfig.make(501, 1000, 5000, total_cable_km=101))}
+    assert details["StationCount"] == "501 stations > 500"
+    assert details["TotalCable"] == "101 km > 100 km"
+    report = link_planner.validate_ring(
+        [link_planner.LinkSpec("SMF", 40_000)] * 3, 501)
+    assert report.ring_rules == ("StationCount: 501 stations > 500",
+                                 "TotalCable: 120 km > 100 km")

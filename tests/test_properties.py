@@ -1,12 +1,26 @@
 """Property tests: the period-indexed scrambler and the run-table SPE
 mapping against bit-by-bit references (``next_bit`` for the keystream,
-per-position shifts for the frame layout)."""
+per-position shifts for the frame layout), and the integer-tick ring
+simulator against a Fraction-time, frame-by-frame reference and the
+timed-token invariants on random rings."""
 
 import random
+from bisect import bisect_right
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fddilab.mac_sim import (
+    ASYNC,
+    SYNC,
+    RingConfig,
+    SimMetrics,
+    TrafficModel,
+    TrafficSource,
+    _first_tick,
+    run_simulation,
+)
 from fddilab.scrambler import (
     PERIOD,
     ScramblerState,
@@ -141,3 +155,181 @@ def test_frame_bits_match_per_bit_unpack(rng_seed):
     data = random.Random(rng_seed).randbytes(SPE_BYTES)
     frame = SpeFrame(layout=build_spe_layout(), data=data, user_bits_filled=0)
     assert frame_bits(frame) == [(octet >> (7 - b)) & 1 for octet in data for b in range(8)]
+
+
+# --- ring simulator -----------------------------------------------------
+
+def _load(draw, n, frame):
+    """Saturated, Poisson or no source per station and class, and probes."""
+    sources = []
+    for station in range(n):
+        for cls in (SYNC, ASYNC):
+            kind = draw(st.sampled_from(["none", "saturated", "poisson"]))
+            if kind != "none":
+                rate = None if kind == "saturated" else draw(st.floats(0.5, 40))
+                dest = draw(st.none() | st.integers(0, n - 1))
+                sources.append(TrafficSource(station, cls, rate, frame[cls], dest))
+    return TrafficModel.make(sources, probe_count=draw(st.sampled_from([0, 40])))
+
+
+@st.composite
+def rings(draw, max_latency_us=3000, min_frame_bytes=1, max_rotations=25):
+    """A random ring with fractional D/n, one frame size per class and a
+    fractional duration."""
+    n = draw(st.integers(1, 8))
+    d = Fraction(draw(st.integers(1, max_latency_us)),
+                 draw(st.sampled_from([1, 3, 7, 10])))
+    t = d * Fraction(draw(st.integers(11, 40)), 10)
+    share = (t - d) / (n + 1)
+    alloc = [share * Fraction(draw(st.integers(0, 10)), 10) for _ in range(n)]
+    frame = {cls: draw(st.integers(min_frame_bytes, 1500)) for cls in (SYNC, ASYNC)}
+    cfg = RingConfig.make(n, d, t, sync_allocation_us=alloc, compliance=False)
+    duration = t * draw(st.integers(3, max_rotations)) + Fraction(draw(st.integers(0, 9)), 10)
+    return cfg, _load(draw, n, frame), duration, frame, draw(seeds)
+
+
+@st.composite
+def unit_rings(draw):
+    """A ring whose every time is a whole number of microseconds, so that
+    arrivals, token visits, frame ends, the warmup and the end of the run
+    often fall on the same tick."""
+    n = draw(st.integers(1, 6))
+    d = n * draw(st.integers(1, 10))
+    t = d + draw(st.integers(0, 150))
+    alloc = [draw(st.integers(0, (t - d) // (n + 1))) for _ in range(n)]
+    frame = {cls: 25 * draw(st.integers(1, 3)) for cls in (SYNC, ASYNC)}
+    cfg = RingConfig.make(n, d, t, sync_allocation_us=alloc, compliance=False)
+    duration = Fraction(5 * draw(st.integers(t // 5 + 1, 6 * t)))
+    return cfg, _load(draw, n, frame), duration, frame, draw(seeds)
+
+
+def ref_simulation(cfg, load, duration, seed_):
+    """Reference run: Fraction time, float Poisson arrivals compared with
+    float(now), one frame at a time, the token walked hop by hop."""
+    n, d, t = cfg.n_stations, cfg.ring_latency_us, cfg.ttrt_us
+    hop, warmup = d / n, duration / 5
+    queues = {}
+    for idx, src in enumerate(load.sources):
+        arrivals = None if src.rate_mbps is None else []
+        if src.rate_mbps:
+            rng = random.Random(seed_ * 1_000_003 + idx)
+            mean_gap = src.frame_bytes * 8 / src.rate_mbps
+            at = rng.expovariate(1.0 / mean_gap)
+            while at <= float(duration):
+                arrivals.append(at)
+                at += rng.expovariate(1.0 / mean_gap)
+        dst = src.destination if src.destination is not None else (src.station + 1) % n
+        walk = ((dst - src.station) % n or n) * hop
+        queues[src.station, src.traffic_class] = [src, walk, arrivals, 0]
+    sent, delivered, flight = {SYNC: 0, ASYNC: 0}, {SYNC: 0, ASYNC: 0}, {SYNC: 0, ASYNC: 0}
+    window_bits = 0
+
+    def send(station, cls, start, budget):
+        nonlocal window_bits
+        used = Fraction(0)
+        q = queues.get((station, cls))
+        while q is not None:
+            src, walk, arrivals, taken = q
+            ft = Fraction(src.frame_bytes * 8, 100)
+            if used + ft > budget or arrivals is not None and (
+                    taken == len(arrivals) or arrivals[taken] > float(start + used)):
+                break
+            q[3] += 1
+            used += ft
+            sent[cls] += src.frame_bytes
+            if warmup < start + used <= duration:
+                window_bits += src.frame_bytes * 8
+            if start + used + walk <= duration:
+                delivered[cls] += src.frame_bytes
+            else:
+                flight[cls] += 1
+        return used
+
+    last = [i * hop - d for i in range(n)]
+    visits_at = [[] for _ in range(n)]
+    max_gap = [None] * n
+    now, station = Fraction(0), 0
+    while now <= duration:
+        rotation = now - last[station]
+        last[station] = now
+        visits_at[station].append(now)
+        if now > warmup:
+            max_gap[station] = max(rotation, max_gap[station] or rotation)
+        used = send(station, SYNC, now, cfg.sync_allocation_us[station])
+        used += send(station, ASYNC, now + used, t - rotation)
+        now += used + hop
+        station = (station + 1) % n
+    gaps = [max_gap[i] for i in range(n) if cfg.sync_allocation_us[i] > 0] or max_gap
+    gaps = [g for g in gaps if g is not None]
+    probes = []
+    if load.probe_count > 0:
+        rng = random.Random(seed_ * 1_000_003 + 7919)
+        horizon = min(float(a[-1]) if a else 0.0 for a in visits_at)
+        if horizon > float(warmup):
+            for _ in range(load.probe_count):
+                at = rng.uniform(float(warmup), horizon)
+                arr = visits_at[rng.randrange(n)]
+                i = bisect_right(arr, at)       # Fraction against float: exact
+                if i < len(arr):
+                    probes.append(float(arr[i]) - at)
+    return SimMetrics(
+        float(duration), float(warmup), sum(map(len, visits_at)),
+        float(Fraction(window_bits) / ((duration - warmup) * 100)),
+        sent[SYNC], sent[ASYNC], delivered[SYNC], delivered[ASYNC],
+        flight[SYNC], flight[ASYNC], float(max(gaps)) if gaps else None,
+        sum(probes) / len(probes) if probes else None,
+        max(probes) if probes else None, tuple(probes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=rings() | unit_rings())
+def test_simulator_invariants_on_random_rings(ring):
+    cfg, load, duration, frame, seed_ = ring
+    m = run_simulation(cfg, load, duration, seed=seed_, collect_trace=True)
+    # byte conservation: sent = delivered + in-flight x frame
+    assert m.sync_bytes_sent == (m.sync_bytes_delivered
+                                 + m.sync_frames_in_flight * frame[SYNC])
+    assert m.async_bytes_sent == (m.async_bytes_delivered
+                                  + m.async_frames_in_flight * frame[ASYNC])
+    # one token walks the ring in order, D/n per hop
+    n, hop, two_t = cfg.n_stations, cfg.ring_latency_us / cfg.n_stations, 2 * cfg.ttrt_us
+    assert m.n_token_visits == len(m.trace)
+    assert (m.trace[0].station, m.trace[0].arrival_us) == (0, 0)
+    for v in m.trace:
+        assert v.depart_us == v.arrival_us + v.sync_tx_us + v.async_tx_us
+        assert v.sync_tx_us <= cfg.sync_allocation_us[v.station]
+        assert v.rotation_us <= two_t
+    for prev, nxt in zip(m.trace, m.trace[1:]):
+        assert nxt.station == (prev.station + 1) % n
+        assert nxt.arrival_us == prev.depart_us + hop
+    assert m.trace[-1].arrival_us <= duration < m.trace[-1].depart_us + hop
+    # the 2T bound on gaps between synchronous services
+    if m.max_sync_gap_us is not None:
+        assert m.max_sync_gap_us <= float(two_t)
+    assert all(0 <= delay <= float(two_t) for delay in m.probe_delays_us)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=rings())
+def test_same_seed_same_metrics(ring):
+    cfg, load, duration, _, seed_ = ring
+    first = run_simulation(cfg, load, duration, seed=seed_, collect_trace=True)
+    again = run_simulation(cfg, load, duration, seed=seed_, collect_trace=True)
+    assert first == again
+    assert first.trace == again.trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(0, 1e6), ticks_per_us=st.integers(1, 10 ** 6) | st.integers(1, 10 ** 30))
+def test_arrival_rounds_up_to_the_first_tick_that_reads_as_t(t, ticks_per_us):
+    tick = _first_tick(t, ticks_per_us)
+    assert float(Fraction(tick, ticks_per_us)) >= t
+    assert tick == 0 or float(Fraction(tick - 1, ticks_per_us)) < t
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=rings(max_latency_us=300, min_frame_bytes=25, max_rotations=10) | unit_rings())
+def test_simulator_matches_fraction_reference(ring):
+    cfg, load, duration, _, seed_ = ring
+    assert run_simulation(cfg, load, duration, seed=seed_) == ref_simulation(
+        cfg, load, duration, seed_)
