@@ -7,4 +7,40 @@ hierarchy and payload mapping (spm), and mixed-media link budgets
 (link_planner). The ``fddilab`` command exposes all of them.
 """
 
+from __future__ import annotations
+
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Malformed or out-of-range input from outside the program: ``tag``
+    names the reason, ``path`` the input file where it is known, and the
+    message the offending field. The CLI reports it as one line,
+    ``error: <tag>: <message>``, and exit 1. Library errors the CLI
+    reports subclass it with their own tag."""
+
+    tag = "bad-input"
+
+    def __init__(self, message: str, tag: str | None = None, path: str | None = None):
+        super().__init__(message)
+        self.tag = tag or self.tag
+        self.path = path
+
+
+def read_input(path: str, tag: str, parse=str):
+    """``parse`` of an input file's text. Text that is not UTF-8, or that
+    ``parse`` (e.g. json.loads) rejects, is an InputError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path}: {exc}", tag, path) from None
+
+
+def number(value, to, field: str, tag: str, path: str | None = None):
+    """``to(value)`` for one field of an input; a value ``to`` rejects is
+    an InputError naming the field."""
+    try:
+        return to(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError(f"{field}: need a number, got {value!r}", tag, path) from None

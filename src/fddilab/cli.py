@@ -4,12 +4,15 @@ Every subcommand is deterministic: randomness flows only from --seed,
 no output depends on wall-clock time or ambient state, and re-running
 with identical inputs reproduces byte-identical output. Exit codes:
 0 success, 1 domain errors (violations and failed verdicts, reported as
-data on stdout with a one-line reason on stderr), 2 usage errors.
+data on stdout with a one-line reason on stderr), 2 usage errors. Input
+files are read by loaders in their modules, which raise InputError;
+``dispatch`` alone turns an error into an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -17,23 +20,14 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__, fddi2, link_planner, mac_sim, phy_codec, scrambler, spm
+from . import (InputError, __version__, fddi2, link_planner, mac_sim, phy_codec,
+               read_input, scrambler, spm)
 
 CSV = "csv"
 JSON = "json"
 
 GIVEN = "given"       # constant carried from the published figures
 COMPUTED = "computed"  # value recomputed by this tool
-
-
-class CliDataError(Exception):
-    """Domain error: report printed as data, exit code 1."""
-
-    def __init__(self, reason: str, rows=None, columns=None):
-        self.reason = reason
-        self.rows = rows or []
-        self.columns = columns or []
-        super().__init__(reason)
 
 
 def emit_report(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -61,21 +55,19 @@ def _cell(value) -> str:
     return text
 
 
-def _write(text: str, path: str | None):
+def _write(text: str, path: str | None, stream=None):
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
 
 
 def _read_digits(path: str, alphabet: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    symbols = "".join(text.split())
+    symbols = "".join(read_input(path, "bad-input-symbol").split())
     bad = set(symbols) - set(alphabet)
     if bad:
-        raise CliDataError(f"bad-input-symbol: {sorted(bad)} not in {alphabet!r}")
+        raise InputError(f"{sorted(bad)} not in {alphabet!r}", "bad-input-symbol")
     return symbols
 
 
@@ -109,29 +101,22 @@ def _duration(text: str) -> float:
     return value
 
 
-def build_manifest(subcommand: str, params: dict, input_paths: list[str],
-                   seed: int | None) -> dict:
+def _maybe_manifest(args, params: dict, input_paths: list[str]):
+    """With --manifest, record the parameters, input digests, seed and version."""
+    if not args.manifest:
+        return
     digests = {}
     for path in input_paths:
-        h = hashlib.sha256()
         with open(path, "rb") as fh:
-            h.update(fh.read())
-        digests[path] = h.hexdigest()
-    return {
-        "subcommand": subcommand,
+            digests[path] = hashlib.sha256(fh.read()).hexdigest()
+    manifest = {
+        "subcommand": args.command,
         "parameters": {k: params[k] for k in sorted(params)},
         "inputs": digests,
-        "seed": seed,
+        "seed": args.seed,
         "artifact_version": __version__,
     }
-
-
-def _maybe_manifest(args, params: dict, input_paths: list[str]):
-    if getattr(args, "manifest", None):
-        manifest = build_manifest(args.command, params, input_paths,
-                                  getattr(args, "seed", None))
-        with open(args.manifest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.manifest)
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -140,10 +125,7 @@ def cmd_rates(args) -> int:
     levels = [args.level] if args.level else list(spm.STS_LEVELS)
     rows = []
     for n in levels:
-        try:
-            entry = spm.sts_rates(n)
-        except spm.UnknownLevelError as exc:
-            raise CliDataError(f"unknown-level: {exc}")
+        entry = spm.sts_rates(n)
         rows.append({
             "sts": f"STS-{entry.sts_level}",
             "oc": entry.oc,
@@ -163,14 +145,9 @@ def cmd_codec(args) -> int:
         if args.decode:
             bits = _read_digits(args.infile, "01")
             if len(bits) % 5:
-                raise CliDataError(f"bad-length: {len(bits)} bits not a multiple of 5")
+                raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
             patterns = [bits[i:i + 5] for i in range(0, len(bits), 5)]
-            try:
-                nibbles = phy_codec.decode_4b5b(patterns, table)
-            except phy_codec.ControlSymbolError as exc:
-                raise CliDataError(f"control-symbol: {exc.name} at {exc.position}")
-            except phy_codec.InvalidSymbolError as exc:
-                raise CliDataError(f"invalid-symbol: {exc.pattern} at {exc.position}")
+            nibbles = phy_codec.decode_4b5b(patterns, table)
             text = "".join(f"{n:X}" for n in nibbles) + "\n"
         else:
             nibbles = [int(c, 16) for c in _read_digits(args.infile, "0123456789abcdefABCDEF").upper()]
@@ -178,7 +155,7 @@ def cmd_codec(args) -> int:
             text = "".join(s.code for s in symbols) + "\n"
     else:
         if args.decode:
-            raise CliDataError(f"unsupported: {args.scheme} decode")
+            raise InputError(f"{args.scheme} decode", "unsupported")
         bits = _read_bits(args.infile)
         if args.scheme == "nrzi":
             signal = phy_codec.nrzi_encode(bits, initial_level=args.initial_level)
@@ -200,11 +177,7 @@ def cmd_scrambler(args) -> int:
         return 0
     # analyze
     if args.table:
-        try:
-            with open(args.table, "r", encoding="utf-8") as fh:
-                table = phy_codec.parse_code_table(fh.read())
-        except ValueError as exc:
-            raise CliDataError(f"bad-table: {exc}")
+        table = phy_codec.parse_code_table(read_input(args.table, phy_codec.BAD_TABLE))
     else:
         table = phy_codec.default_code_table()
     report = scrambler.longest_valid_match(table)
@@ -236,7 +209,7 @@ def cmd_sonet_map(args) -> int:
     recovered = spm.extract_fddi(frames, layout)
     _write(_bit_text(recovered) + "\n", args.out)
     if recovered != bits:
-        raise CliDataError("roundtrip-mismatch: extracted bits differ from input")
+        raise InputError("extracted bits differ from input", "roundtrip-mismatch")
     arith = spm.spe_arithmetic_report()
     rows = [
         {"metric": "frames", "value": len(frames), "unit": "count",
@@ -257,31 +230,15 @@ def cmd_sonet_map(args) -> int:
     ]
     report = emit_report(rows, ["metric", "value", "unit", "provenance"],
                          args.format)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report)
-    else:
-        sys.stderr.write(report)
+    _write(report, args.report, sys.stderr)
     _maybe_manifest(args, {}, [args.infile])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg, load = mac_sim.load_config_file(args.config)
-    except (KeyError, ValueError) as exc:
-        raise CliDataError(f"bad-config: {exc}")
-    try:
-        metrics = mac_sim.run_simulation(cfg, load, duration_us=args.duration,
-                                         seed=args.seed)
-    except mac_sim.ConfigViolationsError as exc:
-        rows = [{"metric": "violation", "value": v.rule, "unit": v.detail}
-                for v in exc.violations]
-        raise CliDataError(
-            "config-violations: " + ",".join(v.rule for v in exc.violations),
-            rows=rows, columns=["metric", "value", "unit"])
-    except ValueError as exc:
-        raise CliDataError(f"bad-config: {exc}")
+    cfg, load = mac_sim.load_config_file(args.config)
+    metrics = mac_sim.run_simulation(cfg, load, duration_us=args.duration,
+                                     seed=args.seed)
     rows = [
         {"metric": "throughput", "value": metrics.throughput, "unit": "fraction"},
         {"metric": "duration", "value": metrics.duration_us, "unit": "us"},
@@ -306,21 +263,10 @@ def cmd_fddi2_plan(args) -> int:
     mode_map = {"i": fddi2.ISOCHRONOUS, "p": fddi2.PACKET}
     modes_str = args.modes.lower().replace(",", "")
     if len(modes_str) != fddi2.WBC_COUNT or set(modes_str) - set("ip"):
-        raise CliDataError(
-            f"bad-modes: need {fddi2.WBC_COUNT} chars of i/p, got {args.modes!r}")
+        raise InputError(f"need {fddi2.WBC_COUNT} chars of i/p, got {args.modes!r}",
+                         "bad-modes")
     modes = [mode_map[c] for c in modes_str]
-    requests = []
-    with open(args.requests, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, count = line.split()
-            requests.append((name, int(count)))
-    try:
-        allocation = fddi2.allocate(modes, requests)
-    except fddi2.CapacityExceededError as exc:
-        raise CliDataError(f"capacity-exceeded: {exc}")
+    allocation = fddi2.allocate(modes, fddi2.load_requests_file(args.requests))
     per_wbc: dict[int, dict[str, int]] = {}
     for channel, slots in allocation.grants:
         for wbc, _offset in slots:
@@ -352,22 +298,8 @@ def cmd_fddi2_plan(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    with open(args.ring, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    links = []
-    for entry in doc.get("links", []):
-        losses = entry.get("connector_losses_db")
-        if losses is None:
-            losses = link_planner.connectors(int(entry.get("connectors", 0)))
-        links.append(link_planner.LinkSpec(
-            media=entry["media"],
-            length_m=float(entry["length_m"]),
-            connector_losses_db=tuple(losses),
-        ))
-    try:
-        report = link_planner.validate_ring(links, int(doc.get("stations", 0)))
-    except link_planner.UnknownMediaError as exc:
-        raise CliDataError(f"unknown-media: {exc}")
+    links, stations = link_planner.load_ring_file(args.ring)
+    report = link_planner.validate_ring(links, stations)
     rows = []
     for i, rep in enumerate(report.links):
         summary = f"{rep.link.media} {rep.link.length_m:g}m"
@@ -404,7 +336,9 @@ def cmd_plan(args) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fddilab argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="fddilab",
         description="FDDI protocol laboratory: MAC simulation, line codes, "
@@ -412,80 +346,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=[CSV, JSON], default=CSV)
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--manifest", help="write a run manifest to this file")
-        # the one source of randomness; subcommands without randomness
-        # accept and ignore it so manifests stay uniform
-        p.add_argument("--seed", type=int, default=0)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=[CSV, JSON], default=CSV)
+    common.add_argument("--out", help="output file (default stdout)")
+    common.add_argument("--manifest", help="write a run manifest to this file")
+    # the one source of randomness; subcommands without randomness
+    # accept and ignore it so manifests stay uniform
+    common.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("rates", help="SONET/SDH signal hierarchy table")
+    p = sub.add_parser("rates", parents=[common],
+                       help="SONET/SDH signal hierarchy table")
     p.add_argument("--level", type=int, help="single STS level")
-    common(p)
     p.set_defaults(handler=cmd_rates)
 
-    p = sub.add_parser("codec", help="4b/5b, NRZI and MLT-3 line codes")
+    p = sub.add_parser("codec", parents=[common], help="4b/5b, NRZI and MLT-3 line codes")
     p.add_argument("scheme", choices=["4b5b", "nrzi", "mlt3"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--decode", action="store_true")
     p.add_argument("--initial-level", choices=["low", "high"], default="low")
-    common(p)
     p.set_defaults(handler=cmd_codec)
 
-    p = sub.add_parser("scrambler", help="keystream dump / 4b5b match analysis")
+    p = sub.add_parser("scrambler", parents=[common],
+                       help="keystream dump / 4b5b match analysis")
     p.add_argument("action", choices=["dump", "analyze"])
     p.add_argument("--bits", type=_count, default=scrambler.PERIOD)
     p.add_argument("--table", help="alternate 4b/5b code table file")
-    common(p)
     p.set_defaults(handler=cmd_scrambler)
 
-    p = sub.add_parser("sonet-map", help="round-trip code bits through SPE frames")
+    p = sub.add_parser("sonet-map", parents=[common],
+                       help="round-trip code bits through SPE frames")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", help="write the mapping report to this file")
-    common(p)
     p.set_defaults(handler=cmd_sonet_map)
 
-    p = sub.add_parser("simulate", help="timed-token ring simulation")
+    p = sub.add_parser("simulate", parents=[common], help="timed-token ring simulation")
     p.add_argument("--config", required=True)
     p.add_argument("--duration", type=_duration, required=True, help="microseconds")
-    common(p)
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("fddi2", help="FDDI-II wideband channel planning")
+    p = sub.add_parser("fddi2", parents=[common], help="FDDI-II wideband channel planning")
     p.add_argument("action", choices=["plan"])
     p.add_argument("--modes", required=True,
                    help="16 chars, i=isochronous p=packet (WBC 1..16)")
     p.add_argument("--requests", required=True,
                    help="file of 'channel bytes' lines")
-    common(p)
     p.set_defaults(handler=cmd_fddi2_plan)
 
-    p = sub.add_parser("plan", help="validate a mixed-media ring plan")
+    p = sub.add_parser("plan", parents=[common], help="validate a mixed-media ring plan")
     p.add_argument("--ring", required=True, help="ring description JSON")
-    common(p)
     p.set_defaults(handler=cmd_plan)
 
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code. An InputError, or a file
+    that cannot be read or written, exits 1 with one line on stderr."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CliDataError as exc:
-        if exc.rows:
-            sys.stdout.write(emit_report(exc.rows, exc.columns, args.format))
-        sys.stderr.write(f"error: {exc.reason}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: missing-file: {exc.filename}\n")
-        return 1
+    except InputError as exc:
+        if isinstance(exc, mac_sim.ConfigViolationsError):
+            rows = [{"metric": "violation", "value": v.rule, "unit": v.detail}
+                    for v in exc.violations]
+            sys.stdout.write(emit_report(rows, ["metric", "value", "unit"], args.format))
+        sys.stderr.write(f"error: {exc.tag}: {exc}\n")
+    except OSError as exc:  # missing, a directory, unreadable or unwritable
+        tag = "missing-file" if isinstance(exc, FileNotFoundError) else "file-error"
+        sys.stderr.write(f"error: {tag}: {exc.filename}: {exc.strerror}\n")
+    return 1
 
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

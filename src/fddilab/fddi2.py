@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import InputError, read_input
+from .mac_sim import _us
+
 CYCLE_US = 125
 CYCLE_PREAMBLE_BYTES = 2
 CYCLE_BODY_BYTES = 1560
@@ -37,8 +40,10 @@ FDDI2 = "fddi2"
 IDLE = None  # trace marker for an unused owned byte
 
 
-class CapacityExceededError(ValueError):
+class CapacityExceededError(InputError):
     """Isochronous requests exceed the isochronous WBC bytes."""
+
+    tag = "capacity-exceeded"
 
 
 def wbc_bandwidth_kbps() -> int:
@@ -136,6 +141,20 @@ def allocate(wbc_modes: Sequence[str],
     )
 
 
+def load_requests_file(path: str) -> list[tuple[str, int]]:
+    """Read a requests file: one 'channel bytes' pair per line, '#'
+    comments. A malformed line raises InputError tagged bad-requests."""
+    requests = []
+    for lineno, raw in enumerate(read_input(path, "bad-requests").split("\n"), 1):
+        fields = raw.split("#", 1)[0].split()
+        if len(fields) == 2 and fields[1].isdecimal():
+            requests.append((fields[0], int(fields[1])))
+        elif fields:
+            raise InputError(f"line {lineno}: need 'channel bytes', got {raw.strip()!r}",
+                             "bad-requests", path)
+    return requests
+
+
 @dataclass(frozen=True)
 class AuditFinding:
     cycle_index: int
@@ -178,8 +197,7 @@ def cycles_in_flight(ring_latency_us) -> tuple[int, Fraction]:
 
     Returns (full cycles, fractional remainder of a cycle).
     """
-    latency = Fraction(str(ring_latency_us)) if isinstance(ring_latency_us, float) \
-        else Fraction(ring_latency_us)
+    latency = _us(ring_latency_us)
     if latency < 0:
         raise ValueError("latency must be non-negative")
     full = int(latency // CYCLE_US)

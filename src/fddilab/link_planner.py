@@ -9,9 +9,13 @@ loader bit-exactly.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
+
+from . import InputError, number, read_input
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
@@ -22,13 +26,17 @@ MAX_RING_CABLE_KM = 100
 
 OPTICAL_WAVELENGTH_NM = 1300
 
+BAD_RING = "bad-ring"   # InputError tag of a malformed ring plan
+
 # Distance rule for mixed transmitter/receiver families on one link.
 LCF_PAIRING_MAX_M = 500.0
 MF_PAIRING_MAX_M = 2000.0
 
 
-class UnknownMediaError(ValueError):
+class UnknownMediaError(InputError):
     """Link references a medium absent from the media table."""
+
+    tag = "unknown-media"
 
 
 class NotOpticalError(ValueError):
@@ -69,14 +77,17 @@ class LinkSpec:
     connector_losses_db: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise ValueError("link length must be positive")
-        if any(loss < 0 for loss in self.connector_losses_db):
-            raise ValueError("connector losses must be non-negative")
+        if not 0 < self.length_m < math.inf:
+            raise InputError(f"link length must be finite and > 0, got {self.length_m:g}",
+                             BAD_RING)
+        if not all(0 <= loss < math.inf for loss in self.connector_losses_db):
+            raise InputError("connector losses must be finite and >= 0", BAD_RING)
 
 
 def connectors(count: int, loss_db: float = DEFAULT_CONNECTOR_LOSS_DB) -> tuple[float, ...]:
     """Losses for ``count`` mated pairs at the default per-pair loss."""
+    if count < 0:
+        raise InputError(f"connector count must be >= 0, got {count}", BAD_RING)
     return (loss_db,) * count
 
 
@@ -300,3 +311,26 @@ def validate_ring(links: Sequence[LinkSpec], n_stations: int,
     ok = not ring_rules and all(r.verdict == "pass" for r in reports)
     return RingReport(links=reports, ring_rules=tuple(ring_rules),
                       verdict="pass" if ok else "fail")
+
+
+def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
+    """Read a ring plan file (README "Ring plan file"): its links and its
+    station count. Malformed input raises InputError tagged bad-ring."""
+    doc = read_input(path, BAD_RING, json.loads)
+    links = doc.get("links", []) if isinstance(doc, dict) else None
+    if not isinstance(links, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("media"), str) for e in links):
+        raise InputError("need an object whose links each name a media", BAD_RING, path)
+    out = []
+    for i, entry in enumerate(links):
+        losses = entry.get("connector_losses_db")
+        if losses is None:
+            losses = connectors(number(entry.get("connectors", 0), int,
+                                       f"links[{i}].connectors", BAD_RING, path))
+        elif not isinstance(losses, list) or not all(
+                isinstance(x, (int, float)) for x in losses):
+            raise InputError(f"links[{i}].connector_losses_db: need a list of numbers",
+                             BAD_RING, path)
+        length = number(entry.get("length_m"), float, f"links[{i}].length_m", BAD_RING, path)
+        out.append(LinkSpec(entry["media"], length, tuple(losses)))
+    return out, number(doc.get("stations", 0), int, "stations", BAD_RING, path)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import InputError, number, read_input
 from .link_planner import MAX_RING_CABLE_KM, MAX_RING_STATIONS
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
@@ -40,17 +41,21 @@ DEFAULT_STATION_DELAY_US = Fraction(1)
 SYNC = "sync"
 ASYNC = "async"
 
+BAD_CONFIG = "bad-config"   # InputError tag of a malformed config
+
 
 class DomainError(ValueError):
     """Formula arguments outside the valid domain."""
 
 
-class ConfigViolationsError(ValueError):
+class ConfigViolationsError(InputError):
     """Simulation requested with an invalid ring configuration."""
+
+    tag = "config-violations"
 
     def __init__(self, violations: list["Violation"]):
         self.violations = violations
-        super().__init__("; ".join(f"{v.rule}: {v.detail}" for v in violations))
+        super().__init__(",".join(v.rule for v in violations))
 
 
 def _us(value) -> Fraction:
@@ -81,7 +86,7 @@ class RingConfig:
              stripping="source", total_cable_km=None, compliance=True) -> "RingConfig":
         alloc = sync_allocation_us or [0] * n_stations
         if len(alloc) != n_stations:
-            raise ValueError(f"need one sync allocation per station ({n_stations})")
+            raise InputError(f"need one sync allocation per station ({n_stations})", BAD_CONFIG)
         return RingConfig(
             n_stations=n_stations,
             ring_latency_us=_us(ring_latency_us),
@@ -104,12 +109,19 @@ def validate_config(cfg: RingConfig) -> list[Violation]:
     out = []
     if cfg.n_stations < 1:
         out.append(Violation("NoStations", f"n_stations={cfg.n_stations}"))
+    if cfg.ring_latency_us <= 0:
+        # a zero hop would stop the clock: the run would never end
+        out.append(Violation("LatencyNotPositive",
+                             f"ring latency {cfg.ring_latency_us} us <= 0"))
     if cfg.ttrt_us < cfg.ring_latency_us:
         out.append(Violation(
             "TtrtBelowLatency",
             f"TTRT {cfg.ttrt_us} us < ring latency {cfg.ring_latency_us} us"))
     if cfg.stripping not in ("source", "destination"):
         out.append(Violation("UnknownStripping", cfg.stripping))
+    for i, alloc in enumerate(cfg.sync_allocation_us):
+        if alloc < 0:  # it would lift another station's share past T - D
+            out.append(Violation("NegativeSyncAllocation", f"station {i}: {alloc} us < 0"))
     sync_total = sum(cfg.sync_allocation_us, Fraction(0))
     if sync_total > cfg.ttrt_us - cfg.ring_latency_us:
         out.append(Violation(
@@ -279,13 +291,13 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     queues: dict[str, list[_Queue | None]] = {SYNC: [None] * n, ASYNC: [None] * n}
     for idx, src in enumerate(load.sources):
         if not 0 <= src.station < n:
-            raise ValueError(f"traffic source station {src.station} out of range")
-        if src.traffic_class not in queues:
-            raise ValueError(f"unknown traffic class {src.traffic_class!r}")
+            raise InputError(f"traffic source station {src.station} out of range", BAD_CONFIG)
+        if src.traffic_class not in (SYNC, ASYNC):
+            raise InputError(f"unknown traffic class {src.traffic_class!r}", BAD_CONFIG)
         row = queues[src.traffic_class]
         if row[src.station] is not None:
-            raise ValueError("duplicate traffic source for "
-                             f"{(src.station, src.traffic_class)}")
+            raise InputError("duplicate traffic source for "
+                             f"{(src.station, src.traffic_class)}", BAD_CONFIG)
         dst = src.destination if src.destination is not None else (src.station + 1) % n
         row[src.station] = _Queue(
             src, ticks(frame_us[src.frame_bytes]), ((dst - src.station) % n or n) * hop_t,
@@ -443,48 +455,73 @@ def spatial_reuse_throughput(cfg: RingConfig, pair_sources: Sequence[int],
 
 
 def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
-    """Build (RingConfig, TrafficModel) from a parsed config document."""
-    n = int(doc["n_stations"])
+    """Build (RingConfig, TrafficModel) from a parsed config document; a
+    missing or malformed field raises InputError tagged bad-config."""
+    if not isinstance(doc, dict):
+        raise InputError(f"need a JSON object, got {type(doc).__name__}", BAD_CONFIG)
+
+    def field(entry: dict, key: str, to, default=None, where: str = ""):
+        return number(entry.get(key, default), to, where + key, BAD_CONFIG)
+
+    n = field(doc, "n_stations", int)
     alloc_in = doc.get("sync_allocation_us", [])
     if isinstance(alloc_in, dict):
         alloc = [0] * n
         for key, val in alloc_in.items():
-            alloc[int(key)] = val
+            station = number(key, int, "sync_allocation_us station", BAD_CONFIG)
+            if not 0 <= station < n:
+                raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
+            alloc[station] = val
+    elif isinstance(alloc_in, list):
+        alloc = alloc_in + [0] * (n - len(alloc_in))
     else:
-        alloc = list(alloc_in) + [0] * (n - len(alloc_in))
+        raise InputError("sync_allocation_us: need a list or an object", BAD_CONFIG)
+    km = doc.get("total_cable_km")  # kept as given: TotalCable quotes it
+    if km is not None and not isinstance(km, (int, float)):
+        raise InputError(f"total_cable_km: need a number, got {km!r}", BAD_CONFIG)
     cfg = RingConfig.make(
         n_stations=n,
-        ring_latency_us=doc["ring_latency_us"],
-        ttrt_us=doc["ttrt_us"],
-        sync_allocation_us=alloc,
+        ring_latency_us=field(doc, "ring_latency_us", _us),
+        ttrt_us=field(doc, "ttrt_us", _us),
+        sync_allocation_us=[number(a, _us, f"sync_allocation_us[{i}]", BAD_CONFIG)
+                            for i, a in enumerate(alloc)],
         stripping=doc.get("stripping", "source"),
-        total_cable_km=doc.get("total_cable_km"),
+        total_cable_km=km,
         compliance=doc.get("compliance", True),
     )
+    traffic = doc.get("traffic", [])
+    if not isinstance(traffic, list) or not all(isinstance(e, dict) for e in traffic):
+        raise InputError("traffic: need a list of objects", BAD_CONFIG)
     sources = []
-    for entry in doc.get("traffic", []):
+    for i, entry in enumerate(traffic):
+        where = f"traffic[{i}]."
         rate = entry.get("rate_mbps")
         if rate in ("saturated", None):
             rate = None
         else:
-            rate = float(rate)
+            rate = field(entry, "rate_mbps", float, where=where)
             if not 0 <= rate < math.inf:
-                raise ValueError(f"rate_mbps must be finite and >= 0, got {rate}")
-        frame_bytes = int(entry.get("frame_bytes", 100))
+                raise InputError(f"rate_mbps must be finite and >= 0, got {rate}", BAD_CONFIG)
+        frame_bytes = field(entry, "frame_bytes", int, 100, where)
         if frame_bytes < 1:
-            raise ValueError(f"frame_bytes must be >= 1, got {frame_bytes}")
+            raise InputError(f"frame_bytes must be >= 1, got {frame_bytes}", BAD_CONFIG)
         sources.append(TrafficSource(
-            station=int(entry["station"]),
-            traffic_class=entry["class"],
+            station=field(entry, "station", int, where=where),
+            traffic_class=entry.get("class"),
             rate_mbps=rate,
             frame_bytes=frame_bytes,
-            destination=(int(entry["destination"])
+            destination=(field(entry, "destination", int, where=where)
                          if entry.get("destination") is not None else None),
         ))
-    load = TrafficModel.make(sources, probe_count=int(doc.get("probes", 0)))
+    load = TrafficModel.make(sources, probe_count=field(doc, "probes", int, 0))
     return cfg, load
 
 
 def load_config_file(path: str) -> tuple[RingConfig, TrafficModel]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    """Read a simulation config file (README "Simulation config"); malformed
+    input raises InputError tagged bad-config."""
+    try:
+        return config_from_dict(read_input(path, BAD_CONFIG, json.loads))
+    except InputError as exc:
+        exc.path = path
+        raise

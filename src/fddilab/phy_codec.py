@@ -14,29 +14,37 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
+from . import InputError, number
+
 FDDI_DATA_RATE_BPS = 100_000_000
 FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 
 SYMBOL_BITS = 5
 NIBBLE_BITS = 4
 
+BAD_TABLE = "bad-table"   # InputError tag of a malformed code table
 
-class InvalidSymbolError(ValueError):
+
+class InvalidSymbolError(InputError):
     """A 5-bit pattern with no entry in the code table (code violation)."""
+
+    tag = "invalid-symbol"
 
     def __init__(self, position: int, pattern: str):
         self.position = position
         self.pattern = pattern
-        super().__init__(f"invalid 5-bit pattern {pattern!r} at symbol {position}")
+        super().__init__(f"{pattern} at symbol {position}")
 
 
-class ControlSymbolError(ValueError):
+class ControlSymbolError(InputError):
     """A control symbol encountered where a data symbol was required."""
+
+    tag = "control-symbol"
 
     def __init__(self, position: int, name: str):
         self.position = position
         self.name = name
-        super().__init__(f"control symbol {name} at symbol {position}")
+        super().__init__(f"{name} at symbol {position}")
 
 
 class AperiodicSignalError(ValueError):
@@ -76,17 +84,19 @@ class CodeTable:
         self.by_nibble: dict[int, Symbol4b5b] = {}
         for sym in self.symbols:
             if len(sym.code) != SYMBOL_BITS or set(sym.code) - {"0", "1"}:
-                raise ValueError(f"malformed code pattern {sym.code!r}")
+                raise InputError(f"malformed code pattern {sym.code!r}", BAD_TABLE)
             if sym.code in self.by_code:
-                raise ValueError(f"pattern {sym.code} mapped twice")
+                raise InputError(f"pattern {sym.code} mapped twice", BAD_TABLE)
             self.by_code[sym.code] = sym
             if sym.kind == "data":
-                value = sym.value
+                value = number(sym.meaning, lambda m: int(m, 16),
+                               f"data symbol {sym.code}", BAD_TABLE)
                 if value in self.by_nibble:
-                    raise ValueError(f"data value {value:x} mapped twice")
+                    raise InputError(f"data value {value:x} mapped twice", BAD_TABLE)
                 self.by_nibble[value] = sym
         if self.by_nibble and len(self.by_nibble) != 16:
-            raise ValueError(f"expected 16 data symbols, got {len(self.by_nibble)}")
+            raise InputError(f"expected 16 data symbols, got {len(self.by_nibble)}",
+                             BAD_TABLE)
 
     @property
     def data_symbols(self) -> tuple[Symbol4b5b, ...]:
@@ -110,10 +120,10 @@ def parse_code_table(text: str) -> CodeTable:
             continue
         fields = line.split()
         if len(fields) != 3:
-            raise ValueError(f"bad code-table record: {raw!r}")
+            raise InputError(f"bad code-table record: {raw!r}", BAD_TABLE)
         code, kind, meaning = fields
         if kind not in ("data", "control"):
-            raise ValueError(f"unknown symbol kind {kind!r}")
+            raise InputError(f"unknown symbol kind {kind!r}", BAD_TABLE)
         symbols.append(Symbol4b5b(code=code, kind=kind, meaning=meaning))
     return CodeTable(symbols, version=version)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import InputError
+
 SPE_ROWS = 9
 SPE_COLS = 261
 SPE_BYTES = SPE_ROWS * SPE_COLS            # 2349
@@ -78,8 +80,10 @@ _USER_MASK = {USER_DATA: "u" * 8, STUFF_CONTROL: "".join(
     "-" if bit == STUFF_CONTROL_BIT else "u" for bit in range(8))}
 
 
-class UnknownLevelError(ValueError):
+class UnknownLevelError(InputError):
     """STS level outside the published hierarchy."""
+
+    tag = "unknown-level"
 
 
 class InfeasibleLayoutError(ValueError):

@@ -1,6 +1,13 @@
 """End-to-end tests of the fddilab command-line interface."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddilab.cli import dispatch, emit_report
 
@@ -352,3 +359,240 @@ def test_scrambler_analyze_malformed_table_is_bad_table(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err == f"error: bad-table: {reason}\n"
+
+
+def _one_error_line(code, err, tag):
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {tag}: ")
+    assert "Traceback" not in err
+
+
+def test_plan_malformed_ring_files_exit_1_with_one_line(tmp_path, capsys):
+    cases = {
+        "missing_media": ({"links": [{"length_m": 5}]}, "bad-ring"),
+        "negative_length": ({"links": [{"media": "MF", "length_m": -5}]}, "bad-ring"),
+        "text_length": ({"links": [{"media": "MF", "length_m": "abc"}]}, "bad-ring"),
+        "top_level_list": ([{"media": "MF", "length_m": 5}], "bad-ring"),
+        "negative_connectors": ({"links": [{"media": "MF", "length_m": 5,
+                                            "connectors": -1}]}, "bad-ring"),
+        "nan_length": ({"links": [{"media": "MF", "length_m": float("nan")}]},
+                       "bad-ring"),
+        "unhashable_media": ({"links": [{"media": ["MF"], "length_m": 5}]}, "bad-ring"),
+        "text_losses": ({"links": [{"media": "MF", "length_m": 5,
+                                    "connector_losses_db": ["0.5"]}]}, "bad-ring"),
+        "unknown_media": ({"links": [{"media": "XYZ", "length_m": 5}]}, "unknown-media"),
+    }
+    for name, (doc, tag) in cases.items():
+        ring = tmp_path / f"{name}.json"
+        ring.write_text(json.dumps(doc))
+        code, out, err = run(["plan", "--ring", str(ring)], capsys)
+        _one_error_line(code, err, tag)
+        assert out == "", name
+    ring = tmp_path / "not_json.json"
+    ring.write_text("stations: 12\n")
+    code, out, err = run(["plan", "--ring", str(ring)], capsys)
+    _one_error_line(code, err, "bad-ring")
+    assert err.startswith(f"error: bad-ring: {ring}: Expecting value")
+
+
+def test_plan_field_errors_name_the_field(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"links": [{"media": "MF", "length_m": 5},
+                                          {"media": "MF", "length_m": "abc"}]}))
+    _, _, err = run(["plan", "--ring", str(ring)], capsys)
+    assert err == "error: bad-ring: links[1].length_m: need a number, got 'abc'\n"
+    ring.write_text(json.dumps({"links": [{"media": "MF", "length_m": 5,
+                                           "connectors": -1}]}))
+    _, _, err = run(["plan", "--ring", str(ring)], capsys)
+    assert err == "error: bad-ring: connector count must be >= 0, got -1\n"
+
+
+def test_fddi2_malformed_request_lines_exit_1_with_one_line(tmp_path, capsys):
+    for i, line in enumerate(["a 2 3", "a x", "a -4", "a"]):
+        requests = tmp_path / f"req{i}.txt"
+        requests.write_text(f"tv 96\n{line}  # comment\n")
+        code, out, err = run(["fddi2", "plan", "--modes", "piiipipiiiiiiiii",
+                              "--requests", str(requests)], capsys)
+        _one_error_line(code, err, "bad-requests")
+        assert err == ("error: bad-requests: line 2: need 'channel bytes', "
+                       f"got {line + '  # comment'!r}\n")
+        assert out == ""
+
+
+def test_simulate_malformed_configs_exit_1_with_one_line(tmp_path, capsys):
+    cases = {
+        "top_level_list": [{"n_stations": 2}],
+        "alloc_station_out_of_range": {"n_stations": 2, "ring_latency_us": 100,
+                                       "ttrt_us": 400, "sync_allocation_us": {"9": 5}},
+        "missing_ttrt": {"n_stations": 2, "ring_latency_us": 100},
+        "text_cable": {"n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+                       "total_cable_km": "far"},
+        "list_class": {"n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+                       "traffic": [{"station": 0, "class": ["async"]}]},
+        "infinite_probes": {"n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+                            "probes": float("inf")},
+        "number_source": {"n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+                          "traffic": [5]},
+    }
+    for name, doc in cases.items():
+        code, out, err = _simulate_config(tmp_path, capsys, doc)
+        _one_error_line(code, err, "bad-config")
+        assert out == "", name
+    _, _, err = _simulate_config(tmp_path, capsys, cases["alloc_station_out_of_range"])
+    assert err == "error: bad-config: sync_allocation_us: station 9 out of range\n"
+    _, _, err = _simulate_config(tmp_path, capsys, cases["top_level_list"])
+    assert err == "error: bad-config: need a JSON object, got list\n"
+
+
+def test_simulate_zero_latency_and_negative_allocation_are_violations(tmp_path, capsys):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 2, "ring_latency_us": 0, "ttrt_us": 100})
+    assert (code, err) == (1, "error: config-violations: LatencyNotPositive\n")
+    assert out == "metric,value,unit\nviolation,LatencyNotPositive,ring latency 0 us <= 0\n"
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+        "sync_allocation_us": [-1000, 1200]})
+    assert (code, err) == (1, "error: config-violations: NegativeSyncAllocation\n")
+    assert "violation,NegativeSyncAllocation,station 0: -1000 us < 0" in out
+
+
+def test_unreadable_inputs_exit_1_with_one_line(tmp_path, capsys):
+    code, out, err = run(["codec", "nrzi", "--in", str(tmp_path)], capsys)
+    _one_error_line(code, err, "file-error")
+    assert err == f"error: file-error: {tmp_path}: Is a directory\n"
+    code, _, err = run(["plan", "--ring", str(tmp_path / "absent.json")], capsys)
+    _one_error_line(code, err, "missing-file")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(["simulate", "--config", str(binary), "--duration", "100"],
+                       capsys)
+    _one_error_line(code, err, "bad-config")
+
+
+def test_scrambler_analyze_non_hex_data_symbol_is_bad_table(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("11110 data G\n")
+    code, out, err = run(["scrambler", "analyze", "--table", str(table)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: bad-table: data symbol 11110: need a number, got 'G'\n"
+
+
+def test_loaders_raise_one_input_error_naming_the_file(tmp_path):
+    import pytest
+
+    from fddilab import InputError, fddi2, link_planner, mac_sim, phy_codec, spm
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a ring\n")
+    for load, tag in ((mac_sim.load_config_file, "bad-config"),
+                      (link_planner.load_ring_file, "bad-ring"),
+                      (fddi2.load_requests_file, "bad-requests")):
+        with pytest.raises(InputError) as err:
+            load(str(bad))
+        assert (err.value.tag, err.value.path) == (tag, str(bad))
+    tags = {spm.UnknownLevelError: "unknown-level",
+            phy_codec.ControlSymbolError: "control-symbol",
+            phy_codec.InvalidSymbolError: "invalid-symbol",
+            fddi2.CapacityExceededError: "capacity-exceeded",
+            link_planner.UnknownMediaError: "unknown-media",
+            mac_sim.ConfigViolationsError: "config-violations"}
+    for cls, tag in tags.items():
+        assert issubclass(cls, InputError) and cls.tag == tag
+
+
+def test_parser_is_built_once():
+    from fddilab.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+def test_module_runs_as_a_script():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "fddilab.cli", "rates", "--level", "3"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1] == "STS-3,OC-3,STM-1,155.52,150.336"
+
+
+# --- random documents through dispatch ------------------------------------------
+
+# Short texts and small numbers keep every run brief: a 3-character text
+# reads as at most 999 or at least 0.01, and no value reaches the rates or
+# station counts whose runs would take long (see CHANGES.md).
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]),
+    st.text("1.-e/a #", max_size=3),
+    st.sampled_from(["saturated", "sync", "async", "MF", "UTP", "SMF"]))
+_json = st.recursive(_scalars, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+                     max_leaves=6)
+
+
+def _doc(required, optional):
+    """A JSON object whose fields are mostly well formed: each value is
+    drawn from its own strategy, or one time in eight from _json."""
+    def field(good):
+        return st.integers(0, 7).flatmap(lambda k: _json if k == 3 else good)
+    return st.fixed_dictionaries({k: field(v) for k, v in required.items()},
+                                 optional={k: field(v) for k, v in optional.items()})
+
+
+_traffic = _doc({"station": st.integers(0, 5), "class": st.sampled_from(["sync", "async"])},
+                {"rate_mbps": st.sampled_from(["saturated", None, 0, 5, 20.5]),
+                 "frame_bytes": st.integers(1, 200), "destination": st.integers(0, 5)})
+_sim_docs = st.one_of(_json, *[_doc(
+    {"n_stations": st.integers(1, 6), "ring_latency_us": st.integers(1, 100),
+     "ttrt_us": st.integers(100, 400)},
+    {"sync_allocation_us": st.lists(st.integers(0, 20), max_size=6)
+     | st.dictionaries(st.sampled_from("0123456"), st.integers(0, 20)),
+     "stripping": st.sampled_from(["source", "destination"]),
+     "total_cable_km": st.integers(0, 150), "compliance": st.booleans(),
+     "traffic": st.lists(_traffic, max_size=4), "probes": st.integers(0, 20)})] * 3)
+_link = _doc({"media": st.sampled_from(["MF", "LCF", "UTP", "SMF", "XYZ"]),
+              "length_m": st.integers(1, 3000)},
+             {"connectors": st.integers(0, 3),
+              "connector_losses_db": st.lists(st.floats(0, 2), max_size=3)})
+_ring_docs = st.one_of(_json, _doc({"links": st.lists(_link, max_size=4)},
+                                   {"stations": st.integers(0, 600)}))
+_request_lines = st.lists(st.text("ab 1-#x\t٣", max_size=8)
+                          | st.builds("{} {}".format, st.sampled_from(["tv", "v"]),
+                                      st.integers(-2, 200)), max_size=4)
+
+
+def _dispatch_file(argv, name, text):
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/{name}"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch([a.replace("{}", path) for a in argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("error: ")
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_sim_docs)
+def test_simulate_never_raises_on_random_configs(doc):
+    _dispatch_file(["simulate", "--config", "{}", "--duration", "50"], "cfg.json",
+                   json.dumps(doc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_ring_docs)
+def test_plan_never_raises_on_random_ring_files(doc):
+    _dispatch_file(["plan", "--ring", "{}"], "ring.json", json.dumps(doc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_request_lines, modes=st.sampled_from(["piiipipiiiiiiiii", "i" * 16, "ip"]))
+def test_fddi2_plan_never_raises_on_random_requests(lines, modes):
+    _dispatch_file(["fddi2", "plan", "--modes", modes, "--requests", "{}"], "req.txt",
+                   "\n".join(lines) + "\n")
