@@ -37,10 +37,19 @@ def read_input(path: str, tag: str, parse=str):
             raise InputError(f"{path}: {exc}", tag, path) from None
 
 
+def whole(value) -> int:
+    """``int(value)`` for a whole number: 4 and 4.0 read as 4, and 4.5 is
+    a ValueError rather than 4."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def number(value, to, field: str, tag: str, path: str | None = None):
-    """``to(value)`` for one field of an input; a value ``to`` rejects is
-    an InputError naming the field."""
+    """``to(value)`` for one field of an input (``to`` is e.g. float or
+    whole); a value ``to`` rejects is an InputError naming the field."""
     try:
         return to(value)
     except (TypeError, ValueError, ArithmeticError):
-        raise InputError(f"{field}: need a number, got {value!r}", tag, path) from None
+        need = "a whole number" if to is whole else "a number"
+        raise InputError(f"{field}: need {need}, got {value!r}", tag, path) from None

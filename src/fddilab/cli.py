@@ -4,9 +4,11 @@ Every subcommand is deterministic: randomness flows only from --seed,
 no output depends on wall-clock time or ambient state, and re-running
 with identical inputs reproduces byte-identical output. Exit codes:
 0 success, 1 domain errors (violations and failed verdicts, reported as
-data on stdout with a one-line reason on stderr), 2 usage errors. Input
-files are read by loaders in their modules, which raise InputError;
-``dispatch`` alone turns an error into an exit code.
+data with a one-line reason on stderr), 2 usage errors. Input files are
+read by loaders in their modules, which raise InputError. Each ``cmd_*``
+handler returns its report and, for a failing verdict, the InputError
+that explains it; ``dispatch`` alone writes the report to --out or
+stdout, writes the manifest and the error line, and picks the exit code.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 from . import (InputError, __version__, fddi2, link_planner, mac_sim, phy_codec,
                read_input, scrambler, spm)
+from .phy_codec import bits_from_text, bits_to_text
 
 CSV = "csv"
 JSON = "json"
@@ -35,19 +37,14 @@ def emit_report(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == JSON:
         payload = [{col: row.get(col, "") for col in columns} for row in rows]
         return json.dumps(payload, indent=2, default=float) + "\n"
-    out = io.StringIO()
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_cell(row.get(col, "")) for col in columns) + "\n")
-    return out.getvalue()
+    lines = [columns] + [[_cell(row.get(col, "")) for col in columns] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return format(value, ".9g")
-    if isinstance(value, Fraction):
+    if isinstance(value, (float, Fraction)):
         return format(float(value), ".9g")
     text = str(value)
     if any(c in text for c in ",\"\n"):
@@ -71,18 +68,6 @@ def _read_digits(path: str, alphabet: str) -> str:
     return symbols
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _read_bits(path: str) -> list[int]:
-    return list(_read_digits(path, "01").encode("ascii").translate(_BIT_VALUES))
-
-
-def _bit_text(bits) -> str:
-    return bytes(bits).translate(_BIT_DIGITS).decode("ascii")
-
-
 def _count(text: str) -> int:
     """argparse type: a non-negative integer."""
     if not text.isdecimal():
@@ -101,17 +86,25 @@ def _duration(text: str) -> float:
     return value
 
 
-def _maybe_manifest(args, params: dict, input_paths: list[str]):
-    """With --manifest, record the parameters, input digests, seed and version."""
+INPUT_OPTIONS = ("infile", "config", "ring", "requests", "table")
+# parsed options that are not parameters: inputs, output routing, and
+# those recorded under their own key
+_NOT_PARAMETERS = {*INPUT_OPTIONS, "command", "handler", "out", "manifest", "report", "seed"}
+
+
+def _maybe_manifest(args):
+    """With --manifest, record what ran: every parsed option but the output
+    routing, the digest of each input file given, the seed and the version."""
     if not args.manifest:
         return
+    options = vars(args)
     digests = {}
-    for path in input_paths:
+    for path in filter(None, (options.get(key) for key in INPUT_OPTIONS)):
         with open(path, "rb") as fh:
             digests[path] = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
         "subcommand": args.command,
-        "parameters": {k: params[k] for k in sorted(params)},
+        "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
         "inputs": digests,
         "seed": args.seed,
         "artifact_version": __version__,
@@ -120,8 +113,10 @@ def _maybe_manifest(args, params: dict, input_paths: list[str]):
 
 
 # --- subcommand handlers -------------------------------------------------
+# Each returns its report text and, for a failing verdict, the InputError
+# that dispatch reports after writing the text (else None).
 
-def cmd_rates(args) -> int:
+def cmd_rates(args) -> tuple[str, InputError | None]:
     levels = [args.level] if args.level else list(spm.STS_LEVELS)
     rows = []
     for n in levels:
@@ -133,13 +128,11 @@ def cmd_rates(args) -> int:
             "line_mbps": spm.kbps_to_mbps_str(entry.line_rate_kbps),
             "payload_mbps": spm.kbps_to_mbps_str(entry.payload_rate_kbps),
         })
-    _write(emit_report(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
-                       args.format), args.out)
-    _maybe_manifest(args, {"level": args.level}, [])
-    return 0
+    return emit_report(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
+                       args.format), None
 
 
-def cmd_codec(args) -> int:
+def cmd_codec(args) -> tuple[str, InputError | None]:
     if args.scheme == "4b5b":
         table = phy_codec.default_code_table()
         if args.decode:
@@ -148,33 +141,28 @@ def cmd_codec(args) -> int:
                 raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
             patterns = [bits[i:i + 5] for i in range(0, len(bits), 5)]
             nibbles = phy_codec.decode_4b5b(patterns, table)
-            text = "".join(f"{n:X}" for n in nibbles) + "\n"
+            text = "".join(f"{n:X}" for n in nibbles)
         else:
             nibbles = [int(c, 16) for c in _read_digits(args.infile, "0123456789abcdefABCDEF").upper()]
             symbols = phy_codec.encode_4b5b(nibbles, table)
-            text = "".join(s.code for s in symbols) + "\n"
+            text = "".join(s.code for s in symbols)
     else:
         if args.decode:
             raise InputError(f"{args.scheme} decode", "unsupported")
-        bits = _read_bits(args.infile)
+        bits = bits_from_text(_read_digits(args.infile, "01"))
         if args.scheme == "nrzi":
             signal = phy_codec.nrzi_encode(bits, initial_level=args.initial_level)
-            text = _bit_text(signal.levels) + "\n"
+            text = bits_to_text(signal.levels)
         else:
             signal = phy_codec.mlt3_encode(bits)
             glyphs = {-1: "-", 0: "0", 1: "+"}
-            text = "".join(glyphs[lv] for lv in signal.levels) + "\n"
-    _write(text, args.out)
-    _maybe_manifest(args, {"scheme": args.scheme, "decode": args.decode},
-                    [args.infile])
-    return 0
+            text = "".join(glyphs[lv] for lv in signal.levels)
+    return text + "\n", None
 
 
-def cmd_scrambler(args) -> int:
+def cmd_scrambler(args) -> tuple[str, InputError | None]:
     if args.action == "dump":
-        _write(_bit_text(scrambler.keystream(args.bits)) + "\n", args.out)
-        _maybe_manifest(args, {"action": "dump", "bits": args.bits}, [])
-        return 0
+        return bits_to_text(scrambler.keystream(args.bits)) + "\n", None
     # analyze
     if args.table:
         table = phy_codec.parse_code_table(read_input(args.table, phy_codec.BAD_TABLE))
@@ -196,70 +184,59 @@ def cmd_scrambler(args) -> int:
         })
     columns = ["model", "length_bits", "offset", "polarity", "alignment",
                "leading_fragment", "symbols", "trailing_fragment", "provenance"]
-    _write(emit_report(rows, columns, args.format), args.out)
-    _maybe_manifest(args, {"action": "analyze"},
-                    [args.table] if args.table else [])
-    return 0
+    return emit_report(rows, columns, args.format), None
 
 
-def cmd_sonet_map(args) -> int:
-    bits = _read_bits(args.infile)
+def cmd_sonet_map(args) -> tuple[str, InputError | None]:
+    """The recovered bits are the report; the mapping report goes to
+    --report, or to stderr."""
+    bits = bits_from_text(_read_digits(args.infile, "01"))
     layout = spm.build_spe_layout()
     frames = spm.map_fddi(bits, layout)
     recovered = spm.extract_fddi(frames, layout)
-    _write(_bit_text(recovered) + "\n", args.out)
+    text = bits_to_text(recovered) + "\n"
     if recovered != bits:
-        raise InputError("extracted bits differ from input", "roundtrip-mismatch")
-    arith = spm.spe_arithmetic_report()
-    rows = [
-        {"metric": "frames", "value": len(frames), "unit": "count",
-         "provenance": COMPUTED},
-        {"metric": "capacity_per_frame", "value": layout.capacity_bits,
-         "unit": "bits", "provenance": COMPUTED},
-        {"metric": "payload_bits", "value": len(bits), "unit": "bits",
-         "provenance": COMPUTED},
-        {"metric": "max_user_run", "value": max(layout.byte_runs()),
-         "unit": "bytes", "provenance": COMPUTED},
-        {"metric": "spe_bandwidth_published", "value": spm.spe_bandwidth(),
-         "unit": "Mbps", "provenance": GIVEN},
-        {"metric": "spe_bandwidth_recomputed",
-         "value": float(arith["recomputed_mbps"]), "unit": "Mbps",
-         "provenance": COMPUTED},
-        {"metric": "roundtrip", "value": "ok", "unit": "",
-         "provenance": COMPUTED},
-    ]
-    report = emit_report(rows, ["metric", "value", "unit", "provenance"],
-                         args.format)
-    _write(report, args.report, sys.stderr)
-    _maybe_manifest(args, {}, [args.infile])
-    return 0
+        return text, InputError("extracted bits differ from input", "roundtrip-mismatch")
+    columns = ["metric", "value", "unit", "provenance"]
+    rows = [dict(zip(columns, row)) for row in (
+        ("frames", len(frames), "count", COMPUTED),
+        ("capacity_per_frame", layout.capacity_bits, "bits", COMPUTED),
+        ("payload_bits", len(bits), "bits", COMPUTED),
+        ("max_user_run", max(layout.byte_runs()), "bytes", COMPUTED),
+        ("spe_bandwidth_published", spm.spe_bandwidth(), "Mbps", GIVEN),
+        ("spe_bandwidth_recomputed", float(spm.spe_bandwidth_recomputed()), "Mbps", COMPUTED),
+        ("roundtrip", "ok", "", COMPUTED))]
+    _write(emit_report(rows, columns, args.format), args.report, sys.stderr)
+    return text, None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, InputError | None]:
     cfg, load = mac_sim.load_config_file(args.config)
-    metrics = mac_sim.run_simulation(cfg, load, duration_us=args.duration,
-                                     seed=args.seed)
-    rows = [
-        {"metric": "throughput", "value": metrics.throughput, "unit": "fraction"},
-        {"metric": "duration", "value": metrics.duration_us, "unit": "us"},
-        {"metric": "warmup", "value": metrics.warmup_us, "unit": "us"},
-        {"metric": "token_visits", "value": metrics.n_token_visits, "unit": "count"},
-        {"metric": "sync_bytes_sent", "value": metrics.sync_bytes_sent, "unit": "bytes"},
-        {"metric": "async_bytes_sent", "value": metrics.async_bytes_sent, "unit": "bytes"},
-        {"metric": "sync_bytes_delivered", "value": metrics.sync_bytes_delivered, "unit": "bytes"},
-        {"metric": "async_bytes_delivered", "value": metrics.async_bytes_delivered, "unit": "bytes"},
-        {"metric": "sync_frames_in_flight", "value": metrics.sync_frames_in_flight, "unit": "frames"},
-        {"metric": "async_frames_in_flight", "value": metrics.async_frames_in_flight, "unit": "frames"},
-        {"metric": "max_sync_gap", "value": metrics.max_sync_gap_us, "unit": "us"},
-        {"metric": "mean_access_delay", "value": metrics.mean_access_delay_us, "unit": "us"},
-        {"metric": "max_access_delay", "value": metrics.max_access_delay_us, "unit": "us"},
-    ]
-    _write(emit_report(rows, ["metric", "value", "unit"], args.format), args.out)
-    _maybe_manifest(args, {"duration": args.duration}, [args.config])
-    return 0
+    try:
+        m = mac_sim.run_simulation(cfg, load, duration_us=args.duration, seed=args.seed)
+    except mac_sim.ConfigViolationsError as exc:  # the report: one row per rule
+        rows, error = [("violation", v.rule, v.detail) for v in exc.violations], exc
+    else:
+        rows, error = [
+            ("throughput", m.throughput, "fraction"),
+            ("duration", m.duration_us, "us"),
+            ("warmup", m.warmup_us, "us"),
+            ("token_visits", m.n_token_visits, "count"),
+            ("sync_bytes_sent", m.sync_bytes_sent, "bytes"),
+            ("async_bytes_sent", m.async_bytes_sent, "bytes"),
+            ("sync_bytes_delivered", m.sync_bytes_delivered, "bytes"),
+            ("async_bytes_delivered", m.async_bytes_delivered, "bytes"),
+            ("sync_frames_in_flight", m.sync_frames_in_flight, "frames"),
+            ("async_frames_in_flight", m.async_frames_in_flight, "frames"),
+            ("max_sync_gap", m.max_sync_gap_us, "us"),
+            ("mean_access_delay", m.mean_access_delay_us, "us"),
+            ("max_access_delay", m.max_access_delay_us, "us"),
+        ], None
+    columns = ["metric", "value", "unit"]
+    return emit_report([dict(zip(columns, row)) for row in rows], columns, args.format), error
 
 
-def cmd_fddi2_plan(args) -> int:
+def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
     mode_map = {"i": fddi2.ISOCHRONOUS, "p": fddi2.PACKET}
     modes_str = args.modes.lower().replace(",", "")
     if len(modes_str) != fddi2.WBC_COUNT or set(modes_str) - set("ip"):
@@ -291,13 +268,11 @@ def cmd_fddi2_plan(args) -> int:
             rows.append({"wbc": label, "mode": "isochronous", "channel": "(free)",
                          "bytes": free,
                          "kbps": fddi2.bytes_per_cycle_to_kbps(free)})
-    _write(emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
-                       args.format), args.out)
-    _maybe_manifest(args, {"modes": modes_str}, [args.requests])
-    return 0
+    return emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
+                       args.format), None
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> tuple[str, InputError | None]:
     links, stations = link_planner.load_ring_file(args.ring)
     report = link_planner.validate_ring(links, stations)
     rows = []
@@ -325,13 +300,8 @@ def cmd_plan(args) -> int:
     else:
         rows.append({"link": "ring", "rule": "-", "verdict": report.verdict,
                      "detail": f"{len(links)} links"})
-    text = emit_report(rows, ["link", "rule", "verdict", "detail"], args.format)
-    _write(text, args.out)
-    _maybe_manifest(args, {}, [args.ring])
-    if report.verdict == "fail":
-        sys.stderr.write("error: ring-verdict-fail\n")
-        return 1
-    return 0
+    failed = InputError("", "ring-verdict-fail") if report.verdict == "fail" else None
+    return emit_report(rows, ["link", "rule", "verdict", "detail"], args.format), failed
 
 
 # --- argument parsing -----------------------------------------------------
@@ -400,23 +370,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    """Run one command and return its exit code. An InputError, or a file
-    that cannot be read or written, exits 1 with one line on stderr."""
+    """Run one command and return its exit code. The handler's report goes
+    to --out or stdout, then the manifest; a failing verdict, an
+    InputError, or a file that cannot be read or written, exits 1 with
+    one line on stderr, ``error: <tag>[: <reason>]``."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        report, error = args.handler(args)
+        _write(report, args.out)
+        _maybe_manifest(args)
     except InputError as exc:
-        if isinstance(exc, mac_sim.ConfigViolationsError):
-            rows = [{"metric": "violation", "value": v.rule, "unit": v.detail}
-                    for v in exc.violations]
-            sys.stdout.write(emit_report(rows, ["metric", "value", "unit"], args.format))
-        sys.stderr.write(f"error: {exc.tag}: {exc}\n")
+        error = exc
     except OSError as exc:  # missing, a directory, unreadable or unwritable
-        tag = "missing-file" if isinstance(exc, FileNotFoundError) else "file-error"
-        sys.stderr.write(f"error: {tag}: {exc.filename}: {exc.strerror}\n")
+        error = InputError(f"{exc.filename}: {exc.strerror}",
+                           "missing-file" if isinstance(exc, FileNotFoundError)
+                           else "file-error")
+    if error is None:
+        return 0
+    reason = str(error)
+    sys.stderr.write(f"error: {error.tag}{': ' + reason if reason else ''}\n")
     return 1
 
 

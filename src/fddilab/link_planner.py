@@ -9,13 +9,14 @@ loader bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from . import InputError, number, read_input
+from . import InputError, number, read_input, whole
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
@@ -153,19 +154,11 @@ def parse_media_table(text: str) -> dict[str, MediaSpec]:
     return table
 
 
-def load_media_table() -> dict[str, MediaSpec]:
+@functools.cache
+def default_media_table() -> dict[str, MediaSpec]:
+    """The media table shipped with the package, read on first use."""
     text = resources.files("fddilab.data").joinpath("media_table.txt").read_text("utf-8")
     return parse_media_table(text)
-
-
-_default_media: dict[str, MediaSpec] | None = None
-
-
-def default_media_table() -> dict[str, MediaSpec]:
-    global _default_media
-    if _default_media is None:
-        _default_media = load_media_table()
-    return _default_media
 
 
 def _resolve(media: str | MediaSpec,
@@ -325,7 +318,7 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
     for i, entry in enumerate(links):
         losses = entry.get("connector_losses_db")
         if losses is None:
-            losses = connectors(number(entry.get("connectors", 0), int,
+            losses = connectors(number(entry.get("connectors", 0), whole,
                                        f"links[{i}].connectors", BAD_RING, path))
         elif not isinstance(losses, list) or not all(
                 isinstance(x, (int, float)) for x in losses):
@@ -333,4 +326,4 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
                              BAD_RING, path)
         length = number(entry.get("length_m"), float, f"links[{i}].length_m", BAD_RING, path)
         out.append(LinkSpec(entry["media"], length, tuple(losses)))
-    return out, number(doc.get("stations", 0), int, "stations", BAD_RING, path)
+    return out, number(doc.get("stations", 0), whole, "stations", BAD_RING, path)

@@ -25,9 +25,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import InputError, number, read_input
+from . import InputError, number, read_input, whole
 from .link_planner import MAX_RING_CABLE_KM, MAX_RING_STATIONS
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
@@ -179,9 +179,6 @@ class TrafficModel:
         return TrafficModel(sources=tuple(sources), probe_count=probe_count)
 
 
-ZERO_LOAD = TrafficModel()
-
-
 @dataclass(frozen=True)
 class VisitRecord:
     """One token visit: timing and what was transmitted."""
@@ -228,29 +225,40 @@ def _first_tick(t: float, ticks_per_us: int) -> int:
     return hi
 
 
+def _arrival_ticks(source: TrafficSource, horizon: float, rng_seed: int,
+                   ticks_per_us: int) -> Iterator[int]:
+    """A Poisson source's arrivals up to horizon us, drawn one at a time
+    from its own random stream, each rounded up to its first tick."""
+    rate = source.rate_mbps             # bits per us
+    if not rate > 0:
+        return
+    rng = random.Random(rng_seed)
+    lambd = 1.0 / (source.frame_bytes * 8 / rate)
+    t = rng.expovariate(lambd)
+    while t <= horizon:
+        yield _first_tick(t, ticks_per_us)
+        t += rng.expovariate(lambd)
+
+
 class _Queue:
-    """Per-(station, class) frame queue and frame counters, in ticks. Poisson
-    arrivals (None when saturated) are drawn up to horizon us, and each is
-    rounded up to its first tick once, when it is drawn."""
+    """Per-(station, class) frame queue and frame counters, in ticks. A
+    Poisson queue holds only its next arrival tick (inf once none is left)
+    and draws the one after when that frame is sent, so its work is bounded
+    by the frames sent; a saturated queue has no arrivals (None)."""
 
     __slots__ = ("frame_bytes", "frame_ticks", "deliver_ticks", "arrivals",
-                 "taken", "sent", "delivered", "in_window")
+                 "next_arrival", "sent", "delivered", "in_window")
 
     def __init__(self, source: TrafficSource, frame_ticks: int, deliver_ticks: int,
                  horizon: float, rng_seed: int, ticks_per_us: int):
         self.frame_bytes = source.frame_bytes
         self.frame_ticks = frame_ticks
         self.deliver_ticks = deliver_ticks  # source to destination walk
-        self.taken = self.sent = self.delivered = self.in_window = 0
-        rate = source.rate_mbps             # bits per us
-        self.arrivals = None if rate is None else []
-        if rate is not None and rate > 0:
-            rng = random.Random(rng_seed)
-            lambd = 1.0 / (source.frame_bytes * 8 / rate)
-            t = rng.expovariate(lambd)
-            while t <= horizon:
-                self.arrivals.append(_first_tick(t, ticks_per_us))
-                t += rng.expovariate(lambd)
+        self.sent = self.delivered = self.in_window = 0
+        self.arrivals = self.next_arrival = None
+        if source.rate_mbps is not None:
+            self.arrivals = _arrival_ticks(source, horizon, rng_seed, ticks_per_us)
+            self.next_arrival = next(self.arrivals, math.inf)
 
 
 def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
@@ -309,17 +317,14 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         the ticks used. Frame j (1..k) completes at start + j*ft."""
         ft = q.frame_ticks
         k = budget // ft
-        arr = q.arrivals
-        if arr is not None:
+        if q.arrivals is not None:
             # a queued frame goes only once it has arrived
-            i = first = q.taken
-            end = min(len(arr), first + k)
-            t = start
-            while i < end and arr[i] <= t:
+            i, t = 0, start
+            while i < k and q.next_arrival <= t:
                 i += 1
                 t += ft
-            q.taken = i
-            k = i - first
+                q.next_arrival = next(q.arrivals, math.inf)
+            k = i
         if k <= 0:
             return 0
         q.sent += k
@@ -463,12 +468,12 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     def field(entry: dict, key: str, to, default=None, where: str = ""):
         return number(entry.get(key, default), to, where + key, BAD_CONFIG)
 
-    n = field(doc, "n_stations", int)
+    n = field(doc, "n_stations", whole)
     alloc_in = doc.get("sync_allocation_us", [])
     if isinstance(alloc_in, dict):
         alloc = [0] * n
         for key, val in alloc_in.items():
-            station = number(key, int, "sync_allocation_us station", BAD_CONFIG)
+            station = number(key, whole, "sync_allocation_us station", BAD_CONFIG)
             if not 0 <= station < n:
                 raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
             alloc[station] = val
@@ -502,18 +507,18 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
             rate = field(entry, "rate_mbps", float, where=where)
             if not 0 <= rate < math.inf:
                 raise InputError(f"rate_mbps must be finite and >= 0, got {rate}", BAD_CONFIG)
-        frame_bytes = field(entry, "frame_bytes", int, 100, where)
+        frame_bytes = field(entry, "frame_bytes", whole, 100, where)
         if frame_bytes < 1:
             raise InputError(f"frame_bytes must be >= 1, got {frame_bytes}", BAD_CONFIG)
         sources.append(TrafficSource(
-            station=field(entry, "station", int, where=where),
+            station=field(entry, "station", whole, where=where),
             traffic_class=entry.get("class"),
             rate_mbps=rate,
             frame_bytes=frame_bytes,
-            destination=(field(entry, "destination", int, where=where)
+            destination=(field(entry, "destination", whole, where=where)
                          if entry.get("destination") is not None else None),
         ))
-    load = TrafficModel.make(sources, probe_count=field(doc, "probes", int, 0))
+    load = TrafficModel.make(sources, probe_count=field(doc, "probes", whole, 0))
     return cfg, load
 
 

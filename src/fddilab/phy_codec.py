@@ -4,12 +4,15 @@ The 4b/5b code table is not hardwired; it is loaded from a versioned data
 file (``data/4b5b_table.txt``) so the codec logic stays table-driven. All
 operations are pure functions over immutable values.
 
-Bit conventions: bit sequences are iterables of 0/1 ints. Two-level line
-signals use 0 = low, 1 = high; three-level (MLT-3) signals use -1/0/+1.
+Bit conventions: bit sequences are iterables of 0/1 ints, and read and
+print as text of '0'/'1' digits (``bits_from_text``, ``bits_to_text``).
+Two-level line signals use 0 = low, 1 = high; three-level (MLT-3) signals
+use -1/0/+1.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
@@ -23,6 +26,19 @@ SYMBOL_BITS = 5
 NIBBLE_BITS = 4
 
 BAD_TABLE = "bad-table"   # InputError tag of a malformed code table
+
+_DIGITS = b"0" + b"1" * 255                        # bit value -> digit; non-zero is 1
+_VALUES = bytes.maketrans(b"01", b"\x00\x01")     # digit -> bit value
+
+
+def bits_to_text(bits: Iterable[int]) -> str:
+    """Bits as '0'/'1' text, one digit per bit (any non-zero bit reads as 1)."""
+    return bytes(bits).translate(_DIGITS).decode("ascii")
+
+
+def bits_from_text(text: str) -> list[int]:
+    """'0'/'1' text as a list of bits: the inverse of bits_to_text."""
+    return list(text.encode("ascii").translate(_VALUES))
 
 
 class InvalidSymbolError(InputError):
@@ -128,20 +144,11 @@ def parse_code_table(text: str) -> CodeTable:
     return CodeTable(symbols, version=version)
 
 
-def load_code_table() -> CodeTable:
-    """Load the code table shipped with the package."""
+@functools.cache
+def default_code_table() -> CodeTable:
+    """The code table shipped with the package, read on first use."""
     text = resources.files("fddilab.data").joinpath("4b5b_table.txt").read_text("utf-8")
     return parse_code_table(text)
-
-
-_default_table: CodeTable | None = None
-
-
-def default_code_table() -> CodeTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = load_code_table()
-    return _default_table
 
 
 def encode_4b5b(data: Iterable[int], table: CodeTable | None = None) -> list[Symbol4b5b]:
@@ -177,18 +184,16 @@ def decode_4b5b(stream: Iterable[str | Symbol4b5b],
 
 def symbols_to_bits(symbols: Iterable[Symbol4b5b]) -> list[int]:
     """Flatten symbols into their code bits in transmission order."""
-    bits = []
-    for sym in symbols:
-        bits.extend(int(c) for c in sym.code)
-    return bits
+    return bits_from_text("".join(sym.code for sym in symbols))
 
 
 def bits_to_patterns(bits: Sequence[int]) -> Iterator[str]:
     """Regroup a code-bit stream into 5-bit patterns (length must divide)."""
     if len(bits) % SYMBOL_BITS:
         raise ValueError(f"bit count {len(bits)} not a multiple of {SYMBOL_BITS}")
-    for i in range(0, len(bits), SYMBOL_BITS):
-        yield "".join(str(b) for b in bits[i:i + SYMBOL_BITS])
+    text = bits_to_text(bits)
+    for i in range(0, len(text), SYMBOL_BITS):
+        yield text[i:i + SYMBOL_BITS]
 
 
 def encoded_bit_rate(data_rate_bps: float) -> float:

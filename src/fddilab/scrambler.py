@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import xor
 from typing import Iterable, Sequence
 
-from .phy_codec import CodeTable
+from .phy_codec import CodeTable, bits_to_text
 
 STAGES = 7
 PERIOD = 127  # 2**7 - 1: the polynomial is primitive
@@ -185,7 +185,7 @@ def _window_match(text: str, start: int, align: int, codes: set[str],
 
 def longest_valid_match(table: CodeTable) -> MatchReport:
     """Exhaustive search over every (offset, polarity, alignment) triple."""
-    base = "".join(map(str, _PERIOD_BITS)) * _TILES
+    base = bits_to_text(_PERIOD_BITS) * _TILES
     codes = {s.code for s in table.symbols}
     names = {s.code: s.meaning for s in table.symbols}
     pieces = {a: {c[a:a + k] for c in codes for k in range(1, 6 - a)} for a in range(5)}

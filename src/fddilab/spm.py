@@ -20,12 +20,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import InputError
+from .phy_codec import bits_from_text, bits_to_text
 
 SPE_ROWS = 9
 SPE_COLS = 261
 SPE_BYTES = SPE_ROWS * SPE_COLS            # 2349
 FRAME_US = 125
-PATH_OVERHEAD_BYTES = SPE_ROWS             # first column, one byte per row
 
 STS1_LINE_KBPS = 51_840
 STS1_PAYLOAD_KBPS = 50_112
@@ -70,10 +70,7 @@ DEFAULT_CONTROL_INDEX = 8
 STUFF_CONTROL_BIT = 7      # bit index within the byte, MSB-first order
 FIXED_STUFF_FILL = 0       # fixed stuff is all-zeros before scrambling
 
-# Frame bits move as ASCII digit bytes: a byte value of 0 is "0", any
-# other value "1" (a set bit), and back.
-_DIGITS = b"0" + b"1" * 255
-_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# a whole SPE of fixed fill, as ASCII digits, that map_fddi writes user bits into
 _FILL_DIGITS = format(FIXED_STUFF_FILL, "08b").encode() * SPE_BYTES
 # which bits of a byte carry user data ("u"), MSB-first, by byte tag
 _USER_MASK = {USER_DATA: "u" * 8, STUFF_CONTROL: "".join(
@@ -237,7 +234,7 @@ def map_fddi(code_bits: Sequence[int], layout: SpeLayout | None = None) -> list[
     """
     layout = layout or build_spe_layout()
     capacity = layout.capacity_bits
-    digits = bytes(code_bits).translate(_DIGITS)
+    digits = bits_to_text(code_bits).encode("ascii")
     frames = []
     for offset in range(0, len(digits), capacity):
         chunk = digits[offset:offset + capacity]
@@ -271,5 +268,4 @@ def extract_fddi(frames: Iterable[SpeFrame],
 
 def frame_bits(frame: SpeFrame) -> list[int]:
     """All 2349 x 8 frame bits in transmission order (for scrambling)."""
-    digits = format(int.from_bytes(frame.data, "big"), f"0{SPE_BYTES * 8}b")
-    return list(digits.encode("ascii").translate(_VALUES))
+    return bits_from_text(format(int.from_bytes(frame.data, "big"), f"0{SPE_BYTES * 8}b"))

@@ -1,0 +1,33 @@
+"""phy_codec's one home for 0/1 digit text, and the packaged tables read
+once."""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fddilab import link_planner, phy_codec
+
+
+@given(st.lists(st.integers(0, 1), max_size=300))
+def test_bit_text_round_trips(bits):
+    text = phy_codec.bits_to_text(bits)
+    assert text == "".join(map(str, bits))
+    assert phy_codec.bits_from_text(text) == bits
+
+
+def test_any_non_zero_bit_reads_as_one():
+    assert phy_codec.bits_to_text([0, 1, 2, 255, 0]) == "01110"
+    assert phy_codec.bits_to_text(b"") == ""
+
+
+def test_symbol_bits_and_patterns_match_per_character_reference():
+    symbols = phy_codec.encode_4b5b(range(16))
+    bits = phy_codec.symbols_to_bits(symbols)
+    assert bits == [int(c) for s in symbols for c in s.code]
+    assert list(phy_codec.bits_to_patterns(bits)) == [s.code for s in symbols]
+
+
+def test_packaged_tables_are_read_once():
+    assert phy_codec.default_code_table() is phy_codec.default_code_table()
+    assert link_planner.default_media_table() is link_planner.default_media_table()
+    assert len(phy_codec.default_code_table().data_symbols) == 16
+    assert "MF" in link_planner.default_media_table()
