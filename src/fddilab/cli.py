@@ -18,8 +18,11 @@ import functools
 import hashlib
 import json
 import math
+import re
+import struct
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from . import (InputError, __version__, fddi2, link_planner, mac_sim, phy_codec,
                read_input, scrambler, spm)
@@ -31,13 +34,22 @@ JSON = "json"
 GIVEN = "given"       # constant carried from the published figures
 COMPUTED = "computed"  # value recomputed by this tool
 
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdefABCDEF", bytes(range(16)) + bytes(range(10, 16)))
+_HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")
+_MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
+
 
 def emit_report(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Render rows with a stable column order; identical input, identical bytes."""
+    return _emit_rows([[row.get(col, "") for col in columns] for row in rows], columns, fmt)
+
+
+def _emit_rows(rows, columns: list[str], fmt: str) -> str:
+    """emit_report's renderer, for rows given as values in column order."""
     if fmt == JSON:
-        payload = [{col: row.get(col, "") for col in columns} for row in rows]
+        payload = [dict(zip(columns, row)) for row in rows]
         return json.dumps(payload, indent=2, default=float) + "\n"
-    lines = [columns] + [[_cell(row.get(col, "")) for col in columns] for row in rows]
+    lines = [columns] + [[_cell(value) for value in row] for row in rows]
     return "".join(",".join(line) + "\n" for line in lines)
 
 
@@ -62,8 +74,8 @@ def _write(text: str, path: str | None, stream=None):
 
 def _read_digits(path: str, alphabet: str) -> str:
     symbols = "".join(read_input(path, "bad-input-symbol").split())
-    bad = set(symbols) - set(alphabet)
-    if bad:
+    if symbols.encode().translate(None, alphabet.encode()):
+        bad = set(symbols) - set(alphabet)
         raise InputError(f"{sorted(bad)} not in {alphabet!r}", "bad-input-symbol")
     return symbols
 
@@ -117,46 +129,32 @@ def _maybe_manifest(args):
 # that dispatch reports after writing the text (else None).
 
 def cmd_rates(args) -> tuple[str, InputError | None]:
-    levels = [args.level] if args.level else list(spm.STS_LEVELS)
-    rows = []
-    for n in levels:
-        entry = spm.sts_rates(n)
-        rows.append({
-            "sts": f"STS-{entry.sts_level}",
-            "oc": entry.oc,
-            "stm": entry.stm or "",
-            "line_mbps": spm.kbps_to_mbps_str(entry.line_rate_kbps),
-            "payload_mbps": spm.kbps_to_mbps_str(entry.payload_rate_kbps),
-        })
-    return emit_report(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
-                       args.format), None
+    levels = list(spm.STS_LEVELS) if args.level is None else [args.level]
+    rows = [(f"STS-{e.sts_level}", e.oc, e.stm or "", spm.kbps_to_mbps_str(e.line_rate_kbps),
+             spm.kbps_to_mbps_str(e.payload_rate_kbps)) for e in map(spm.sts_rates, levels)]
+    return _emit_rows(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
+                      args.format), None
 
 
 def cmd_codec(args) -> tuple[str, InputError | None]:
-    if args.scheme == "4b5b":
-        table = phy_codec.default_code_table()
-        if args.decode:
-            bits = _read_digits(args.infile, "01")
-            if len(bits) % 5:
-                raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
-            patterns = [bits[i:i + 5] for i in range(0, len(bits), 5)]
-            nibbles = phy_codec.decode_4b5b(patterns, table)
-            text = "".join(f"{n:X}" for n in nibbles)
-        else:
-            nibbles = [int(c, 16) for c in _read_digits(args.infile, "0123456789abcdefABCDEF").upper()]
-            symbols = phy_codec.encode_4b5b(nibbles, table)
-            text = "".join(s.code for s in symbols)
-    else:
-        if args.decode:
-            raise InputError(f"{args.scheme} decode", "unsupported")
+    if args.decode and args.scheme != "4b5b":
+        raise InputError(f"{args.scheme} decode", "unsupported")
+    if args.scheme == "4b5b" and args.decode:
+        bits = _read_digits(args.infile, "01")
+        if len(bits) % 5:
+            raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
+        nibbles = phy_codec.decode_4b5b(re.findall(".{5}", bits))
+        text = bytes(nibbles).translate(_HEX_DIGITS).decode()
+    elif args.scheme == "4b5b":
+        nibbles = _read_digits(args.infile, "0123456789abcdefABCDEF").encode().translate(_HEX_VALUES)
+        text = "".join(map(attrgetter("code"), phy_codec.encode_4b5b(nibbles)))
+    elif args.scheme == "nrzi":
         bits = bits_from_text(_read_digits(args.infile, "01"))
-        if args.scheme == "nrzi":
-            signal = phy_codec.nrzi_encode(bits, initial_level=args.initial_level)
-            text = bits_to_text(signal.levels)
-        else:
-            signal = phy_codec.mlt3_encode(bits)
-            glyphs = {-1: "-", 0: "0", 1: "+"}
-            text = "".join(glyphs[lv] for lv in signal.levels)
+        signal = phy_codec.nrzi_encode(bits, initial_level=args.initial_level)
+        text = bits_to_text(signal.levels)
+    else:
+        levels = phy_codec.mlt3_encode(bits_from_text(_read_digits(args.infile, "01"))).levels
+        text = struct.pack(f"{len(levels)}b", *levels).translate(_MLT3_GLYPHS).decode()
     return text + "\n", None
 
 
@@ -169,22 +167,12 @@ def cmd_scrambler(args) -> tuple[str, InputError | None]:
     else:
         table = phy_codec.default_code_table()
     report = scrambler.longest_valid_match(table)
-    rows = []
-    for result in (report.with_fragments, report.whole_symbol):
-        rows.append({
-            "model": result.model,
-            "length_bits": result.length_bits,
-            "offset": result.offset,
-            "polarity": result.polarity,
-            "alignment": result.alignment,
-            "leading_fragment": result.leading_fragment,
-            "symbols": ".".join(result.symbols),
-            "trailing_fragment": result.trailing_fragment,
-            "provenance": COMPUTED,
-        })
+    rows = [(r.model, r.length_bits, r.offset, r.polarity, r.alignment, r.leading_fragment,
+             ".".join(r.symbols), r.trailing_fragment, COMPUTED)
+            for r in (report.with_fragments, report.whole_symbol)]
     columns = ["model", "length_bits", "offset", "polarity", "alignment",
                "leading_fragment", "symbols", "trailing_fragment", "provenance"]
-    return emit_report(rows, columns, args.format), None
+    return _emit_rows(rows, columns, args.format), None
 
 
 def cmd_sonet_map(args) -> tuple[str, InputError | None]:
@@ -197,16 +185,16 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
     text = bits_to_text(recovered) + "\n"
     if recovered != bits:
         return text, InputError("extracted bits differ from input", "roundtrip-mismatch")
-    columns = ["metric", "value", "unit", "provenance"]
-    rows = [dict(zip(columns, row)) for row in (
+    rows = (
         ("frames", len(frames), "count", COMPUTED),
         ("capacity_per_frame", layout.capacity_bits, "bits", COMPUTED),
         ("payload_bits", len(bits), "bits", COMPUTED),
         ("max_user_run", max(layout.byte_runs()), "bytes", COMPUTED),
         ("spe_bandwidth_published", spm.spe_bandwidth(), "Mbps", GIVEN),
         ("spe_bandwidth_recomputed", float(spm.spe_bandwidth_recomputed()), "Mbps", COMPUTED),
-        ("roundtrip", "ok", "", COMPUTED))]
-    _write(emit_report(rows, columns, args.format), args.report, sys.stderr)
+        ("roundtrip", "ok", "", COMPUTED))
+    _write(_emit_rows(rows, ["metric", "value", "unit", "provenance"], args.format),
+           args.report, sys.stderr)
     return text, None
 
 
@@ -232,8 +220,7 @@ def cmd_simulate(args) -> tuple[str, InputError | None]:
             ("mean_access_delay", m.mean_access_delay_us, "us"),
             ("max_access_delay", m.max_access_delay_us, "us"),
         ], None
-    columns = ["metric", "value", "unit"]
-    return emit_report([dict(zip(columns, row)) for row in rows], columns, args.format), error
+    return _emit_rows(rows, ["metric", "value", "unit"], args.format), error
 
 
 def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
@@ -254,22 +241,16 @@ def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
         mode = allocation.wbc_modes[wbc]
         label = wbc + 1  # channels are presented 1..16
         if mode == fddi2.PACKET:
-            rows.append({"wbc": label, "mode": "packet", "channel": "(pool)",
-                         "bytes": fddi2.WBC_BYTES,
-                         "kbps": fddi2.wbc_bandwidth_kbps()})
+            rows.append((label, "packet", "(pool)", fddi2.WBC_BYTES,
+                         fddi2.wbc_bandwidth_kbps()))
             continue
-        granted = per_wbc.get(wbc, {})
-        for channel, count in granted.items():
-            rows.append({"wbc": label, "mode": "isochronous", "channel": channel,
-                         "bytes": count,
-                         "kbps": fddi2.bytes_per_cycle_to_kbps(count)})
-        free = fddi2.WBC_BYTES - sum(granted.values())
-        if free:
-            rows.append({"wbc": label, "mode": "isochronous", "channel": "(free)",
-                         "bytes": free,
-                         "kbps": fddi2.bytes_per_cycle_to_kbps(free)})
-    return emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
-                       args.format), None
+        owned = list(per_wbc.get(wbc, {}).items())
+        free = fddi2.WBC_BYTES - sum(count for _, count in owned)
+        for channel, count in owned + ([("(free)", free)] if free else []):
+            rows.append((label, "isochronous", channel, count,
+                         fddi2.bytes_per_cycle_to_kbps(count)))
+    return _emit_rows(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
+                      args.format), None
 
 
 def cmd_plan(args) -> tuple[str, InputError | None]:
@@ -281,27 +262,21 @@ def cmd_plan(args) -> tuple[str, InputError | None]:
         if rep.margin_db is not None:
             summary += f" margin={rep.margin_db:g}dB"
         if rep.verdict == "pass":
-            rows.append({"link": i, "rule": "-", "verdict": "pass",
-                         "detail": summary})
+            rows.append((i, "-", "pass", summary))
         else:
             for rule in rep.violated_rules:
                 name, _, detail = rule.partition(": ")
-                rows.append({"link": i, "rule": name, "verdict": "fail",
-                             "detail": detail or summary})
+                rows.append((i, name, "fail", detail or summary))
         for warning in rep.warnings:
             name, _, detail = warning.partition(": ")
-            rows.append({"link": i, "rule": name, "verdict": "warn",
-                         "detail": detail})
-    if report.ring_rules:
-        for rule in report.ring_rules:
-            name, _, detail = rule.partition(": ")
-            rows.append({"link": "ring", "rule": name, "verdict": "fail",
-                         "detail": detail})
-    else:
-        rows.append({"link": "ring", "rule": "-", "verdict": report.verdict,
-                     "detail": f"{len(links)} links"})
+            rows.append((i, name, "warn", detail))
+    for rule in report.ring_rules:
+        name, _, detail = rule.partition(": ")
+        rows.append(("ring", name, "fail", detail))
+    if not report.ring_rules:
+        rows.append(("ring", "-", report.verdict, f"{len(links)} links"))
     failed = InputError("", "ring-verdict-fail") if report.verdict == "fail" else None
-    return emit_report(rows, ["link", "rule", "verdict", "detail"], args.format), failed
+    return _emit_rows(rows, ["link", "rule", "verdict", "detail"], args.format), failed
 
 
 # --- argument parsing -----------------------------------------------------

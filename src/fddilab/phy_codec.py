@@ -8,13 +8,21 @@ Bit conventions: bit sequences are iterables of 0/1 ints, and read and
 print as text of '0'/'1' digits (``bits_from_text``, ``bits_to_text``).
 Two-level line signals use 0 = low, 1 = high; three-level (MLT-3) signals
 use -1/0/+1.
+
+No code loops per bit: bits are read as one int x, first bit most
+significant. NRZI levels are the prefix XOR of x, ceil(log2 n) steps of
+``x ^= x >> s`` (Warren, *Hacker's Delight*, ch. 5). MLT-3's phase, the
+count of ones mod 4, has that parity p as its low bit and the prefix XOR
+of ``x & (p >> 1)`` as its high bit. 4b/5b is one dict lookup per symbol.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from . import InputError, number
@@ -33,12 +41,30 @@ _VALUES = bytes.maketrans(b"01", b"\x00\x01")     # digit -> bit value
 
 def bits_to_text(bits: Iterable[int]) -> str:
     """Bits as '0'/'1' text, one digit per bit (any non-zero bit reads as 1)."""
-    return bytes(bits).translate(_DIGITS).decode("ascii")
+    return bytearray(bits).translate(_DIGITS).decode("ascii")
 
 
 def bits_from_text(text: str) -> list[int]:
     """'0'/'1' text as a list of bits: the inverse of bits_to_text."""
     return list(text.encode("ascii").translate(_VALUES))
+
+
+def _word(bits: Iterable[int]) -> tuple[int, int]:
+    """The bits as one int, first bit most significant, and their count."""
+    text = bits_to_text(bits)
+    return int(text or "0", 2), len(text)
+
+
+def _unword(word: int, n: int) -> bytes:
+    """The n low bits of ``word`` as 0/1 bytes, most significant first."""
+    return format(word | 1 << n, "b")[1:].encode("ascii").translate(_VALUES)
+
+
+def _prefix_parity(word: int, n: int) -> int:
+    """Each of the n low bits XORed with every bit above it."""
+    for k in range((n - 1).bit_length()):   # shifts 1, 2, 4, ... below n
+        word ^= word >> (1 << k)
+    return word
 
 
 class InvalidSymbolError(InputError):
@@ -98,6 +124,7 @@ class CodeTable:
         self.version = version
         self.by_code: dict[str, Symbol4b5b] = {}
         self.by_nibble: dict[int, Symbol4b5b] = {}
+        self.nibble_of: dict[str | Symbol4b5b, int] = {}  # data symbol or code
         for sym in self.symbols:
             if len(sym.code) != SYMBOL_BITS or set(sym.code) - {"0", "1"}:
                 raise InputError(f"malformed code pattern {sym.code!r}", BAD_TABLE)
@@ -110,6 +137,7 @@ class CodeTable:
                 if value in self.by_nibble:
                     raise InputError(f"data value {value:x} mapped twice", BAD_TABLE)
                 self.by_nibble[value] = sym
+                self.nibble_of[sym] = self.nibble_of[sym.code] = value
         if self.by_nibble and len(self.by_nibble) != 16:
             raise InputError(f"expected 16 data symbols, got {len(self.by_nibble)}",
                              BAD_TABLE)
@@ -154,12 +182,14 @@ def default_code_table() -> CodeTable:
 def encode_4b5b(data: Iterable[int], table: CodeTable | None = None) -> list[Symbol4b5b]:
     """Encode a sequence of nibbles (ints in [0, 15]) into 4b/5b symbols."""
     table = table or default_code_table()
-    out = []
-    for i, nibble in enumerate(data):
-        if not 0 <= nibble <= 15:
-            raise ValueError(f"nibble {nibble!r} at position {i} not in [0, 15]")
-        out.append(table.by_nibble[nibble])
-    return out
+    nibbles = list(data)
+    try:
+        return list(map(table.by_nibble.__getitem__, nibbles))
+    except KeyError:  # name the first nibble out of range by its position
+        for i, nibble in enumerate(nibbles):
+            if not 0 <= nibble <= 15:
+                raise ValueError(f"nibble {nibble!r} at position {i} not in [0, 15]") from None
+        raise
 
 
 def decode_4b5b(stream: Iterable[str | Symbol4b5b],
@@ -170,30 +200,30 @@ def decode_4b5b(stream: Iterable[str | Symbol4b5b],
     they raise ControlSymbolError / InvalidSymbolError with the position.
     """
     table = table or default_code_table()
-    out = []
-    for i, item in enumerate(stream):
-        code = item.code if isinstance(item, Symbol4b5b) else item
-        sym = table.by_code.get(code)
-        if sym is None:
-            raise InvalidSymbolError(i, code)
-        if sym.kind != "data":
-            raise ControlSymbolError(i, sym.meaning)
-        out.append(sym.value)
-    return out
+    items = list(stream)
+    nibbles = list(map(table.nibble_of.get, items))
+    if None in nibbles:  # name the first miss by its position
+        for i, item in enumerate(items):
+            code = item.code if isinstance(item, Symbol4b5b) else item
+            sym = table.by_code.get(code)
+            if sym is None:
+                raise InvalidSymbolError(i, code)
+            if sym.kind != "data":
+                raise ControlSymbolError(i, sym.meaning)
+            nibbles[i] = sym.value
+    return nibbles
 
 
 def symbols_to_bits(symbols: Iterable[Symbol4b5b]) -> list[int]:
     """Flatten symbols into their code bits in transmission order."""
-    return bits_from_text("".join(sym.code for sym in symbols))
+    return bits_from_text("".join(map(attrgetter("code"), symbols)))
 
 
 def bits_to_patterns(bits: Sequence[int]) -> Iterator[str]:
     """Regroup a code-bit stream into 5-bit patterns (length must divide)."""
     if len(bits) % SYMBOL_BITS:
         raise ValueError(f"bit count {len(bits)} not a multiple of {SYMBOL_BITS}")
-    text = bits_to_text(bits)
-    for i in range(0, len(text), SYMBOL_BITS):
-        yield text[i:i + SYMBOL_BITS]
+    yield from re.findall("." * SYMBOL_BITS, bits_to_text(bits))
 
 
 def encoded_bit_rate(data_rate_bps: float) -> float:
@@ -206,41 +236,32 @@ def nrzi_encode(bits: Iterable[int], initial_level: str = "low",
     """NRZI: a 1 bit toggles the line level, a 0 bit holds it."""
     if initial_level not in ("low", "high"):
         raise ValueError(f"initial_level must be 'low' or 'high', got {initial_level!r}")
-    level = 1 if initial_level == "high" else 0
-    levels = []
-    for b in bits:
-        if b:
-            level ^= 1
-        levels.append(level)
-    return LineSignal(levels=tuple(levels), bit_rate=bit_rate)
+    word, n = _word(bits)
+    levels = _prefix_parity(word, n) ^ ((1 << n) - 1 if initial_level == "high" else 0)
+    return LineSignal(levels=tuple(_unword(levels, n)), bit_rate=bit_rate)
 
 
 # MLT-3 cycles through these levels; a 1 bit advances, a 0 bit holds.
 # Direct +1 <-> -1 jumps are impossible by construction.
 MLT3_CYCLE = (0, 1, 0, -1)
+_MLT3_LEVELS = bytes(lv & 0xFF for lv in MLT3_CYCLE).ljust(256, b"\0")  # phase -> level
 
 
 def mlt3_encode(bits: Iterable[int],
                 bit_rate: float = float(FDDI_CODE_BIT_RATE_BPS)) -> LineSignal:
     """MLT-3 three-level code: worst-case signal frequency is half NRZI's."""
-    phase = 0
-    levels = []
-    for b in bits:
-        if b:
-            phase = (phase + 1) % 4
-        levels.append(MLT3_CYCLE[phase])
+    word, n = _word(bits)
+    odd = _prefix_parity(word, n)                # phase bit 0
+    high = _prefix_parity(word & odd >> 1, n)    # phase bit 1
+    phase = (int.from_bytes(_unword(odd, n), "big")      # one byte per bit
+             | int.from_bytes(_unword(high, n), "big") << 1).to_bytes(n, "big")
+    levels = memoryview(phase.translate(_MLT3_LEVELS)).cast("b")
     return LineSignal(levels=tuple(levels), bit_rate=bit_rate)
 
 
 def transition_count(signal: LineSignal, initial_level: int = 0) -> int:
     """Number of level changes, counting the change off the initial level."""
-    count = 0
-    prev = initial_level
-    for lv in signal.levels:
-        if lv != prev:
-            count += 1
-        prev = lv
-    return count
+    return sum(map(ne, signal.levels, (initial_level, *signal.levels[:-1])))
 
 
 def fundamental_frequency(signal: LineSignal) -> float:
@@ -254,9 +275,13 @@ def fundamental_frequency(signal: LineSignal) -> float:
     n = len(levels)
     if n == 0:
         raise ValueError("empty signal")
-    for p in range(1, n // 2 + 1):
-        if all(levels[i] == levels[i + p] for i in range(n - p)):
-            if p == 1:
-                return 0.0  # constant level, no transitions
-            return signal.bit_rate / p
-    raise AperiodicSignalError(f"no exact repeat within {n} levels")
+    border, k = [0] * n, 0   # Knuth-Morris-Pratt failure function
+    for i in range(1, n):
+        while k and levels[i] != levels[k]:
+            k = border[k - 1]
+        k += levels[i] == levels[k]
+        border[i] = k
+    p = n - border[-1]       # the smallest period: n minus the longest border
+    if 2 * p > n:
+        raise AperiodicSignalError(f"no exact repeat within {n} levels")
+    return 0.0 if p == 1 else signal.bit_rate / p  # p == 1: DC

@@ -22,7 +22,6 @@ sequences here are plain 0/1 bit streams in transmission order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
 from typing import Iterable, Sequence
 
 from .phy_codec import CodeTable, bits_to_text
@@ -59,7 +58,7 @@ def next_bit(state: ScramblerState) -> tuple[int, ScramblerState]:
     return out, ScramblerState((feedback,) + r[:6], state.position + 1)
 
 
-def _walk_period() -> tuple[list[int], list[tuple[int, ...]]]:
+def _walk_period() -> tuple[bytes, list[tuple[int, ...]]]:
     """One period of output bits and the register contents at each phase."""
     bits, registers = [], []
     st = seed()
@@ -67,12 +66,12 @@ def _walk_period() -> tuple[list[int], list[tuple[int, ...]]]:
         registers.append(st.registers)
         bit, st = next_bit(st)
         bits.append(bit)
-    return bits, registers
+    return bytes(bits), registers
 
 
 # Phase = bits emitted since the all-ones seed, modulo the period. The
 # polynomial is primitive, so every non-zero register state has a phase.
-_PERIOD_BITS, _REGISTERS = _walk_period()
+_PERIOD_BYTES, _REGISTERS = _walk_period()
 _PHASE = {regs: phase for phase, regs in enumerate(_REGISTERS)}
 
 
@@ -80,7 +79,7 @@ def keystream(n: int, state: ScramblerState | None = None) -> list[int]:
     """The next n scrambler output bits (from seed if no state given)."""
     if n < 0:
         raise ValueError(f"keystream length {n} is negative")
-    return scramble_with_state([0] * n, state or seed())[0]
+    return scramble_with_state(bytes(n), state or seed())[0]
 
 
 def sequence_127() -> list[int]:
@@ -110,13 +109,15 @@ def scramble_with_state(data: Sequence[int], state: ScramblerState,
                         exempt: Iterable[int] = ()) -> tuple[list[int], ScramblerState]:
     """Scramble continuing from ``state``; returns the end state as well.
 
-    The keystream is read from the precomputed period at the state's
-    phase; ``next_bit`` stays the bit-by-bit reference it is tested against.
+    The keystream is read from the precomputed period at the state's phase
+    and XORed onto the data bytes as one int (an element outside [0, 255] is
+    a ValueError); ``next_bit`` stays the bit-by-bit reference.
     """
     n = len(data)
     phase = _PHASE[tuple(state.registers)]
-    key = (_PERIOD_BITS * ((phase + n) // PERIOD + 1))[phase:phase + n]
-    out = list(map(xor, data, key))
+    key = (_PERIOD_BYTES * ((phase + n) // PERIOD + 1))[phase:phase + n]
+    word = int.from_bytes(bytearray(data), "big") ^ int.from_bytes(key, "big")
+    out = list(word.to_bytes(n, "big"))
     for i in exempt:
         if 0 <= i < n:
             out[i] = data[i]
@@ -185,7 +186,7 @@ def _window_match(text: str, start: int, align: int, codes: set[str],
 
 def longest_valid_match(table: CodeTable) -> MatchReport:
     """Exhaustive search over every (offset, polarity, alignment) triple."""
-    base = bits_to_text(_PERIOD_BITS) * _TILES
+    base = bits_to_text(_PERIOD_BYTES) * _TILES
     codes = {s.code for s in table.symbols}
     names = {s.code: s.meaning for s in table.symbols}
     pieces = {a: {c[a:a + k] for c in codes for k in range(1, 6 - a)} for a in range(5)}

@@ -154,21 +154,25 @@ def spe_arithmetic_report() -> dict:
 
 @dataclass(frozen=True)
 class SpeLayout:
-    """Deterministic per-byte classification of one SPE."""
+    """Deterministic per-byte classification of one SPE; derived values are cached."""
 
     classification: tuple[str, ...]
     run_length: int
     control_index: int
     user_runs: tuple[tuple[int, int], ...] = field(repr=False)
 
-    @property
+    @functools.cached_property
     def capacity_bits(self) -> int:
         return sum(stop - start for start, stop in self.user_runs)
 
     def byte_runs(self) -> list[int]:
         """Lengths of maximal user-affectable byte runs, transmission order."""
+        return list(self._byte_runs)
+
+    @functools.cached_property
+    def _byte_runs(self) -> tuple[int, ...]:
         marks = "".join("u" if tag in _USER_MASK else "-" for tag in self.classification)
-        return [len(run) for run in re.findall("u+", marks)]
+        return tuple(len(run) for run in re.findall("u+", marks))
 
 
 @functools.cache
@@ -192,17 +196,13 @@ def build_spe_layout(run_length: int = DEFAULT_RUN_LENGTH,
     # every row is alike: the overhead byte, then user runs between fixed stuff
     row = [PATH_OVERHEAD]
     while len(row) < SPE_COLS:
-        span = min(run_length, SPE_COLS - len(row))
-        for k in range(span):
-            # a full-length run needs its stuff-control bit; shorter
-            # tail runs are below the 17-byte limit already
-            if span >= MAX_USER_RUN_BYTES and k == min(control_index, span - 1):
-                row.append(STUFF_CONTROL)
-            else:
-                row.append(USER_DATA)
-        if len(row) < SPE_COLS:
-            row.append(FIXED_STUFF)
-    tags = row * SPE_ROWS
+        run = [USER_DATA] * min(run_length, SPE_COLS - len(row))
+        # a full-length run needs its stuff-control bit; shorter
+        # tail runs are below the 17-byte limit already
+        if len(run) >= MAX_USER_RUN_BYTES:
+            run[control_index] = STUFF_CONTROL
+        row += run + [FIXED_STUFF]
+    tags = row[:SPE_COLS] * SPE_ROWS
 
     # user bits as maximal (start, stop) runs of frame-bit indices
     mask = "".join(_USER_MASK.get(tag, "--------") for tag in tags)
@@ -253,17 +253,16 @@ def map_fddi(code_bits: Sequence[int], layout: SpeLayout | None = None) -> list[
 def extract_fddi(frames: Iterable[SpeFrame],
                  layout: SpeLayout | None = None) -> list[int]:
     """Recover the code-bit stream from mapped frames, in order."""
-    bits: list[int] = []
+    chunks = []
     for frame in frames:
         if layout is None:
             layout = frame.layout
         if frame.layout.classification != layout.classification:
             raise LayoutMismatchError("frame classification differs from layout")
-        every, user = frame_bits(frame), []
-        for start, stop in frame.layout.user_runs:
-            user += every[start:stop]
-        bits += user[:frame.user_bits_filled]
-    return bits
+        text = format(int.from_bytes(frame.data, "big"), f"0{SPE_BYTES * 8}b")
+        user = "".join([text[start:stop] for start, stop in frame.layout.user_runs])
+        chunks.append(user[:frame.user_bits_filled])
+    return bits_from_text("".join(chunks))
 
 
 def frame_bits(frame: SpeFrame) -> list[int]:

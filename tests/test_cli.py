@@ -50,6 +50,12 @@ def test_rates_unknown_level_is_domain_error(capsys):
     assert err.startswith("error: unknown-level")
 
 
+def test_rates_level_zero_is_an_unknown_level(capsys):
+    code, out, err = run(["rates", "--level", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown-level: STS-0 is not a published level\n"
+
+
 def test_rates_json_format(capsys):
     code, out, _ = run(["rates", "--format", "json"], capsys)
     assert code == 0
@@ -106,6 +112,20 @@ def test_codec_nrzi_and_mlt3(tmp_path, capsys):
     code, out, _ = run(["codec", "mlt3", "--in", str(bits)], capsys)
     assert code == 0
     assert out.strip() == "+0-0+0-0"
+
+
+def test_codec_input_outside_its_alphabet_is_one_error_line(tmp_path, capsys):
+    cases = [(["4b5b"], "0a G\n9g", "['G', 'g'] not in '0123456789abcdefABCDEF'"),
+             (["4b5b", "--decode"], "11110 2", "['2'] not in '01'"),
+             (["nrzi"], "01\u00e9", "['\u00e9'] not in '01'"),
+             (["mlt3"], "0x1", "['x'] not in '01'"),
+             (["4b5b"], "f\u0660", "['\u0660'] not in '0123456789abcdefABCDEF'")]
+    for argv, text, reason in cases:
+        infile = tmp_path / "in.txt"
+        infile.write_text(text, encoding="utf-8")
+        code, out, err = run(["codec", *argv, "--in", str(infile)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad-input-symbol: {reason}\n"
 
 
 def test_scrambler_dump(capsys):

@@ -1,13 +1,16 @@
 """Property tests: the period-indexed scrambler and the run-table SPE
 mapping against bit-by-bit references (``next_bit`` for the keystream,
-per-position shifts for the frame layout), and the integer-tick ring
+per-position shifts for the frame layout), the integer-tick ring
 simulator against a Fraction-time, frame-by-frame reference and the
-timed-token invariants on random rings."""
+timed-token invariants on random rings, and the word-parallel line codes
+(NRZI, MLT-3, 4b/5b, the KMP period search) against per-bit and
+per-symbol references."""
 
 import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,21 @@ from fddilab.mac_sim import (
     TrafficSource,
     _first_tick,
     run_simulation,
+)
+from fddilab.phy_codec import (
+    MLT3_CYCLE,
+    AperiodicSignalError,
+    ControlSymbolError,
+    InvalidSymbolError,
+    LineSignal,
+    Symbol4b5b,
+    decode_4b5b,
+    default_code_table,
+    encode_4b5b,
+    fundamental_frequency,
+    mlt3_encode,
+    nrzi_encode,
+    transition_count,
 )
 from fddilab.scrambler import (
     PERIOD,
@@ -333,3 +351,201 @@ def test_simulator_matches_fraction_reference(ring):
     cfg, load, duration, _, seed_ = ring
     assert run_simulation(cfg, load, duration, seed=seed_) == ref_simulation(
         cfg, load, duration, seed_)
+
+
+# --- word-parallel line codes against per-bit references ------------------
+# The edge lengths straddle one machine word (63/64/65) and the 127-bit
+# period; the long ones (>= 10^5 bits) check that nothing is cut short.
+
+EDGE_LENGTHS = (0, 1, 2, 63, 64, 65, 126, 127, 128, 100_000, 100_003)
+bit_lengths = st.sampled_from(EDGE_LENGTHS) | st.integers(min_value=0, max_value=700)
+densities = st.sampled_from((0.0, 0.02, 0.5, 0.98, 1.0))
+
+
+def dense_bits(rng_seed, n, density):
+    """n bits, each 1 with probability ``density`` (long runs at the ends)."""
+    rng = random.Random(rng_seed)
+    return [int(rng.random() < density) for _ in range(n)]
+
+
+def ref_nrzi(bits, level):
+    out = []
+    for b in bits:
+        if b:
+            level ^= 1
+        out.append(level)
+    return tuple(out)
+
+
+def ref_mlt3(bits):
+    phase, out = 0, []
+    for b in bits:
+        if b:
+            phase = (phase + 1) % 4
+        out.append(MLT3_CYCLE[phase])
+    return tuple(out)
+
+
+def ref_transitions(levels, prev):
+    count = 0
+    for lv in levels:
+        count += lv != prev
+        prev = lv
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=bit_lengths, density=densities, rng_seed=seeds)
+def test_nrzi_and_mlt3_match_per_bit_references(n, density, rng_seed):
+    bits = dense_bits(rng_seed, n, density)
+    assert nrzi_encode(bits).levels == ref_nrzi(bits, 0)
+    assert nrzi_encode(bits, initial_level="high").levels == ref_nrzi(bits, 1)
+    assert nrzi_encode(iter(bits)).levels == ref_nrzi(bits, 0)
+    levels = mlt3_encode(bits).levels
+    assert levels == ref_mlt3(bits)
+    for start in (-1, 0, 1):
+        assert transition_count(mlt3_encode(bits), start) == ref_transitions(levels, start)
+
+
+TABLE = default_code_table()
+CODES = sorted({f"{v:05b}" for v in range(32)})
+
+
+def ref_decode(items, table):
+    """The symbol-by-symbol decoder: nibbles, or (error type, position, detail)."""
+    out = []
+    for i, item in enumerate(items):
+        code = item.code if isinstance(item, Symbol4b5b) else item
+        sym = table.by_code.get(code)
+        if sym is None:
+            return InvalidSymbolError, i, code
+        if sym.kind != "data":
+            return ControlSymbolError, i, sym.meaning
+        out.append(int(sym.meaning, 16))
+    return out
+
+
+def decoded(items, table):
+    try:
+        return decode_4b5b(items, table)
+    except InvalidSymbolError as exc:
+        return InvalidSymbolError, exc.position, exc.pattern
+    except ControlSymbolError as exc:
+        return ControlSymbolError, exc.position, exc.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(nibbles=st.lists(st.integers(0, 15), max_size=200),
+       bad=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(CODES)), max_size=3),
+       as_symbols=st.booleans())
+def test_4b5b_matches_symbol_by_symbol_reference(nibbles, bad, as_symbols):
+    symbols = encode_4b5b(nibbles)
+    assert symbols == [TABLE.by_nibble[v] for v in nibbles]
+    items = list(symbols) if as_symbols else [s.code for s in symbols]
+    for pos, code in bad:   # any 5-bit pattern: data, control or unmapped
+        items.insert(min(pos, len(items)), code)
+    assert decoded(items, TABLE) == ref_decode(items, TABLE)
+    assert decoded(iter(items), TABLE) == ref_decode(items, TABLE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nibbles=st.lists(st.integers(0, 15), max_size=50), pos=st.integers(0, 50),
+       wrong=st.sampled_from((-1, 16, 255, 10 ** 9)))
+def test_encode_names_the_first_nibble_out_of_range(nibbles, pos, wrong):
+    pos = min(pos, len(nibbles))
+    data = nibbles[:pos] + [wrong] + nibbles[pos:] + [wrong]
+    with pytest.raises(ValueError, match=f"nibble {wrong} at position {pos} "):
+        encode_4b5b(data)
+
+
+def test_code_table_maps_each_data_symbol_and_its_code_to_its_nibble():
+    assert TABLE.nibble_of == {**{s: s.value for s in TABLE.data_symbols},
+                               **{s.code: s.value for s in TABLE.data_symbols}}
+
+
+def test_decode_reads_a_data_symbol_of_another_table_by_its_code():
+    foreign = [Symbol4b5b(code=s.code, kind="data", meaning="F") for s in TABLE.data_symbols]
+    assert decode_4b5b(foreign) == [s.value for s in TABLE.data_symbols]
+
+
+REF_PERIOD = ref_keystream(PERIOD, seed())[0]
+
+
+def check_scramble(data, phase, exempt):
+    state = STATES[phase]
+    out, end = scramble_with_state(data, state, exempt)
+    assert out == [d if i in exempt else d ^ REF_PERIOD[(phase + i) % PERIOD]
+                   for i, d in enumerate(data)]
+    assert end.registers == STATES[(phase + len(data)) % PERIOD].registers
+    assert end.position == state.position + len(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(EDGE_LENGTHS[:-2]) | st.integers(min_value=0, max_value=700),
+       density=densities, rng_seed=seeds,
+       exempt=st.sets(st.integers(min_value=-3, max_value=800), max_size=30))
+def test_scramble_with_state_from_all_127_states(n, density, rng_seed, exempt):
+    data = dense_bits(rng_seed, n, density)
+    for phase in range(PERIOD):
+        check_scramble(data, phase, exempt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from(EDGE_LENGTHS[-2:]), phase=phases, rng_seed=seeds,
+       exempt=st.sets(st.integers(min_value=0, max_value=100_010), max_size=30))
+def test_scramble_with_state_on_long_frames(n, phase, rng_seed, exempt):
+    check_scramble(dense_bits(rng_seed, n, 0.5), phase, exempt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=bit_lengths, density=densities, rng_seed=seeds)
+def test_map_extract_round_trip_at_edge_lengths(n, density, rng_seed):
+    layout = build_spe_layout()
+    bits = dense_bits(rng_seed, n, density)
+    frames = map_fddi(bits, layout)
+    assert extract_fddi(frames) == bits
+    capacity = layout.capacity_bits
+    assert len(frames) == -(-n // capacity)
+    for i, frame in enumerate(frames):
+        assert frame.data == ref_map_frame(bits[i * capacity:(i + 1) * capacity], layout)
+
+
+def test_non_bit_elements():
+    """0/1 is the contract. Other bytes read as 1 in NRZI and MLT-3 and are
+    XORed as bytes by the scrambler; anything outside [0, 255] is refused."""
+    assert nrzi_encode([0, 2, 255, 0]).levels == nrzi_encode([0, 1, 1, 0]).levels
+    assert mlt3_encode([3, 0, 7]).levels == mlt3_encode([1, 0, 1]).levels
+    assert scramble([2, 0, 255]) == [2 ^ REF_PERIOD[0], REF_PERIOD[1], 255 ^ REF_PERIOD[2]]
+    for bad in ([-1], [256]):
+        for fn in (nrzi_encode, mlt3_encode, scramble):
+            with pytest.raises(ValueError):
+                fn(bad)
+
+
+def ref_fundamental(signal):
+    """The quadratic search over every candidate period."""
+    levels = signal.levels
+    n = len(levels)
+    for p in range(1, n // 2 + 1):
+        if all(levels[i] == levels[i + p] for i in range(n - p)):
+            return 0.0 if p == 1 else signal.bit_rate / p
+    return AperiodicSignalError
+
+
+def fundamental_or_error(signal):
+    try:
+        return fundamental_frequency(signal)
+    except AperiodicSignalError:
+        return AperiodicSignalError
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=8),
+       n=st.integers(1, 60), noise=st.lists(st.integers(0, 59), max_size=2))
+def test_fundamental_frequency_matches_quadratic_search(base, n, noise):
+    levels = [base[i % len(base)] for i in range(n)]
+    for i in noise:   # break the repeat now and then
+        if i < n:
+            levels[i] = 1 - levels[i]
+    signal = LineSignal(levels=tuple(levels), bit_rate=125e6)
+    assert fundamental_or_error(signal) == ref_fundamental(signal)
