@@ -41,6 +41,8 @@ _VALUES = bytes.maketrans(b"01", b"\x00\x01")     # digit -> bit value
 
 def bits_to_text(bits: Iterable[int]) -> str:
     """Bits as '0'/'1' text, one digit per bit (any non-zero bit reads as 1)."""
+    if isinstance(bits, int):   # bytearray(n) would read it as n zero bits
+        raise TypeError(f"need an iterable of bits, got the int {bits!r}")
     return bytearray(bits).translate(_DIGITS).decode("ascii")
 
 

@@ -15,6 +15,13 @@ models are computed:
   on the wire, where a user's symbol boundaries need not align with the
   window, and is the primary model reported.
 
+Both come from one pass per polarity around the 127-cycle: gcd(5, 127)
+= 1, so p -> p+5 visits every phase, and walked backwards from a window
+that is no symbol it counts the whole symbols chained from each phase.
+A window is then a leading fragment, that chain and a trailing fragment,
+whose lengths are read from 32-entry tables of the symbols' pieces. A
+table of all 32 patterns covers the sequence without end: refused.
+
 Bit-transmission order within bytes is most-significant-bit first; all
 sequences here are plain 0/1 bit streams in transmission order.
 """
@@ -24,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .phy_codec import CodeTable, bits_to_text
+from . import InputError
+from .phy_codec import BAD_TABLE, CodeTable, bits_to_text
 
 STAGES = 7
 PERIOD = 127  # 2**7 - 1: the polynomial is primitive
@@ -150,69 +158,59 @@ class MatchReport:
     symbol_count: int
 
 
-# The search walks windows of the periodic sequence. No valid-symbol cover
-# can be unbounded (that would need the 127-bit sequence itself to be a
-# symbol stream at every alignment), but cap the walk defensively.
-_SCAN_CAP = 5 * PERIOD + 10
-# Tiled periods covering the furthest bit a window read can reach.
-_TILES = (PERIOD + _SCAN_CAP + 10) // PERIOD + 1
-
-
-def _piece(text: str, i: int, pieces: set[str], most: int) -> str:
-    """Longest text[i:i+k], k <= most, in ``pieces`` (a prefix-closed set)."""
-    return next((text[i:i + k] for k in range(most, 0, -1) if text[i:i + k] in pieces), "")
-
-
-def _window_match(text: str, start: int, align: int, codes: set[str],
-                  pieces: dict[int, set[str]], allow_fragments: bool):
-    """Maximal window at (start, align); returns (length, lead, syms, trail).
-
-    ``text`` is the tiled period; ``pieces[a]`` holds every piece of a
-    symbol that begins at offset ``a`` inside it.
-    """
-    # bits before the window are unconstrained, so the leading fragment
-    # only has to match some symbol from offset ``align`` on
-    lead = _piece(text, start, pieces[align], 5 - align) if align else ""
-    if align and len(lead) < 5 - align:
-        return len(lead), lead, (), ""  # window never reaches a symbol boundary
-    i = start + len(lead)
-    syms = []
-    while i - start < _SCAN_CAP and text[i:i + 5] in codes:
-        syms.append(text[i:i + 5])
-        i += 5
-    trail = _piece(text, i, pieces[0], 4) if allow_fragments else ""
-    return i - start + len(trail), lead, tuple(syms), trail
+def _heads(pieces: set[str]) -> list[int]:
+    """Per 5-bit pattern, its longest head in ``pieces`` (prefix-closed): a
+    k-bit piece heads 2**(5-k) patterns, and longer pieces write last."""
+    heads = [0] * 32
+    for piece in sorted(pieces, key=len):
+        n = 1 << 5 - len(piece)
+        heads[int(piece, 2) * n:(int(piece, 2) + 1) * n] = [len(piece)] * n
+    return heads
 
 
 def longest_valid_match(table: CodeTable) -> MatchReport:
-    """Exhaustive search over every (offset, polarity, alignment) triple."""
-    base = bits_to_text(_PERIOD_BYTES) * _TILES
+    """Longest window per model (method in the module docstring); ties go
+    to the first window in (polarity, offset, alignment) order."""
     codes = {s.code for s in table.symbols}
+    if len(codes) == 32:
+        raise InputError("all 32 patterns are symbols: the cover is unbounded", BAD_TABLE)
+    # lead[a][w]: first bits of 5-bit window w that continue a symbol from its bit a
+    lead = [_heads({c[a:a + k] for c in codes for k in range(1, 6 - a)}) for a in range(5)]
+    trail = [min(k, 4) for k in lead[0]]   # a trailing fragment is shorter than a symbol
+    seq = bits_to_text(_PERIOD_BYTES)
+    word = int(seq + seq[:4], 2)   # the window at p is bits p..p+4 of the cycle
+    whole, frag = [], []   # window lengths in scan order
+    for flip in (0, 31):
+        win = [(word >> PERIOD - 1 - p & 31) ^ flip for p in range(PERIOD)]
+        valid = [lead[0][w] == 5 for w in win]
+        # symbols chained from each phase p, walking p -> p+5 (one cycle
+        # through all 127 phases) backwards from an invalid window
+        chain, p = [0] * PERIOD, valid.index(False)
+        for _ in range(PERIOD - 1):
+            p, q = (p - 5) % PERIOD, p
+            chain[p] = chain[q] + 1 if valid[p] else 0
+        whole += [5 * n for n in chain]
+        # whole symbols from p, then the trailing fragment
+        tail = [5 * n + trail[win[(p + 5 * n) % PERIOD]] for p, n in enumerate(chain)]
+        # at alignment a, a lead of 5-a bits is followed by the tail after it
+        by_align = [tail] + [[k if k < 5 - a else k + tail[(p + k) % PERIOD]
+                              for p, k in enumerate(map(lead[a].__getitem__, win))]
+                             for a in range(1, 5)]
+        frag += [n for lengths in zip(*by_align) for n in lengths]
+    texts = (("sequence", seq), ("complement", seq.translate(str.maketrans("01", "10"))))
     names = {s.code: s.meaning for s in table.symbols}
-    pieces = {a: {c[a:a + k] for c in codes for k in range(1, 6 - a)} for a in range(5)}
-    best: dict[bool, MatchResult | None] = {True: None, False: None}
-    for polarity, text in (("sequence", base),
-                           ("complement", base.translate(str.maketrans("01", "10")))):
-        for start in range(PERIOD):
-            for allow_fragments in (False, True):
-                aligns = range(5) if allow_fragments else (0,)
-                for align in aligns:
-                    length, lead, syms, trail = _window_match(
-                        text, start, align, codes, pieces, allow_fragments)
-                    if length >= _SCAN_CAP:
-                        raise RuntimeError("unbounded symbol cover of the sequence")
-                    cur = best[allow_fragments]
-                    if cur is None or length > cur.length_bits:
-                        best[allow_fragments] = MatchResult(
-                            model="with_fragments" if allow_fragments else "whole_symbol",
-                            length_bits=length, offset=start, polarity=polarity,
-                            alignment=align, bits=text[start:start + length],
-                            leading_fragment=lead, symbols=tuple(names[c] for c in syms),
-                            trailing_fragment=trail)
-
-    return MatchReport(
-        with_fragments=best[True],
-        whole_symbol=best[False],
-        table_version=table.version,
-        symbol_count=len(table.symbols),
-    )
+    best = []
+    for model, lengths, aligns in (("with_fragments", frag, 5), ("whole_symbol", whole, 1)):
+        length = max(lengths)
+        window, align = divmod(lengths.index(length), aligns)
+        (polarity, text), start = texts[window // PERIOD], window % PERIOD
+        text *= (start + length) // PERIOD + 1
+        end = start + length
+        i = start + (min(length, 5 - align) if align else 0)   # after the lead
+        j = i + (end - i) // 5 * 5                              # after the symbols
+        best.append(MatchResult(
+            model=model, length_bits=length, offset=start, polarity=polarity,
+            alignment=align, bits=text[start:end], leading_fragment=text[start:i],
+            symbols=tuple(names[text[k:k + 5]] for k in range(i, j, 5)),
+            trailing_fragment=text[j:end]))
+    return MatchReport(*best, table_version=table.version, symbol_count=len(table.symbols))

@@ -1,10 +1,11 @@
 """phy_codec's one home for 0/1 digit text, and the packaged tables read
 once."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fddilab import link_planner, phy_codec
+from fddilab import link_planner, phy_codec, spm
 
 
 @given(st.lists(st.integers(0, 1), max_size=300))
@@ -17,6 +18,14 @@ def test_bit_text_round_trips(bits):
 def test_any_non_zero_bit_reads_as_one():
     assert phy_codec.bits_to_text([0, 1, 2, 255, 0]) == "01110"
     assert phy_codec.bits_to_text(b"") == ""
+
+
+@pytest.mark.parametrize("fn", [phy_codec.bits_to_text, phy_codec.nrzi_encode,
+                                phy_codec.mlt3_encode, spm.map_fddi])
+@pytest.mark.parametrize("n", [0, 5, True])
+def test_an_int_is_no_bit_sequence(fn, n):
+    with pytest.raises(TypeError):
+        fn(n)
 
 
 def test_symbol_bits_and_patterns_match_per_character_reference():

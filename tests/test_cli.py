@@ -381,6 +381,14 @@ def test_scrambler_analyze_malformed_table_is_bad_table(tmp_path, capsys):
         assert err == f"error: bad-table: {reason}\n"
 
 
+def test_scrambler_analyze_table_of_all_32_patterns_is_bad_table(tmp_path, capsys):
+    table = tmp_path / "all32.txt"
+    table.write_text("".join(f"{v:05b} control S{v}\n" for v in range(32)))
+    code, out, err = run(["scrambler", "analyze", "--table", str(table)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: bad-table: all 32 patterns are symbols: the cover is unbounded\n"
+
+
 def _one_error_line(code, err, tag):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith(f"error: {tag}: ")
@@ -582,6 +590,22 @@ _request_lines = st.lists(st.text("ab 1-#x\t٣", max_size=8)
                           | st.builds("{} {}".format, st.sampled_from(["tv", "v"]),
                                       st.integers(-2, 200)), max_size=4)
 
+_CODES = [f"{v:05b}" for v in range(32)]
+_SHIPPED_DATA = ("11110 01001 10100 10101 01010 01011 01110 01111 "
+                 "10010 10011 10110 10111 11010 11011 11100 11101").split()
+_table_lines = st.lists(
+    st.builds("{} {} {}".format, st.sampled_from(_CODES) | st.text("01x", max_size=6),
+              st.sampled_from(["control", "control", "data", "idle"]),
+              st.text("0123456789ABCDEFgIJK", min_size=1, max_size=2))
+    | st.text("01 #:version\tA", max_size=12), max_size=8)
+# every pattern a symbol: the sequence is covered without end
+_full_tables = st.permutations(_CODES).flatmap(lambda codes: st.sampled_from([
+    [f"{c} control K{i}" for i, c in enumerate(codes)],
+    [f"{c} data {_SHIPPED_DATA.index(c):X}" if c in _SHIPPED_DATA else f"{c} control K{i}"
+     for i, c in enumerate(codes)]]))
+_code_tables = st.one_of(_table_lines, _full_tables,
+                         st.tuples(_full_tables, _table_lines).map(lambda t: t[0] + t[1]))
+
 
 def _dispatch_file(argv, name, text):
     with tempfile.TemporaryDirectory() as d:
@@ -615,4 +639,11 @@ def test_plan_never_raises_on_random_ring_files(doc):
 @given(lines=_request_lines, modes=st.sampled_from(["piiipipiiiiiiiii", "i" * 16, "ip"]))
 def test_fddi2_plan_never_raises_on_random_requests(lines, modes):
     _dispatch_file(["fddi2", "plan", "--modes", modes, "--requests", "{}"], "req.txt",
+                   "\n".join(lines) + "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_code_tables)
+def test_scrambler_analyze_never_raises_on_random_tables(lines):
+    _dispatch_file(["scrambler", "analyze", "--table", "{}"], "table.txt",
                    "\n".join(lines) + "\n")

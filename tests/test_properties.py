@@ -2,9 +2,10 @@
 mapping against bit-by-bit references (``next_bit`` for the keystream,
 per-position shifts for the frame layout), the integer-tick ring
 simulator against a Fraction-time, frame-by-frame reference and the
-timed-token invariants on random rings, and the word-parallel line codes
+timed-token invariants on random rings, the word-parallel line codes
 (NRZI, MLT-3, 4b/5b, the KMP period search) against per-bit and
-per-symbol references."""
+per-symbol references, and the cyclic-chain match analyzer against the
+window-by-window search it replaced."""
 
 import random
 from bisect import bisect_right
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fddilab import InputError
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -27,6 +29,7 @@ from fddilab.mac_sim import (
 from fddilab.phy_codec import (
     MLT3_CYCLE,
     AperiodicSignalError,
+    CodeTable,
     ControlSymbolError,
     InvalidSymbolError,
     LineSignal,
@@ -41,8 +44,11 @@ from fddilab.phy_codec import (
 )
 from fddilab.scrambler import (
     PERIOD,
+    MatchReport,
+    MatchResult,
     ScramblerState,
     keystream,
+    longest_valid_match,
     next_bit,
     scramble,
     scramble_with_state,
@@ -549,3 +555,94 @@ def test_fundamental_frequency_matches_quadratic_search(base, n, noise):
             levels[i] = 1 - levels[i]
     signal = LineSignal(levels=tuple(levels), bit_rate=125e6)
     assert fundamental_or_error(signal) == ref_fundamental(signal)
+
+
+# --- the match analyzer against the window-by-window search ------------------
+
+# The reference walks each window's symbol chain over a tiled text, capped
+# well past the longest bounded cover (126 symbols plus two fragments).
+REF_SCAN_CAP = 5 * PERIOD + 10
+REF_TEXT = "".join(map(str, REF_PERIOD)) * ((PERIOD + REF_SCAN_CAP + 10) // PERIOD + 1)
+
+
+def ref_piece(text, i, pieces, most):
+    """Longest text[i:i+k], k <= most, in ``pieces`` (a prefix-closed set)."""
+    return next((text[i:i + k] for k in range(most, 0, -1) if text[i:i + k] in pieces), "")
+
+
+def ref_window(text, start, align, codes, pieces, allow_fragments):
+    """Maximal window at (start, align): (length, lead, symbols, trail)."""
+    lead = ref_piece(text, start, pieces[align], 5 - align) if align else ""
+    if align and len(lead) < 5 - align:
+        return len(lead), lead, (), ""  # window never reaches a symbol boundary
+    i = start + len(lead)
+    syms = []
+    while i - start < REF_SCAN_CAP and text[i:i + 5] in codes:
+        syms.append(text[i:i + 5])
+        i += 5
+    trail = ref_piece(text, i, pieces[0], 4) if allow_fragments else ""
+    return i - start + len(trail), lead, tuple(syms), trail
+
+
+def ref_longest_valid_match(table):
+    """Every (polarity, start, model, alignment) window in turn; the first
+    longest one per model wins."""
+    codes = {s.code for s in table.symbols}
+    names = {s.code: s.meaning for s in table.symbols}
+    pieces = {a: {c[a:a + k] for c in codes for k in range(1, 6 - a)} for a in range(5)}
+    best = {True: None, False: None}
+    for polarity, text in (("sequence", REF_TEXT),
+                           ("complement", REF_TEXT.translate(str.maketrans("01", "10")))):
+        for start in range(PERIOD):
+            for allow_fragments in (False, True):
+                for align in range(5) if allow_fragments else (0,):
+                    length, lead, syms, trail = ref_window(
+                        text, start, align, codes, pieces, allow_fragments)
+                    if length >= REF_SCAN_CAP:
+                        raise RuntimeError("unbounded symbol cover of the sequence")
+                    cur = best[allow_fragments]
+                    if cur is None or length > cur.length_bits:
+                        best[allow_fragments] = MatchResult(
+                            model="with_fragments" if allow_fragments else "whole_symbol",
+                            length_bits=length, offset=start, polarity=polarity,
+                            alignment=align, bits=text[start:start + length],
+                            leading_fragment=lead, symbols=tuple(names[c] for c in syms),
+                            trailing_fragment=trail)
+    return MatchReport(with_fragments=best[True], whole_symbol=best[False],
+                       table_version=table.version, symbol_count=len(table.symbols))
+
+
+def control_table(codes):
+    return CodeTable([Symbol4b5b(code=c, kind="control", meaning=f"S{i}")
+                      for i, c in enumerate(codes)], version="random")
+
+
+def check_match(table):
+    try:
+        want = ref_longest_valid_match(table)
+    except RuntimeError:
+        with pytest.raises(InputError) as err:
+            longest_valid_match(table)
+        assert err.value.tag == "bad-table"
+        return
+    assert longest_valid_match(table) == want
+
+
+@pytest.mark.parametrize("table", [control_table([]), control_table(["11111"]), TABLE,
+                                   control_table(CODES)],
+                         ids=["empty", "11111", "shipped", "all-32"])
+def test_match_equals_window_search(table):
+    check_match(table)
+
+
+def test_only_the_all_32_table_is_unbounded():
+    with pytest.raises(RuntimeError):
+        ref_longest_valid_match(control_table(CODES))
+    for missing in CODES:
+        check_match(control_table([c for c in CODES if c != missing]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes=st.integers(0, 32).flatmap(lambda k: st.permutations(CODES).map(lambda p: p[:k])))
+def test_match_equals_window_search_on_random_tables(codes):
+    check_match(control_table(codes))
