@@ -39,13 +39,9 @@ _HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")
 _MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
 
 
-def emit_report(rows: list[dict], columns: list[str], fmt: str) -> str:
-    """Render rows with a stable column order; identical input, identical bytes."""
-    return _emit_rows([[row.get(col, "") for col in columns] for row in rows], columns, fmt)
-
-
-def _emit_rows(rows, columns: list[str], fmt: str) -> str:
-    """emit_report's renderer, for rows given as values in column order."""
+def emit_report(rows, columns: list[str], fmt: str) -> str:
+    """Render rows, each its values in column order, as CSV or JSON;
+    identical input, identical bytes."""
     if fmt == JSON:
         payload = [dict(zip(columns, row)) for row in rows]
         return json.dumps(payload, indent=2, default=float) + "\n"
@@ -132,8 +128,8 @@ def cmd_rates(args) -> tuple[str, InputError | None]:
     levels = list(spm.STS_LEVELS) if args.level is None else [args.level]
     rows = [(f"STS-{e.sts_level}", e.oc, e.stm or "", spm.kbps_to_mbps_str(e.line_rate_kbps),
              spm.kbps_to_mbps_str(e.payload_rate_kbps)) for e in map(spm.sts_rates, levels)]
-    return _emit_rows(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
-                      args.format), None
+    return emit_report(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
+                       args.format), None
 
 
 def cmd_codec(args) -> tuple[str, InputError | None]:
@@ -172,7 +168,7 @@ def cmd_scrambler(args) -> tuple[str, InputError | None]:
             for r in (report.with_fragments, report.whole_symbol)]
     columns = ["model", "length_bits", "offset", "polarity", "alignment",
                "leading_fragment", "symbols", "trailing_fragment", "provenance"]
-    return _emit_rows(rows, columns, args.format), None
+    return emit_report(rows, columns, args.format), None
 
 
 def cmd_sonet_map(args) -> tuple[str, InputError | None]:
@@ -193,7 +189,7 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
         ("spe_bandwidth_published", spm.spe_bandwidth(), "Mbps", GIVEN),
         ("spe_bandwidth_recomputed", float(spm.spe_bandwidth_recomputed()), "Mbps", COMPUTED),
         ("roundtrip", "ok", "", COMPUTED))
-    _write(_emit_rows(rows, ["metric", "value", "unit", "provenance"], args.format),
+    _write(emit_report(rows, ["metric", "value", "unit", "provenance"], args.format),
            args.report, sys.stderr)
     return text, None
 
@@ -220,7 +216,7 @@ def cmd_simulate(args) -> tuple[str, InputError | None]:
             ("mean_access_delay", m.mean_access_delay_us, "us"),
             ("max_access_delay", m.max_access_delay_us, "us"),
         ], None
-    return _emit_rows(rows, ["metric", "value", "unit"], args.format), error
+    return emit_report(rows, ["metric", "value", "unit"], args.format), error
 
 
 def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
@@ -249,8 +245,8 @@ def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
         for channel, count in owned + ([("(free)", free)] if free else []):
             rows.append((label, "isochronous", channel, count,
                          fddi2.bytes_per_cycle_to_kbps(count)))
-    return _emit_rows(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
-                      args.format), None
+    return emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
+                       args.format), None
 
 
 def cmd_plan(args) -> tuple[str, InputError | None]:
@@ -276,7 +272,7 @@ def cmd_plan(args) -> tuple[str, InputError | None]:
     if not report.ring_rules:
         rows.append(("ring", "-", report.verdict, f"{len(links)} links"))
     failed = InputError("", "ring-verdict-fail") if report.verdict == "fail" else None
-    return _emit_rows(rows, ["link", "rule", "verdict", "detail"], args.format), failed
+    return emit_report(rows, ["link", "rule", "verdict", "detail"], args.format), failed
 
 
 # --- argument parsing -----------------------------------------------------

@@ -161,25 +161,22 @@ def default_media_table() -> dict[str, MediaSpec]:
     return parse_media_table(text)
 
 
-def _resolve(media: str | MediaSpec,
-             table: dict[str, MediaSpec] | None = None) -> MediaSpec:
+def _resolve(media: str | MediaSpec) -> MediaSpec:
     if isinstance(media, MediaSpec):
         return media
-    table = table or default_media_table()
-    spec = table.get(media)
+    spec = default_media_table().get(media)
     if spec is None:
         raise UnknownMediaError(f"unknown medium {media!r}")
     return spec
 
 
-def power_budget(media: str | MediaSpec,
-                 table: dict[str, MediaSpec] | None = None) -> float:
+def power_budget(media: str | MediaSpec) -> float:
     """Worst-case allowed path loss: min transmit power - min sensitivity.
 
     Media whose ranges are not fully published carry the budget as a
     stored constant instead (MF: 11 dB).
     """
-    spec = _resolve(media, table)
+    spec = _resolve(media)
     if not spec.optical:
         raise NotOpticalError(f"{spec.name} has no optical power ranges")
     if spec.budget_db is not None:
@@ -191,10 +188,9 @@ def power_budget(media: str | MediaSpec,
     return tx_min - rx_min
 
 
-def validate_link(link: LinkSpec,
-                  table: dict[str, MediaSpec] | None = None) -> BudgetReport:
+def validate_link(link: LinkSpec) -> BudgetReport:
     """Check one link against its medium's length and loss limits."""
-    spec = _resolve(link.media, table)
+    spec = _resolve(link.media)
     rules = []
     warnings = []
     if spec.status != "standard":
@@ -238,14 +234,13 @@ def _implied_tx_min(spec: MediaSpec) -> float | None:
 
 
 def mixed_ends_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec,
-                     length_m: float,
-                     table: dict[str, MediaSpec] | None = None) -> BudgetReport:
+                     length_m: float) -> BudgetReport:
     """Distance rule for mixing LCF and MF devices on one link.
 
     Both ends must be 1300 nm optical devices. Any LCF end caps the link
     at 500 m; an all-MF link may run to 2 km.
     """
-    ends = [_resolve(tx_media, table), _resolve(rx_media, table)]
+    ends = [_resolve(tx_media), _resolve(rx_media)]
     for spec in ends:
         if not spec.optical:
             raise NotOpticalError(f"{spec.name} is not an optical device")
@@ -276,11 +271,10 @@ def mixed_ends_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec,
                         violated_rules=tuple(rules))
 
 
-def rise_fall_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec,
-                    table: dict[str, MediaSpec] | None = None) -> bool:
+def rise_fall_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec) -> bool:
     """True when the receiver tolerates the transmitter's edge rate."""
-    tx = _resolve(tx_media, table)
-    rx = _resolve(rx_media, table)
+    tx = _resolve(tx_media)
+    rx = _resolve(rx_media)
     for spec in (tx, rx):
         if not spec.optical:
             raise NotOpticalError(f"{spec.name} has no rise/fall specification")
@@ -289,18 +283,22 @@ def rise_fall_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec,
     return tx.tx_rise_fall_ns <= rx.rx_rise_fall_tol_ns
 
 
-def validate_ring(links: Sequence[LinkSpec], n_stations: int,
-                  table: dict[str, MediaSpec] | None = None) -> RingReport:
-    """Per-link checks plus the global ring limits."""
-    reports = tuple(validate_link(link, table) for link in links)
-    ring_rules = []
+def ring_limits(n_stations: int, total_km: float | None) -> list[tuple[str, str]]:
+    """(rule, detail) for each ring-wide limit the totals break; a
+    ``total_km`` of None is not checked."""
+    out = []
     if n_stations > MAX_RING_STATIONS:
-        ring_rules.append(
-            f"StationCount: {n_stations} stations > {MAX_RING_STATIONS}")
+        out.append(("StationCount", f"{n_stations} stations > {MAX_RING_STATIONS}"))
+    if total_km is not None and total_km > MAX_RING_CABLE_KM:
+        out.append(("TotalCable", f"{total_km:g} km > {MAX_RING_CABLE_KM:g} km"))
+    return out
+
+
+def validate_ring(links: Sequence[LinkSpec], n_stations: int) -> RingReport:
+    """Per-link checks plus the global ring limits."""
+    reports = tuple(validate_link(link) for link in links)
     total_km = sum(link.length_m for link in links) / 1000.0
-    if total_km > MAX_RING_CABLE_KM:
-        ring_rules.append(
-            f"TotalCable: {total_km:g} km > {MAX_RING_CABLE_KM:g} km")
+    ring_rules = [f"{rule}: {detail}" for rule, detail in ring_limits(n_stations, total_km)]
     ok = not ring_rules and all(r.verdict == "pass" for r in reports)
     return RingReport(links=reports, ring_rules=tuple(ring_rules),
                       verdict="pass" if ok else "fail")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import InputError, number, read_input, whole
-from .link_planner import MAX_RING_CABLE_KM, MAX_RING_STATIONS
+from .link_planner import ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
 
@@ -129,12 +129,8 @@ def validate_config(cfg: RingConfig) -> list[Violation]:
             f"sync allocations {sync_total} us > T - D "
             f"= {cfg.ttrt_us - cfg.ring_latency_us} us"))
     if cfg.compliance:
-        if cfg.n_stations > MAX_RING_STATIONS:
-            out.append(Violation(
-                "StationCount", f"{cfg.n_stations} stations > {MAX_RING_STATIONS}"))
-        if cfg.total_cable_km is not None and cfg.total_cable_km > MAX_RING_CABLE_KM:
-            out.append(Violation(
-                "TotalCable", f"{cfg.total_cable_km} km > {MAX_RING_CABLE_KM} km"))
+        out += [Violation(rule, detail)
+                for rule, detail in ring_limits(cfg.n_stations, cfg.total_cable_km)]
     return out
 
 

@@ -95,22 +95,17 @@ def sequence_127() -> list[int]:
     return keystream(PERIOD)
 
 
-def scramble(data: Sequence[int], frame_start: bool = True,
-             state: ScramblerState | None = None,
+def scramble(data: Sequence[int], state: ScramblerState | None = None,
              exempt: Iterable[int] = ()) -> list[int]:
     """XOR the frame-synchronous keystream onto data bits.
 
-    When ``frame_start`` the scrambler is re-seeded before the first bit;
-    otherwise a ``state`` carried over from the previous call is required.
+    The keystream starts from ``state``, carried over from the previous
+    call, or from the seed at frame start when ``state`` is None.
     ``exempt`` lists bit positions passed through unscrambled (the
     keystream still advances over them, keeping frame alignment). The
     operation is an involution: scrambling twice restores the input.
     """
-    if frame_start:
-        state = seed()
-    elif state is None:
-        raise ValueError("need a carried-over state when frame_start is False")
-    return scramble_with_state(data, state, exempt)[0]
+    return scramble_with_state(data, state or seed(), exempt)[0]
 
 
 def scramble_with_state(data: Sequence[int], state: ScramblerState,

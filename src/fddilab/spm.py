@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import InputError
-from .phy_codec import bits_from_text, bits_to_text
+from .phy_codec import bits_to_text
 
 SPE_ROWS = 9
 SPE_COLS = 261
@@ -52,43 +53,31 @@ PAYLOAD_KBPS = {
 # bytes per frame. Both numbers are reported by spe_arithmetic_report().
 SPE_PUBLISHED_PAYLOAD_MBPS = 139.264
 
-FDDI_CODE_BITS_PER_FRAME = 15_625          # 125 Mbps x 125 us
-
 # Byte classification tags
 PATH_OVERHEAD = "path_overhead"
 FIXED_STUFF = "fixed_stuff"
 STUFF_CONTROL = "stuff_control"
 USER_DATA = "user_data"
 
-MAX_USER_RUN_BYTES = 17
-
-# Default layout: after the overhead column, bytes repeat in groups of 18
+# The layout: after the overhead column, bytes repeat in groups of 18
 # (17 user-affectable + 1 fixed stuff); the 9th byte of each group carries
 # the stuff-control bit as its last transmitted bit.
-DEFAULT_RUN_LENGTH = 17
-DEFAULT_CONTROL_INDEX = 8
+MAX_USER_RUN_BYTES = 17
+STUFF_CONTROL_BYTE = 8     # byte index within a full run
 STUFF_CONTROL_BIT = 7      # bit index within the byte, MSB-first order
 FIXED_STUFF_FILL = 0       # fixed stuff is all-zeros before scrambling
 
-# a whole SPE of fixed fill, as ASCII digits, that map_fddi writes user bits into
-_FILL_DIGITS = format(FIXED_STUFF_FILL, "08b").encode() * SPE_BYTES
 # which bits of a byte carry user data ("u"), MSB-first, by byte tag
 _USER_MASK = {USER_DATA: "u" * 8, STUFF_CONTROL: "".join(
     "-" if bit == STUFF_CONTROL_BIT else "u" for bit in range(8))}
+# a bit digit to its value: frame bits are held one byte per bit
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class UnknownLevelError(InputError):
     """STS level outside the published hierarchy."""
 
     tag = "unknown-level"
-
-
-class InfeasibleLayoutError(ValueError):
-    """Layout parameters cannot satisfy capacity and the 17-byte rule."""
-
-
-class LayoutMismatchError(ValueError):
-    """Frames presented for extraction disagree on their layout."""
 
 
 @dataclass(frozen=True)
@@ -154,73 +143,58 @@ def spe_arithmetic_report() -> dict:
 
 @dataclass(frozen=True)
 class SpeLayout:
-    """Deterministic per-byte classification of one SPE; derived values are cached."""
+    """Per-byte classification of one SPE, and its frame bits as one record.
+
+    ``frame`` holds the 2349 x 8 frame bits, one byte per bit, in
+    transmission order: each run of user bits is an ``Ns`` field, and each
+    run of fixed bits (path overhead, fixed stuff, the stuff-control bit)
+    is ``Nx`` padding, which packs as zero bytes, that is FIXED_STUFF_FILL.
+    ``user`` holds the same ``Ns`` runs back to back: one frame's payload.
+    """
 
     classification: tuple[str, ...]
-    run_length: int
-    control_index: int
-    user_runs: tuple[tuple[int, int], ...] = field(repr=False)
+    frame: struct.Struct = field(repr=False)
+    user: struct.Struct = field(repr=False)
 
-    @functools.cached_property
+    @property
     def capacity_bits(self) -> int:
-        return sum(stop - start for start, stop in self.user_runs)
+        return self.user.size
 
     def byte_runs(self) -> list[int]:
         """Lengths of maximal user-affectable byte runs, transmission order."""
-        return list(self._byte_runs)
-
-    @functools.cached_property
-    def _byte_runs(self) -> tuple[int, ...]:
         marks = "".join("u" if tag in _USER_MASK else "-" for tag in self.classification)
-        return tuple(len(run) for run in re.findall("u+", marks))
+        return [len(run) for run in re.findall("u+", marks)]
 
 
 @functools.cache
-def build_spe_layout(run_length: int = DEFAULT_RUN_LENGTH,
-                     control_index: int = DEFAULT_CONTROL_INDEX) -> SpeLayout:
-    """Classify every SPE byte position.
+def build_spe_layout() -> SpeLayout:
+    """Classify every SPE byte position; built on the first call, then shared.
 
-    ``run_length`` user-affectable bytes alternate with one fixed-stuff
-    byte; each full run of 17 carries a stuff-control bit at position
-    ``control_index``. Raises InfeasibleLayoutError when the parameters
-    break the 17-byte rule or starve the FDDI payload. Each layout is
-    built once and shared: it is immutable.
+    Runs of MAX_USER_RUN_BYTES user-affectable bytes alternate with one
+    fixed-stuff byte, and each full run carries a stuff-control bit in its
+    byte STUFF_CONTROL_BYTE.
     """
-    if not 1 <= run_length <= MAX_USER_RUN_BYTES:
-        raise InfeasibleLayoutError(
-            f"run_length {run_length} violates the {MAX_USER_RUN_BYTES}-byte rule")
-    if not 0 <= control_index < run_length:
-        raise InfeasibleLayoutError(
-            f"control_index {control_index} outside run of {run_length}")
-
     # every row is alike: the overhead byte, then user runs between fixed stuff
     row = [PATH_OVERHEAD]
     while len(row) < SPE_COLS:
-        run = [USER_DATA] * min(run_length, SPE_COLS - len(row))
-        # a full-length run needs its stuff-control bit; shorter
-        # tail runs are below the 17-byte limit already
-        if len(run) >= MAX_USER_RUN_BYTES:
-            run[control_index] = STUFF_CONTROL
+        run = [USER_DATA] * min(MAX_USER_RUN_BYTES, SPE_COLS - len(row))
+        # a full-length run needs its stuff-control bit; the shorter
+        # tail run is below the 17-byte limit already
+        if len(run) == MAX_USER_RUN_BYTES:
+            run[STUFF_CONTROL_BYTE] = STUFF_CONTROL
         row += run + [FIXED_STUFF]
-    tags = row[:SPE_COLS] * SPE_ROWS
-
-    # user bits as maximal (start, stop) runs of frame-bit indices
+    tags = tuple(row[:SPE_COLS] * SPE_ROWS)
     mask = "".join(_USER_MASK.get(tag, "--------") for tag in tags)
-    layout = SpeLayout(classification=tuple(tags), run_length=run_length,
-                       control_index=control_index,
-                       user_runs=tuple(m.span() for m in re.finditer("u+", mask)))
-    if layout.capacity_bits < FDDI_CODE_BITS_PER_FRAME:
-        raise InfeasibleLayoutError(
-            f"capacity {layout.capacity_bits} bits < {FDDI_CODE_BITS_PER_FRAME}")
-    assert len(tags) == SPE_BYTES
-    return layout
+    runs = re.findall("u+|-+", mask)
+    frame = "".join(f"{len(run)}{'s' if run[0] == 'u' else 'x'}" for run in runs)
+    user = "".join(f"{len(run)}s" for run in runs if run[0] == "u")
+    return SpeLayout(tags, struct.Struct(frame), struct.Struct(user))
 
 
 @dataclass(frozen=True)
 class SpeFrame:
     """One mapped SPE: raw bytes plus how many payload bits are meaningful."""
 
-    layout: SpeLayout
     data: bytes
     user_bits_filled: int
 
@@ -233,38 +207,31 @@ def map_fddi(code_bits: Sequence[int], layout: SpeLayout | None = None) -> list[
     exactly using the per-frame fill count.
     """
     layout = layout or build_spe_layout()
-    capacity = layout.capacity_bits
-    digits = bits_to_text(code_bits).encode("ascii")
+    frame, user = layout.frame, layout.user
+    ones = bits_to_text(code_bits).encode("ascii").translate(_BIT_VALUES)
     frames = []
-    for offset in range(0, len(digits), capacity):
-        chunk = digits[offset:offset + capacity]
-        padded = chunk.ljust(capacity, b"0")
-        buf = bytearray(_FILL_DIGITS)
-        pos = 0
-        for start, stop in layout.user_runs:
-            buf[start:stop] = padded[pos:pos + stop - start]
-            pos += stop - start
-        frames.append(SpeFrame(layout=layout,
-                               data=int(buf, 2).to_bytes(SPE_BYTES, "big"),
-                               user_bits_filled=len(chunk)))
+    for offset in range(0, len(ones), user.size):
+        chunk = ones[offset:offset + user.size]
+        bits = frame.pack(*user.unpack(chunk.ljust(user.size, b"\0")))
+        frames.append(SpeFrame(int(bits_to_text(bits), 2).to_bytes(SPE_BYTES, "big"),
+                               len(chunk)))
     return frames
 
 
 def extract_fddi(frames: Iterable[SpeFrame],
                  layout: SpeLayout | None = None) -> list[int]:
     """Recover the code-bit stream from mapped frames, in order."""
-    chunks = []
-    for frame in frames:
-        if layout is None:
-            layout = frame.layout
-        if frame.layout.classification != layout.classification:
-            raise LayoutMismatchError("frame classification differs from layout")
-        text = format(int.from_bytes(frame.data, "big"), f"0{SPE_BYTES * 8}b")
-        user = "".join([text[start:stop] for start, stop in frame.layout.user_runs])
-        chunks.append(user[:frame.user_bits_filled])
-    return bits_from_text("".join(chunks))
+    frame = (layout or build_spe_layout()).frame
+    return list(b"".join([b"".join(frame.unpack(_bit_bytes(f.data)))[:f.user_bits_filled]
+                          for f in frames]))
 
 
 def frame_bits(frame: SpeFrame) -> list[int]:
     """All 2349 x 8 frame bits in transmission order (for scrambling)."""
-    return bits_from_text(format(int.from_bytes(frame.data, "big"), f"0{SPE_BYTES * 8}b"))
+    return list(_bit_bytes(frame.data))
+
+
+def _bit_bytes(data: bytes) -> bytes:
+    """Frame bytes as one byte per bit, MSB first."""
+    text = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
+    return text.encode("ascii").translate(_BIT_VALUES)

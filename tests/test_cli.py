@@ -302,8 +302,7 @@ def test_emit_report_empty_rows_is_header_only():
 
 
 def test_emit_report_quotes_and_units():
-    text = emit_report([{"metric": "a,b", "value": 1.5, "unit": "us"}],
-                       ["metric", "value", "unit"], "csv")
+    text = emit_report([("a,b", 1.5, "us")], ["metric", "value", "unit"], "csv")
     assert text == 'metric,value,unit\n"a,b",1.5,us\n'
 
 

@@ -17,6 +17,7 @@ from fddilab.link_planner import (
     validate_link,
     validate_ring,
 )
+from fddilab.mac_sim import RingConfig, validate_config
 
 
 def test_power_budgets():
@@ -171,6 +172,15 @@ def test_ring_total_cable_limit():
 def test_ring_station_limit():
     report = validate_ring([LinkSpec("MF", 100)], n_stations=501)
     assert any(r.startswith("StationCount") for r in report.ring_rules)
+
+
+def test_ring_limits_read_alike_in_plan_and_simulate():
+    plan = validate_ring([LinkSpec("SONET", 75_000.0)] * 2, n_stations=600)  # 150.0 km
+    ring = RingConfig.make(600, 1000, 5000, total_cable_km=150.0)
+    simulate = [f"{v.rule}: {v.detail}" for v in validate_config(ring)]
+    assert plan.ring_rules == ("StationCount: 600 stations > 500",
+                               "TotalCable: 150 km > 100 km")
+    assert simulate == list(plan.ring_rules)
 
 
 def test_ring_names_failing_link():

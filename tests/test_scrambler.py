@@ -116,9 +116,13 @@ def test_scramble_of_keystream_is_zeros():
     assert scramble(sequence_127()) == [0] * 127
 
 
-def test_scramble_requires_state_when_not_frame_start():
-    with pytest.raises(ValueError):
-        scramble([1, 0, 1], frame_start=False)
+def test_scramble_continues_from_a_given_state():
+    _, state = scramble_with_state([0] * 10, seed())
+    assert scramble([0] * 5, state=state) == [0, 0, 0, 1, 0]
+    for n in (1, 10, 126, 300):
+        _, state = scramble_with_state([0] * n, seed())
+        data = [1, 0, 0, 1, 1, 0, 1] * 20
+        assert scramble(data, state=state) == scramble_with_state(data, state)[0]
 
 
 def test_scramble_exemption_mask():

@@ -1,6 +1,7 @@
 """Unit tests for the SONET hierarchy and the SPE payload mapping."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,6 @@ from fddilab import scrambler
 from fddilab.phy_codec import default_code_table, symbols_to_bits
 from fddilab.spm import (
     FIXED_STUFF,
-    InfeasibleLayoutError,
-    LayoutMismatchError,
     PATH_OVERHEAD,
     STUFF_CONTROL,
     USER_DATA,
@@ -109,19 +108,14 @@ def test_layout_capacity():
 
 def test_layout_user_bits_are_261_runs():
     layout = build_spe_layout()
-    assert len(layout.user_runs) == 261
-    assert all(start < stop for start, stop in layout.user_runs)
-    assert all(a[1] < b[0] for a, b in zip(layout.user_runs, layout.user_runs[1:]))
+    fields = re.findall(r"(\d+)([sx])", layout.frame.format)
+    assert [kind for _, kind in fields] == ["x", "s"] * 261
+    assert layout.user.format == "".join(n + "s" for n, kind in fields if kind == "s")
+    assert layout.frame.size == 2349 * 8
+    # fixed bits are padding: they pack as zero bytes whatever the user bits
+    ones = layout.frame.pack(*layout.user.unpack(b"\1" * layout.user.size))
+    assert ones.count(b"\1") == layout.user.size and ones.count(b"\0") == 2349 * 8 - 17586
     assert build_spe_layout() is layout
-
-
-def test_layout_infeasible_parameters():
-    with pytest.raises(InfeasibleLayoutError):
-        build_spe_layout(run_length=18)  # breaks the 17-byte rule
-    with pytest.raises(InfeasibleLayoutError):
-        build_spe_layout(run_length=1)   # capacity below the FDDI stream
-    with pytest.raises(InfeasibleLayoutError):
-        build_spe_layout(control_index=17)
 
 
 def test_map_empty_is_zero_frames():
@@ -143,17 +137,6 @@ def test_map_extract_round_trip():
                  3 * layout.capacity_bits + 12345):
         bits = [rng.randrange(2) for _ in range(size)]
         assert extract_fddi(map_fddi(bits, layout), layout) == bits
-
-
-def test_layout_mismatch_detected():
-    default = build_spe_layout()
-    other = build_spe_layout(run_length=16)
-    frames = map_fddi([1, 0, 1], default)
-    with pytest.raises(LayoutMismatchError):
-        extract_fddi(frames, other)
-    mixed = map_fddi([1], default) + map_fddi([0], other)
-    with pytest.raises(LayoutMismatchError):
-        extract_fddi(mixed)
 
 
 def test_post_scramble_run_safety():
