@@ -9,6 +9,9 @@ hierarchy and payload mapping (spm), and mixed-media link budgets
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import NamedTuple
+
 __version__ = "0.1.0"
 
 
@@ -25,6 +28,20 @@ class InputError(ValueError):
         super().__init__(message)
         self.tag = tag or self.tag
         self.path = path
+
+
+class Violation(NamedTuple):
+    """A broken rule and the values that break it: one report row."""
+
+    rule: str
+    detail: str
+
+
+def exact(value) -> Fraction:
+    """A quantity as an exact rational: a float via its decimal text."""
+    if isinstance(value, Fraction):  # as it is: a copy would cost a Rational check
+        return value
+    return Fraction(str(value) if isinstance(value, float) else value)
 
 
 def read_input(path: str, tag: str, parse=str):
@@ -47,8 +64,10 @@ def whole(value) -> int:
 
 def number(value, to, field: str, tag: str, path: str | None = None):
     """``to(value)`` for one field of an input (``to`` is e.g. float or
-    whole); a value ``to`` rejects is an InputError naming the field."""
+    whole); a boolean or a value ``to`` rejects is an InputError naming it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return to(value)
     except (TypeError, ValueError, ArithmeticError):
         need = "a whole number" if to is whole else "a number"

@@ -259,16 +259,9 @@ def cmd_plan(args) -> tuple[str, InputError | None]:
             summary += f" margin={rep.margin_db:g}dB"
         if rep.verdict == "pass":
             rows.append((i, "-", "pass", summary))
-        else:
-            for rule in rep.violated_rules:
-                name, _, detail = rule.partition(": ")
-                rows.append((i, name, "fail", detail or summary))
-        for warning in rep.warnings:
-            name, _, detail = warning.partition(": ")
-            rows.append((i, name, "warn", detail))
-    for rule in report.ring_rules:
-        name, _, detail = rule.partition(": ")
-        rows.append(("ring", name, "fail", detail))
+        rows += [(i, rule, "fail", detail) for rule, detail in rep.violated_rules]
+        rows += [(i, rule, "warn", detail) for rule, detail in rep.warnings]
+    rows += [("ring", rule, "fail", detail) for rule, detail in report.ring_rules]
     if not report.ring_rules:
         rows.append(("ring", "-", report.verdict, f"{len(links)} links"))
     failed = InputError("", "ring-verdict-fail") if report.verdict == "fail" else None

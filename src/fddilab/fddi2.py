@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import InputError, read_input
-from .mac_sim import _us
+from . import InputError, exact, read_input
 
 CYCLE_US = 125
 CYCLE_PREAMBLE_BYTES = 2
@@ -30,6 +29,7 @@ WBC_BYTES = 96
 CYCLE_HEADER_BYTES = CYCLE_BODY_BYTES - WBC_COUNT * WBC_BYTES   # 24
 CYCLE_TOTAL_BYTES = CYCLE_PREAMBLE_BYTES + CYCLE_BODY_BYTES     # 1562
 SLACK_BITS = 4   # 1562.5 bytes fit in 125 us at 100 Mbps; 0.5 byte spare
+VOICE_CHANNEL_KBPS = 64   # one PCM voice circuit
 
 ISOCHRONOUS = "isochronous"
 PACKET = "packet"
@@ -55,9 +55,9 @@ def wbc_bandwidth_mbps() -> float:
     return wbc_bandwidth_kbps() / 1000
 
 
-def voice_channels_per_wbc(channel_kbps: int = 64) -> int:
-    """How many fixed-rate circuits (64 kbps default) one WBC carries."""
-    return wbc_bandwidth_kbps() // channel_kbps
+def voice_channels_per_wbc() -> int:
+    """How many VOICE_CHANNEL_KBPS circuits one WBC carries."""
+    return wbc_bandwidth_kbps() // VOICE_CHANNEL_KBPS
 
 
 def bytes_per_cycle_to_kbps(n_bytes: int) -> Fraction:
@@ -197,7 +197,7 @@ def cycles_in_flight(ring_latency_us) -> tuple[int, Fraction]:
 
     Returns (full cycles, fractional remainder of a cycle).
     """
-    latency = _us(ring_latency_us)
+    latency = exact(ring_latency_us)
     if latency < 0:
         raise ValueError("latency must be non-negative")
     full = int(latency // CYCLE_US)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from . import InputError, number, read_input, whole
+from . import InputError, Violation, number, read_input, whole
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
-DEFAULT_CONNECTOR_LOSS_DB = 0.3
+CONNECTOR_LOSS_DB = 0.3
 
 MAX_RING_STATIONS = 500
 MAX_RING_CABLE_KM = 100
@@ -85,11 +85,11 @@ class LinkSpec:
             raise InputError("connector losses must be finite and >= 0", BAD_RING)
 
 
-def connectors(count: int, loss_db: float = DEFAULT_CONNECTOR_LOSS_DB) -> tuple[float, ...]:
-    """Losses for ``count`` mated pairs at the default per-pair loss."""
+def connectors(count: int) -> tuple[float, ...]:
+    """Losses for ``count`` mated pairs at CONNECTOR_LOSS_DB each."""
     if count < 0:
         raise InputError(f"connector count must be >= 0, got {count}", BAD_RING)
-    return (loss_db,) * count
+    return (CONNECTOR_LOSS_DB,) * count
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,14 @@ class BudgetReport:
     computed_loss_db: float | None
     margin_db: float | None
     verdict: str                     # pass | fail
-    violated_rules: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+    violated_rules: tuple[Violation, ...] = ()
+    warnings: tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True)
 class RingReport:
     links: tuple[BudgetReport, ...]
-    ring_rules: tuple[str, ...]      # violated global rules
+    ring_rules: tuple[Violation, ...]  # violated global rules
     verdict: str
 
     @property
@@ -194,9 +194,9 @@ def validate_link(link: LinkSpec) -> BudgetReport:
     rules = []
     warnings = []
     if spec.status != "standard":
-        warnings.append(f"NonStandardMedia: {spec.name} is a rejected alternative")
+        warnings.append(Violation("NonStandardMedia", f"{spec.name} is a rejected alternative"))
     if spec.max_length_m is not None and link.length_m > spec.max_length_m:
-        rules.append(f"LengthExceeded: {link.length_m:g} m > {spec.max_length_m:g} m")
+        rules.append(Violation("LengthExceeded", f"{link.length_m:g} m > {spec.max_length_m:g} m"))
 
     allowed = computed = margin = None
     if spec.optical:
@@ -209,8 +209,7 @@ def validate_link(link: LinkSpec) -> BudgetReport:
                         + sum(link.connector_losses_db))
             margin = allowed - computed
             if margin < 0:
-                rules.append(
-                    f"BudgetExceeded: loss {computed:g} dB > {allowed:g} dB")
+                rules.append(Violation("BudgetExceeded", f"loss {computed:g} dB > {allowed:g} dB"))
     return BudgetReport(
         link=link,
         allowed_loss_db=allowed,
@@ -263,7 +262,7 @@ def mixed_ends_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec,
 
     rules = []
     if length_m > max_len:
-        rules.append(f"LengthExceeded: {length_m:g} m > {max_len:g} m for this pairing")
+        rules.append(Violation("LengthExceeded", f"{length_m:g} m > {max_len:g} m for this pairing"))
     link = LinkSpec(media=f"{tx.name}+{rx.name}", length_m=length_m)
     return BudgetReport(link=link, allowed_loss_db=allowed,
                         computed_loss_db=None, margin_db=None,
@@ -283,14 +282,13 @@ def rise_fall_check(tx_media: str | MediaSpec, rx_media: str | MediaSpec) -> boo
     return tx.tx_rise_fall_ns <= rx.rx_rise_fall_tol_ns
 
 
-def ring_limits(n_stations: int, total_km: float | None) -> list[tuple[str, str]]:
-    """(rule, detail) for each ring-wide limit the totals break; a
-    ``total_km`` of None is not checked."""
+def ring_limits(n_stations: int, total_km: float | None) -> list[Violation]:
+    """Each ring-wide limit the totals break; a ``total_km`` of None passes."""
     out = []
     if n_stations > MAX_RING_STATIONS:
-        out.append(("StationCount", f"{n_stations} stations > {MAX_RING_STATIONS}"))
+        out.append(Violation("StationCount", f"{n_stations} stations > {MAX_RING_STATIONS}"))
     if total_km is not None and total_km > MAX_RING_CABLE_KM:
-        out.append(("TotalCable", f"{total_km:g} km > {MAX_RING_CABLE_KM:g} km"))
+        out.append(Violation("TotalCable", f"{total_km:g} km > {MAX_RING_CABLE_KM:g} km"))
     return out
 
 
@@ -298,9 +296,9 @@ def validate_ring(links: Sequence[LinkSpec], n_stations: int) -> RingReport:
     """Per-link checks plus the global ring limits."""
     reports = tuple(validate_link(link) for link in links)
     total_km = sum(link.length_m for link in links) / 1000.0
-    ring_rules = [f"{rule}: {detail}" for rule, detail in ring_limits(n_stations, total_km)]
+    ring_rules = tuple(ring_limits(n_stations, total_km))
     ok = not ring_rules and all(r.verdict == "pass" for r in reports)
-    return RingReport(links=reports, ring_rules=tuple(ring_rules),
+    return RingReport(links=reports, ring_rules=ring_rules,
                       verdict="pass" if ok else "fail")
 
 
@@ -319,9 +317,12 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
             losses = connectors(number(entry.get("connectors", 0), whole,
                                        f"links[{i}].connectors", BAD_RING, path))
         elif not isinstance(losses, list) or not all(
-                isinstance(x, (int, float)) for x in losses):
+                type(x) in (int, float) for x in losses):  # a boolean is no loss
             raise InputError(f"links[{i}].connector_losses_db: need a list of numbers",
                              BAD_RING, path)
         length = number(entry.get("length_m"), float, f"links[{i}].length_m", BAD_RING, path)
         out.append(LinkSpec(entry["media"], length, tuple(losses)))
-    return out, number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
+    stations = number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
+    if stations < 0:
+        raise InputError(f"stations must be >= 0, got {stations}", BAD_RING, path)
+    return out, stations

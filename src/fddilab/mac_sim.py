@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from . import InputError, number, read_input, whole
+from . import InputError, Violation, exact, number, read_input, whole
 from .link_planner import ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
@@ -36,7 +36,7 @@ LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
 # protocol constants: fiber propagation at 5.085 us/km and a nominal
 # 1 us of repeat latency per station.
 PROPAGATION_US_PER_KM = Fraction("5.085")
-DEFAULT_STATION_DELAY_US = Fraction(1)
+STATION_DELAY_US = Fraction(1)
 
 SYNC = "sync"
 ASYNC = "async"
@@ -53,20 +53,9 @@ class ConfigViolationsError(InputError):
 
     tag = "config-violations"
 
-    def __init__(self, violations: list["Violation"]):
+    def __init__(self, violations: list[Violation]):
         self.violations = violations
         super().__init__(",".join(v.rule for v in violations))
-
-
-def _us(value) -> Fraction:
-    """Microsecond quantity as an exact rational (floats via decimal text)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -85,23 +74,17 @@ class RingConfig:
     def make(n_stations, ring_latency_us, ttrt_us, sync_allocation_us=None,
              stripping="source", total_cable_km=None, compliance=True) -> "RingConfig":
         alloc = sync_allocation_us or [0] * n_stations
-        if len(alloc) != n_stations:
+        if n_stations > 0 and len(alloc) != n_stations:  # fewer is NoStations
             raise InputError(f"need one sync allocation per station ({n_stations})", BAD_CONFIG)
         return RingConfig(
             n_stations=n_stations,
-            ring_latency_us=_us(ring_latency_us),
-            ttrt_us=_us(ttrt_us),
-            sync_allocation_us=tuple(_us(a) for a in alloc),
+            ring_latency_us=exact(ring_latency_us),
+            ttrt_us=exact(ttrt_us),
+            sync_allocation_us=tuple(map(exact, alloc)),
             stripping=stripping,
             total_cable_km=total_cable_km,
             compliance=compliance,
         )
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    detail: str
 
 
 def validate_config(cfg: RingConfig) -> list[Violation]:
@@ -109,14 +92,11 @@ def validate_config(cfg: RingConfig) -> list[Violation]:
     out = []
     if cfg.n_stations < 1:
         out.append(Violation("NoStations", f"n_stations={cfg.n_stations}"))
-    if cfg.ring_latency_us <= 0:
-        # a zero hop would stop the clock: the run would never end
-        out.append(Violation("LatencyNotPositive",
-                             f"ring latency {cfg.ring_latency_us} us <= 0"))
+    if cfg.ring_latency_us <= 0:  # a zero hop would stop the clock: the run would never end
+        out.append(Violation("LatencyNotPositive", f"ring latency {cfg.ring_latency_us} us <= 0"))
     if cfg.ttrt_us < cfg.ring_latency_us:
-        out.append(Violation(
-            "TtrtBelowLatency",
-            f"TTRT {cfg.ttrt_us} us < ring latency {cfg.ring_latency_us} us"))
+        out.append(Violation("TtrtBelowLatency",
+                             f"TTRT {cfg.ttrt_us} us < ring latency {cfg.ring_latency_us} us"))
     if cfg.stripping not in ("source", "destination"):
         out.append(Violation("UnknownStripping", cfg.stripping))
     for i, alloc in enumerate(cfg.sync_allocation_us):
@@ -124,13 +104,10 @@ def validate_config(cfg: RingConfig) -> list[Violation]:
             out.append(Violation("NegativeSyncAllocation", f"station {i}: {alloc} us < 0"))
     sync_total = sum(cfg.sync_allocation_us, Fraction(0))
     if sync_total > cfg.ttrt_us - cfg.ring_latency_us:
-        out.append(Violation(
-            "SyncOversubscribed",
-            f"sync allocations {sync_total} us > T - D "
-            f"= {cfg.ttrt_us - cfg.ring_latency_us} us"))
+        out.append(Violation("SyncOversubscribed", f"sync allocations {sync_total} us > T - D "
+                             f"= {cfg.ttrt_us - cfg.ring_latency_us} us"))
     if cfg.compliance:
-        out += [Violation(rule, detail)
-                for rule, detail in ring_limits(cfg.n_stations, cfg.total_cable_km)]
+        out += ring_limits(cfg.n_stations, cfg.total_cable_km)
     return out
 
 
@@ -138,8 +115,8 @@ def theoretical_efficiency(n: int, ttrt_us, latency_us) -> float:
     """Saturated timed-token efficiency n(T - D) / (nT + D)."""
     if n < 1:
         raise DomainError(f"need at least one station, got {n}")
-    t = _us(ttrt_us)
-    d = _us(latency_us)
+    t = exact(ttrt_us)
+    d = exact(latency_us)
     if d < 0 or t < d:
         raise DomainError(f"need T >= D >= 0, got T={t}, D={d}")
     if d == 0:
@@ -147,11 +124,9 @@ def theoretical_efficiency(n: int, ttrt_us, latency_us) -> float:
     return float(Fraction(n) * (t - d) / (Fraction(n) * t + d))
 
 
-def estimate_ring_latency(total_cable_km, n_stations: int,
-                          per_station_us=DEFAULT_STATION_DELAY_US) -> Fraction:
+def estimate_ring_latency(total_cable_km, n_stations: int) -> Fraction:
     """Model-based D: propagation over the cable plus per-station delay."""
-    return (_us(total_cable_km) * PROPAGATION_US_PER_KM
-            + n_stations * _us(per_station_us))
+    return exact(total_cable_km) * PROPAGATION_US_PER_KM + n_stations * STATION_DELAY_US
 
 
 @dataclass(frozen=True)
@@ -258,11 +233,10 @@ class _Queue:
 
 
 def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
-                   seed: int, warmup_us=None,
-                   collect_trace: bool = False) -> SimMetrics:
+                   seed: int, collect_trace: bool = False) -> SimMetrics:
     """Simulate the ring and return deterministic aggregate metrics.
 
-    Throughput is measured over [warmup, duration); byte conservation
+    Throughput is measured after a warmup of duration/5; byte conservation
     counters cover the whole run. Probe access delays sample the wait
     from a uniformly random instant until the token next arrives at a
     uniformly random station.
@@ -270,12 +244,10 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     violations = validate_config(cfg)
     if violations:
         raise ConfigViolationsError(violations)
-    duration = _us(duration_us)
+    duration = exact(duration_us)
     if duration <= 0:
         raise ValueError("duration must be positive")
-    warmup = _us(warmup_us) if warmup_us is not None else duration / 5
-    if not 0 <= warmup < duration:
-        raise ValueError("need 0 <= warmup < duration")
+    warmup = duration / 5
 
     n = cfg.n_stations
     hop = cfg.ring_latency_us / n
@@ -294,15 +266,16 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     alloc = [ticks(a) for a in cfg.sync_allocation_us]
     queues: dict[str, list[_Queue | None]] = {SYNC: [None] * n, ASYNC: [None] * n}
     for idx, src in enumerate(load.sources):
-        if not 0 <= src.station < n:
-            raise InputError(f"traffic source station {src.station} out of range", BAD_CONFIG)
+        dst = src.destination if src.destination is not None else (src.station + 1) % n
+        for name, at in (("station", src.station), ("destination", dst)):
+            if not 0 <= at < n:
+                raise InputError(f"traffic source {name} {at} out of range", BAD_CONFIG)
         if src.traffic_class not in (SYNC, ASYNC):
             raise InputError(f"unknown traffic class {src.traffic_class!r}", BAD_CONFIG)
         row = queues[src.traffic_class]
         if row[src.station] is not None:
             raise InputError("duplicate traffic source for "
                              f"{(src.station, src.traffic_class)}", BAD_CONFIG)
-        dst = src.destination if src.destination is not None else (src.station + 1) % n
         row[src.station] = _Queue(
             src, ticks(frame_us[src.frame_bytes]), ((dst - src.station) % n or n) * hop_t,
             float(duration), seed * 1_000_003 + idx, L)
@@ -429,11 +402,9 @@ def disjoint_neighbour_pairs(pairs: Sequence[int], n_stations: int) -> list[tupl
     return out
 
 
-def spatial_reuse_throughput(cfg: RingConfig, pair_sources: Sequence[int],
-                             duration_us=None, frame_bytes: int = 100,
-                             seed: int = 0) -> float:
+def spatial_reuse_throughput(cfg: RingConfig, pair_sources: Sequence[int]) -> float:
     """Aggregate throughput for k disjoint neighbour pairs, as a fraction
-    of the single-link rate.
+    of the single-link rate, over 200 TTRTs of 100-byte frames (seed 0).
 
     Under destination stripping each frame occupies only the segment from
     its source to the downstream neighbour, so disjoint pairs transmit
@@ -441,18 +412,13 @@ def spatial_reuse_throughput(cfg: RingConfig, pair_sources: Sequence[int],
     the one token serialises everything (frames circle the whole ring),
     so the timed-token simulation bounds the aggregate by 1.0.
     """
-    n = cfg.n_stations
-    pairs = disjoint_neighbour_pairs(pair_sources, n)
-    duration = _us(duration_us) if duration_us is not None else 200 * cfg.ttrt_us
-    if cfg.stripping == "destination":
-        frame_time = Fraction(frame_bytes * 8) / LINE_RATE_BITS_PER_US
-        frames_per_pair = int(duration / frame_time)
-        bits = frames_per_pair * frame_bytes * 8 * len(pairs)
-        return float(Fraction(bits) / (duration * LINE_RATE_BITS_PER_US))
-    metrics = run_simulation(
-        cfg, saturated_async_load([s for s, _ in pairs], frame_bytes),
-        duration_us=duration, seed=seed)
-    return metrics.throughput
+    pairs = disjoint_neighbour_pairs(pair_sources, cfg.n_stations)
+    duration = 200 * cfg.ttrt_us
+    if cfg.stripping == "destination":  # every pair sends whole 800-bit frames at once
+        bits = int(duration * LINE_RATE_BITS_PER_US / 800) * 800 * len(pairs)
+        return float(bits / (duration * LINE_RATE_BITS_PER_US))
+    return run_simulation(cfg, saturated_async_load([s for s, _ in pairs]),
+                          duration_us=duration, seed=0).throughput
 
 
 def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
@@ -478,17 +444,20 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     else:
         raise InputError("sync_allocation_us: need a list or an object", BAD_CONFIG)
     km = doc.get("total_cable_km")  # kept as given: TotalCable quotes it
-    if km is not None and not isinstance(km, (int, float)):
+    if km is not None and type(km) not in (int, float):  # a boolean is no length
         raise InputError(f"total_cable_km: need a number, got {km!r}", BAD_CONFIG)
+    compliance = doc.get("compliance", True)
+    if not isinstance(compliance, bool):
+        raise InputError(f"compliance: need true or false, got {compliance!r}", BAD_CONFIG)
     cfg = RingConfig.make(
         n_stations=n,
-        ring_latency_us=field(doc, "ring_latency_us", _us),
-        ttrt_us=field(doc, "ttrt_us", _us),
-        sync_allocation_us=[number(a, _us, f"sync_allocation_us[{i}]", BAD_CONFIG)
+        ring_latency_us=field(doc, "ring_latency_us", exact),
+        ttrt_us=field(doc, "ttrt_us", exact),
+        sync_allocation_us=[number(a, exact, f"sync_allocation_us[{i}]", BAD_CONFIG)
                             for i, a in enumerate(alloc)],
         stripping=doc.get("stripping", "source"),
         total_cable_km=km,
-        compliance=doc.get("compliance", True),
+        compliance=compliance,
     )
     traffic = doc.get("traffic", [])
     if not isinstance(traffic, list) or not all(isinstance(e, dict) for e in traffic):
@@ -514,8 +483,10 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
             destination=(field(entry, "destination", whole, where=where)
                          if entry.get("destination") is not None else None),
         ))
-    load = TrafficModel.make(sources, probe_count=field(doc, "probes", whole, 0))
-    return cfg, load
+    probes = field(doc, "probes", whole, 0)
+    if probes < 0:
+        raise InputError(f"probes must be >= 0, got {probes}", BAD_CONFIG)
+    return cfg, TrafficModel.make(sources, probe_count=probes)
 
 
 def load_config_file(path: str) -> tuple[RingConfig, TrafficModel]:

@@ -5,9 +5,10 @@ file (``data/4b5b_table.txt``) so the codec logic stays table-driven. All
 operations are pure functions over immutable values.
 
 Bit conventions: bit sequences are iterables of 0/1 ints, and read and
-print as text of '0'/'1' digits (``bits_from_text``, ``bits_to_text``).
-Two-level line signals use 0 = low, 1 = high; three-level (MLT-3) signals
-use -1/0/+1.
+print as text of '0'/'1' digits (``bits_from_text``, ``bits_to_text``),
+and as bytes, one per bit or packed 8 to a byte (``pack_bits``). Line
+signals run at FDDI_CODE_BIT_RATE_BPS: two-level ones use 0 = low, 1 = high;
+three-level (MLT-3) ones use -1/0/+1.
 
 No code loops per bit: bits are read as one int x, first bit most
 significant. NRZI levels are the prefix XOR of x, ceil(log2 n) steps of
@@ -62,6 +63,22 @@ def _unword(word: int, n: int) -> bytes:
     return format(word | 1 << n, "b")[1:].encode("ascii").translate(_VALUES)
 
 
+def bit_bytes(bits: Iterable[int]) -> bytes:
+    """The bits as one 0/1 byte each (any non-zero bit reads as 1)."""
+    return bits_to_text(bits).encode("ascii").translate(_VALUES)
+
+
+def pack_bits(bits: Iterable[int]) -> bytes:
+    """The bits, a multiple of 8 of them, packed eight to a byte."""
+    word, n = _word(bits)
+    return word.to_bytes(n // 8, "big")
+
+
+def unpack_bits(data: bytes) -> bytes:
+    """Packed bytes as one 0/1 byte per bit: the inverse of pack_bits."""
+    return _unword(int.from_bytes(data, "big"), 8 * len(data))
+
+
 def _prefix_parity(word: int, n: int) -> int:
     """Each of the n low bits XORed with every bit above it."""
     for k in range((n - 1).bit_length()):   # shifts 1, 2, 4, ... below n
@@ -112,10 +129,9 @@ class Symbol4b5b:
 
 @dataclass(frozen=True)
 class LineSignal:
-    """A line-coded signal: one level per code bit, at a given bit rate."""
+    """A line-coded signal: one level per code bit."""
 
     levels: tuple[int, ...]
-    bit_rate: float = float(FDDI_CODE_BIT_RATE_BPS)
 
 
 class CodeTable:
@@ -233,14 +249,13 @@ def encoded_bit_rate(data_rate_bps: float) -> float:
     return data_rate_bps * SYMBOL_BITS / NIBBLE_BITS
 
 
-def nrzi_encode(bits: Iterable[int], initial_level: str = "low",
-                bit_rate: float = float(FDDI_CODE_BIT_RATE_BPS)) -> LineSignal:
+def nrzi_encode(bits: Iterable[int], initial_level: str = "low") -> LineSignal:
     """NRZI: a 1 bit toggles the line level, a 0 bit holds it."""
     if initial_level not in ("low", "high"):
         raise ValueError(f"initial_level must be 'low' or 'high', got {initial_level!r}")
     word, n = _word(bits)
     levels = _prefix_parity(word, n) ^ ((1 << n) - 1 if initial_level == "high" else 0)
-    return LineSignal(levels=tuple(_unword(levels, n)), bit_rate=bit_rate)
+    return LineSignal(levels=tuple(_unword(levels, n)))
 
 
 # MLT-3 cycles through these levels; a 1 bit advances, a 0 bit holds.
@@ -249,8 +264,7 @@ MLT3_CYCLE = (0, 1, 0, -1)
 _MLT3_LEVELS = bytes(lv & 0xFF for lv in MLT3_CYCLE).ljust(256, b"\0")  # phase -> level
 
 
-def mlt3_encode(bits: Iterable[int],
-                bit_rate: float = float(FDDI_CODE_BIT_RATE_BPS)) -> LineSignal:
+def mlt3_encode(bits: Iterable[int]) -> LineSignal:
     """MLT-3 three-level code: worst-case signal frequency is half NRZI's."""
     word, n = _word(bits)
     odd = _prefix_parity(word, n)                # phase bit 0
@@ -258,7 +272,7 @@ def mlt3_encode(bits: Iterable[int],
     phase = (int.from_bytes(_unword(odd, n), "big")      # one byte per bit
              | int.from_bytes(_unword(high, n), "big") << 1).to_bytes(n, "big")
     levels = memoryview(phase.translate(_MLT3_LEVELS)).cast("b")
-    return LineSignal(levels=tuple(levels), bit_rate=bit_rate)
+    return LineSignal(levels=tuple(levels))
 
 
 def transition_count(signal: LineSignal, initial_level: int = 0) -> int:
@@ -267,7 +281,8 @@ def transition_count(signal: LineSignal, initial_level: int = 0) -> int:
 
 
 def fundamental_frequency(signal: LineSignal) -> float:
-    """Fundamental frequency of an exactly periodic line signal, in Hz.
+    """Fundamental frequency of an exactly periodic line signal at
+    FDDI_CODE_BIT_RATE_BPS, in Hz.
 
     The period is the smallest exact repeat p with at least two full
     periods of evidence (levels[i] == levels[i+p] for all i). A constant
@@ -286,4 +301,4 @@ def fundamental_frequency(signal: LineSignal) -> float:
     p = n - border[-1]       # the smallest period: n minus the longest border
     if 2 * p > n:
         raise AperiodicSignalError(f"no exact repeat within {n} levels")
-    return 0.0 if p == 1 else signal.bit_rate / p  # p == 1: DC
+    return 0.0 if p == 1 else FDDI_CODE_BIT_RATE_BPS / p  # p == 1: DC

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import InputError
-from .phy_codec import bits_to_text
+from .phy_codec import bit_bytes, pack_bits, unpack_bits
 
 SPE_ROWS = 9
 SPE_COLS = 261
@@ -70,8 +70,6 @@ FIXED_STUFF_FILL = 0       # fixed stuff is all-zeros before scrambling
 # which bits of a byte carry user data ("u"), MSB-first, by byte tag
 _USER_MASK = {USER_DATA: "u" * 8, STUFF_CONTROL: "".join(
     "-" if bit == STUFF_CONTROL_BIT else "u" for bit in range(8))}
-# a bit digit to its value: frame bits are held one byte per bit
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class UnknownLevelError(InputError):
@@ -208,13 +206,12 @@ def map_fddi(code_bits: Sequence[int], layout: SpeLayout | None = None) -> list[
     """
     layout = layout or build_spe_layout()
     frame, user = layout.frame, layout.user
-    ones = bits_to_text(code_bits).encode("ascii").translate(_BIT_VALUES)
+    ones = bit_bytes(code_bits)
     frames = []
     for offset in range(0, len(ones), user.size):
         chunk = ones[offset:offset + user.size]
         bits = frame.pack(*user.unpack(chunk.ljust(user.size, b"\0")))
-        frames.append(SpeFrame(int(bits_to_text(bits), 2).to_bytes(SPE_BYTES, "big"),
-                               len(chunk)))
+        frames.append(SpeFrame(pack_bits(bits), len(chunk)))
     return frames
 
 
@@ -222,16 +219,10 @@ def extract_fddi(frames: Iterable[SpeFrame],
                  layout: SpeLayout | None = None) -> list[int]:
     """Recover the code-bit stream from mapped frames, in order."""
     frame = (layout or build_spe_layout()).frame
-    return list(b"".join([b"".join(frame.unpack(_bit_bytes(f.data)))[:f.user_bits_filled]
+    return list(b"".join([b"".join(frame.unpack(unpack_bits(f.data)))[:f.user_bits_filled]
                           for f in frames]))
 
 
 def frame_bits(frame: SpeFrame) -> list[int]:
     """All 2349 x 8 frame bits in transmission order (for scrambling)."""
-    return list(_bit_bytes(frame.data))
-
-
-def _bit_bytes(data: bytes) -> bytes:
-    """Frame bytes as one byte per bit, MSB first."""
-    text = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
-    return text.encode("ascii").translate(_BIT_VALUES)
+    return list(unpack_bits(frame.data))

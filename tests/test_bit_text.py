@@ -1,5 +1,5 @@
-"""phy_codec's one home for 0/1 digit text, and the packaged tables read
-once."""
+"""phy_codec's one home for the bit format: 0/1 digit text, 0/1 bytes and
+packed bytes; and the packaged tables read once."""
 
 import pytest
 from hypothesis import given
@@ -13,15 +13,21 @@ def test_bit_text_round_trips(bits):
     text = phy_codec.bits_to_text(bits)
     assert text == "".join(map(str, bits))
     assert phy_codec.bits_from_text(text) == bits
+    assert phy_codec.bit_bytes(bits) == bytes(bits)
+    whole_bytes = bits + [0] * (-len(bits) % 8)
+    assert phy_codec.unpack_bits(phy_codec.pack_bits(whole_bytes)) == bytes(whole_bytes)
 
 
 def test_any_non_zero_bit_reads_as_one():
     assert phy_codec.bits_to_text([0, 1, 2, 255, 0]) == "01110"
     assert phy_codec.bits_to_text(b"") == ""
+    assert phy_codec.bit_bytes([0, 1, 2, 255, 0]) == b"\0\1\1\1\0"
+    assert phy_codec.pack_bits([1, 0, 0, 0, 0, 0, 2, 1, 0] + [0] * 7) == b"\x83\0"
 
 
 @pytest.mark.parametrize("fn", [phy_codec.bits_to_text, phy_codec.nrzi_encode,
-                                phy_codec.mlt3_encode, spm.map_fddi])
+                                phy_codec.mlt3_encode, spm.map_fddi,
+                                phy_codec.bit_bytes, phy_codec.pack_bits])
 @pytest.mark.parametrize("n", [0, 5, True])
 def test_an_int_is_no_bit_sequence(fn, n):
     with pytest.raises(TypeError):

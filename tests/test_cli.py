@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -432,6 +433,68 @@ def test_plan_field_errors_name_the_field(tmp_path, capsys):
                                            "connectors": -1}]}))
     _, _, err = run(["plan", "--ring", str(ring)], capsys)
     assert err == "error: bad-ring: connector count must be >= 0, got -1\n"
+
+
+_SOURCE = {"station": 0, "class": "async", "rate_mbps": 5}
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"n_stations": True}, "n_stations: need a whole number, got True"),
+    ({"traffic": [{**_SOURCE, "rate_mbps": True}]},
+     "traffic[0].rate_mbps: need a number, got True"),
+    ({"total_cable_km": True}, "total_cable_km: need a number, got True"),
+    ({"compliance": "false"}, "compliance: need true or false, got 'false'"),
+    ({"compliance": 0}, "compliance: need true or false, got 0"),
+    ({"compliance": None}, "compliance: need true or false, got None"),
+    ({"probes": -5}, "probes must be >= 0, got -5"),
+    ({"traffic": [{**_SOURCE, "destination": 99}]},
+     "traffic source destination 99 out of range"),
+    ({"traffic": [{**_SOURCE, "destination": -3}]},
+     "traffic source destination -3 out of range"),
+])
+def test_simulate_refuses_booleans_and_out_of_range_counts(tmp_path, capsys, change, reason):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400,
+        "traffic": [_SOURCE], **change})
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == ("", f"error: bad-config: {reason}\n")
+
+
+@pytest.mark.parametrize("n", [-2, 0])
+def test_simulate_reports_too_few_stations_as_no_stations(tmp_path, capsys, n):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": n, "ring_latency_us": 100, "ttrt_us": 400})
+    assert code == 1
+    assert out == f"metric,value,unit\nviolation,NoStations,n_stations={n}\n"
+    assert err == "error: config-violations: NoStations\n"
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"links": [{"media": "MF", "length_m": 5, "connectors": True}]},
+     "links[0].connectors: need a whole number, got True"),
+    ({"links": [{"media": "MF", "length_m": True}]},
+     "links[0].length_m: need a number, got True"),
+    ({"links": [{"media": "MF", "length_m": 5, "connector_losses_db": [True]}]},
+     "links[0].connector_losses_db: need a list of numbers"),
+    ({"stations": True}, "stations: need a whole number, got True"),
+    ({"stations": -4}, "stations must be >= 0, got -4"),
+])
+def test_plan_refuses_booleans_and_negative_stations(tmp_path, capsys, change, reason):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"stations": 4, "links": [{"media": "MF", "length_m": 5}],
+                                **change}))
+    code, out, err = run(["plan", "--ring", str(ring)], capsys)
+    _one_error_line(code, err, "bad-ring")
+    assert (out, err) == ("", f"error: bad-ring: {reason}\n")
+
+
+def test_simulate_compliance_false_skips_the_ring_limits(tmp_path, capsys):
+    doc = {"n_stations": 600, "ring_latency_us": 100, "ttrt_us": 400,
+           "total_cable_km": 150}
+    code, _, err = _simulate_config(tmp_path, capsys, doc)
+    assert (code, err) == (1, "error: config-violations: StationCount,TotalCable\n")
+    code, _, err = _simulate_config(tmp_path, capsys, {**doc, "compliance": False})
+    assert (code, err) == (0, "")
 
 
 def test_fddi2_malformed_request_lines_exit_1_with_one_line(tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_wbc_bandwidth_exact():
 
 
 def test_wbc_carries_96_voice_circuits():
-    assert voice_channels_per_wbc(64) == 96
+    assert voice_channels_per_wbc() == 96
 
 
 def test_cycle_byte_accounting():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fddilab import Violation
 from fddilab.link_planner import (
     LinkSpec,
     MediaSpec,
@@ -65,7 +66,8 @@ def test_length_boundaries(media, length, verdict):
     report = validate_link(LinkSpec(media, length))
     assert report.verdict == verdict
     if verdict == "fail":
-        assert any(r.startswith("LengthExceeded") for r in report.violated_rules)
+        limit = default_media_table()[media].max_length_m
+        assert Violation("LengthExceeded", f"{length} m > {limit:g} m") in report.violated_rules
 
 
 def test_lcf_500m_loss_within_budget():
@@ -82,7 +84,7 @@ def test_connector_losses_count_against_budget():
     heavy = LinkSpec("LCF", 400, connector_losses_db=connectors(22))
     report = validate_link(heavy)
     assert report.verdict == "fail"
-    assert any(r.startswith("BudgetExceeded") for r in report.violated_rules)
+    assert report.violated_rules == (Violation("BudgetExceeded", "loss 7.4 dB > 7 dB"),)
 
 
 def test_length_monotonicity_never_unfails():
@@ -106,13 +108,15 @@ def test_extra_loss_monotonicity():
 
 def test_rejected_media_is_flagged():
     report = validate_link(LinkSpec("FIBER_200", 300))
-    assert any(w.startswith("NonStandardMedia") for w in report.warnings)
+    assert report.warnings == (
+        Violation("NonStandardMedia", "FIBER_200 is a rejected alternative"),)
 
 
 def test_mixed_ends_distance_rule():
     assert mixed_ends_check("LCF", "MF", 400).verdict == "pass"
     assert mixed_ends_check("MF", "LCF", 500).verdict == "pass"
-    assert mixed_ends_check("LCF", "MF", 1000).verdict == "fail"
+    assert mixed_ends_check("LCF", "MF", 1000).violated_rules == (
+        Violation("LengthExceeded", "1000 m > 500 m for this pairing"),)
     assert mixed_ends_check("MF", "MF", 2000).verdict == "pass"
     assert mixed_ends_check("MF", "MF", 2001).verdict == "fail"
 
@@ -166,21 +170,20 @@ def test_ring_total_cable_limit():
     links = [LinkSpec("SONET", 50_500_00)]  # 5050 km on one carrier span
     report = validate_ring(links, n_stations=10)
     assert report.verdict == "fail"
-    assert any(r.startswith("TotalCable") for r in report.ring_rules)
+    assert report.ring_rules == (Violation("TotalCable", "5050 km > 100 km"),)
 
 
 def test_ring_station_limit():
     report = validate_ring([LinkSpec("MF", 100)], n_stations=501)
-    assert any(r.startswith("StationCount") for r in report.ring_rules)
+    assert report.ring_rules == (Violation("StationCount", "501 stations > 500"),)
 
 
 def test_ring_limits_read_alike_in_plan_and_simulate():
     plan = validate_ring([LinkSpec("SONET", 75_000.0)] * 2, n_stations=600)  # 150.0 km
     ring = RingConfig.make(600, 1000, 5000, total_cable_km=150.0)
-    simulate = [f"{v.rule}: {v.detail}" for v in validate_config(ring)]
-    assert plan.ring_rules == ("StationCount: 600 stations > 500",
-                               "TotalCable: 150 km > 100 km")
-    assert simulate == list(plan.ring_rules)
+    assert plan.ring_rules == (Violation("StationCount", "600 stations > 500"),
+                               Violation("TotalCable", "150 km > 100 km"))
+    assert validate_config(ring) == list(plan.ring_rules)
 
 
 def test_ring_names_failing_link():

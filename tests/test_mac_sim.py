@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fddilab import Violation
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -270,11 +271,10 @@ def test_config_from_dict_rejects_negative_or_non_finite_rate():
 
 def test_ring_limits_shared_with_link_planner():
     from fddilab import link_planner
-    details = {v.rule: v.detail for v in validate_config(
-        RingConfig.make(501, 1000, 5000, total_cable_km=101))}
-    assert details["StationCount"] == "501 stations > 500"
-    assert details["TotalCable"] == "101 km > 100 km"
+    assert validate_config(RingConfig.make(501, 1000, 5000, total_cable_km=101)) == [
+        Violation("StationCount", "501 stations > 500"),
+        Violation("TotalCable", "101 km > 100 km")]
     report = link_planner.validate_ring(
         [link_planner.LinkSpec("SMF", 40_000)] * 3, 501)
-    assert report.ring_rules == ("StationCount: 501 stations > 500",
-                                 "TotalCable: 120 km > 100 km")
+    assert report.ring_rules == (Violation("StationCount", "501 stations > 500"),
+                                 Violation("TotalCable", "120 km > 100 km"))

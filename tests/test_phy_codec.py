@@ -128,26 +128,26 @@ def test_mlt3_changes_only_on_ones_and_never_jumps():
 
 
 def test_fundamental_frequency_nrzi_all_ones():
-    signal = nrzi_encode([1] * 32, bit_rate=125e6)
+    signal = nrzi_encode([1] * 32)
     assert fundamental_frequency(signal) == 62.5e6
 
 
 def test_fundamental_frequency_mlt3_half_of_nrzi():
-    nrzi = nrzi_encode([1] * 32, bit_rate=125e6)
-    mlt3 = mlt3_encode([1] * 32, bit_rate=125e6)
+    nrzi = nrzi_encode([1] * 32)
+    mlt3 = mlt3_encode([1] * 32)
     assert fundamental_frequency(mlt3) == 31.25e6
     assert fundamental_frequency(mlt3) == fundamental_frequency(nrzi) / 2
 
 
 def test_fundamental_frequency_constant_is_dc():
-    assert fundamental_frequency(LineSignal(levels=(1,) * 10, bit_rate=125e6)) == 0.0
+    assert fundamental_frequency(LineSignal(levels=(1,) * 10)) == 0.0
 
 
 def test_fundamental_frequency_aperiodic():
     with pytest.raises(AperiodicSignalError):
-        fundamental_frequency(LineSignal(levels=(0, 1, 1, 0, 1, 0, 0, 1), bit_rate=1e6))
+        fundamental_frequency(LineSignal(levels=(0, 1, 1, 0, 1, 0, 0, 1)))
     with pytest.raises(ValueError):
-        fundamental_frequency(LineSignal(levels=(), bit_rate=1e6))
+        fundamental_frequency(LineSignal(levels=()))
 
 
 def test_code_bit_rate_expansion():
