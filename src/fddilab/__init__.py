@@ -63,12 +63,13 @@ def whole(value) -> int:
 
 
 def number(value, to, field: str, tag: str, path: str | None = None):
-    """``to(value)`` for one field of an input (``to`` is e.g. float or
-    whole); a boolean or a value ``to`` rejects is an InputError naming it."""
+    """``to(value)`` for one field of an input (``to`` is e.g. float, whole
+    or exact); a boolean, text for float or whole (``"4"``; exact reads
+    ``"1000/7"``), or a value ``to`` rejects is an InputError naming it."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
+        if isinstance(value, bool) or isinstance(value, str) and to in (float, whole):
+            raise TypeError("not a number")
         return to(value)
     except (TypeError, ValueError, ArithmeticError):
-        need = "a whole number" if to is whole else "a number"
+        need = "a whole number" if to in (whole, int) else "a number"
         raise InputError(f"{field}: need {need}, got {value!r}", tag, path) from None

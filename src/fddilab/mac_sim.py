@@ -13,8 +13,10 @@ Protocol rules implemented per token visit at a station:
 
 Time is counted in integer ticks of 1/L us, one L per run chosen so
 that every configured time is a whole number of ticks; Poisson arrivals
-are rounded up to a tick once, when they are drawn. A run is a pure
-function of (config, load, duration, seed).
+are rounded up to a tick once, when they are drawn. Access-delay probes
+draw with inlined ``random`` calls on the library's stream and bisect
+float times, recounted on the integer ticks at a rounded tie. A run is
+a pure function of (config, load, duration, seed).
 """
 
 from __future__ import annotations
@@ -186,10 +188,12 @@ class SimMetrics:
 def _first_tick(t: float, ticks_per_us: int) -> int:
     """The first tick N with float(N / L) >= t us, L = ticks_per_us: that
     is ceil(t * L), unless ticks just below t * L already round to t."""
-    p, q = math.nextafter(t, 0.0).as_integer_ratio()
-    lo = p * ticks_per_us // q                      # float(lo / L) < t
     p, q = t.as_integer_ratio()
     hi = -(-p * ticks_per_us // q)                  # ceil(t * L), exact
+    if (hi - 1) / ticks_per_us < t:                 # int / int rounds once
+        return hi
+    p, q = math.nextafter(t, 0.0).as_integer_ratio()
+    lo = p * ticks_per_us // q                      # float(lo / L) < t
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if mid / ticks_per_us >= t else (mid, hi)
@@ -199,16 +203,45 @@ def _first_tick(t: float, ticks_per_us: int) -> int:
 def _arrival_ticks(source: TrafficSource, horizon: float, rng_seed: int,
                    ticks_per_us: int) -> Iterator[int]:
     """A Poisson source's arrivals up to horizon us, drawn one at a time
-    from its own random stream, each rounded up to its first tick."""
+    from its own stream as expovariate does, each rounded up to a tick."""
     rate = source.rate_mbps             # bits per us
     if not rate > 0:
         return
-    rng = random.Random(rng_seed)
+    rand, log = random.Random(rng_seed).random, math.log
     lambd = 1.0 / (source.frame_bytes * 8 / rate)
-    t = rng.expovariate(lambd)
+    t = -log(1.0 - rand()) / lambd
     while t <= horizon:
         yield _first_tick(t, ticks_per_us)
-        t += rng.expovariate(lambd)
+        t += -log(1.0 - rand()) / lambd
+
+
+def _probe_delays(arrivals_log: list[list[int]], L: int, warmup: float,
+                  count: int, seed: int) -> list[float]:
+    """Up to count access delays in us, each from a uniform instant t in
+    [warmup, horizon] (the earliest last arrival) to the next token arrival
+    at a uniform station; arrivals_log holds each station's ticks of 1/L us.
+    Draws: Random(seed * 1_000_003 + 7919).uniform then .choice, inlined.
+    A float bisect on a / L finds the arrival, exact but where an a / L > t
+    rounds to t: only then is the index recounted on the integer ticks."""
+    farrs = [[a / L for a in arr] for arr in arrivals_log]
+    horizon = min(f[-1] if f else 0.0 for f in farrs)
+    rng = random.Random(seed * 1_000_003 + 7919)
+    rand, getrandbits = rng.random, rng.getrandbits
+    n, span, delays = len(farrs), horizon - warmup, []
+    k = n.bit_length()                          # as random._randbelow
+    for _ in range(count if horizon > warmup else 0):
+        t = warmup + span * rand()              # rng.uniform(warmup, horizon)
+        i = getrandbits(k)                      # rng.choice: randbelow(n)
+        while i >= n:
+            i = getrandbits(k)
+        farr = farrs[i]
+        idx = bisect_right(farr, t)             # first arrival after t
+        if idx and farr[idx - 1] == t:          # a / L may be above t: recount
+            p, q = t.as_integer_ratio()
+            idx = bisect_right(arrivals_log[i], p * L // q)
+        if idx < len(farr):
+            delays.append(farr[idx] - t)
+    return delays
 
 
 class _Queue:
@@ -239,7 +272,8 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     Throughput is measured after a warmup of duration/5; byte conservation
     counters cover the whole run. Probe access delays sample the wait
     from a uniformly random instant until the token next arrives at a
-    uniformly random station.
+    uniformly random station, found by a float bisect with an exact
+    integer fallback at a rounded tie (_probe_delays).
     """
     violations = validate_config(cfg)
     if violations:
@@ -347,19 +381,8 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     gaps = [max_gap[i] for i in sync_stations or range(n) if max_gap[i] >= 0]
     max_sync_gap = max(gaps) / L if gaps else None
 
-    probe_delays: list[float] = []
-    if arrivals_log is not None:
-        rng = random.Random(seed * 1_000_003 + 7919)
-        horizon = min(a[-1] / L if a else 0.0 for a in arrivals_log)
-        lo = float(warmup)
-        if horizon > lo:
-            for _ in range(load.probe_count):
-                t = rng.uniform(lo, horizon)
-                arr = rng.choice(arrivals_log)      # draws as randrange(n)
-                p, q = t.as_integer_ratio()
-                idx = bisect_right(arr, p * L // q)  # first arrival after t
-                if idx < len(arr):
-                    probe_delays.append(arr[idx] / L - t)
+    probe_delays = (_probe_delays(arrivals_log, L, float(warmup), load.probe_count, seed)
+                    if arrivals_log is not None else [])
 
     return SimMetrics(
         duration_us=float(duration),
@@ -389,19 +412,6 @@ def saturated_async_load(stations: Iterable[int], frame_bytes: int = 100) -> Tra
         for s in stations)
 
 
-def disjoint_neighbour_pairs(pairs: Sequence[int], n_stations: int) -> list[tuple[int, int]]:
-    """(source, downstream-neighbour) pairs; rejects overlapping stations."""
-    used: set[int] = set()
-    out = []
-    for src in pairs:
-        dst = (src + 1) % n_stations
-        if src in used or dst in used:
-            raise ValueError(f"pair {src}->{dst} overlaps another pair")
-        used.update((src, dst))
-        out.append((src, dst))
-    return out
-
-
 def spatial_reuse_throughput(cfg: RingConfig, pair_sources: Sequence[int]) -> float:
     """Aggregate throughput for k disjoint neighbour pairs, as a fraction
     of the single-link rate, over 200 TTRTs of 100-byte frames (seed 0).
@@ -412,12 +422,17 @@ def spatial_reuse_throughput(cfg: RingConfig, pair_sources: Sequence[int]) -> fl
     the one token serialises everything (frames circle the whole ring),
     so the timed-token simulation bounds the aggregate by 1.0.
     """
-    pairs = disjoint_neighbour_pairs(pair_sources, cfg.n_stations)
+    used: set[int] = set()
+    for src in pair_sources:  # each source sends to its downstream neighbour
+        dst = (src + 1) % cfg.n_stations
+        if src in used or dst in used:
+            raise ValueError(f"pair {src}->{dst} overlaps another pair")
+        used.update((src, dst))
     duration = 200 * cfg.ttrt_us
     if cfg.stripping == "destination":  # every pair sends whole 800-bit frames at once
-        bits = int(duration * LINE_RATE_BITS_PER_US / 800) * 800 * len(pairs)
+        bits = int(duration * LINE_RATE_BITS_PER_US / 800) * 800 * len(pair_sources)
         return float(bits / (duration * LINE_RATE_BITS_PER_US))
-    return run_simulation(cfg, saturated_async_load([s for s, _ in pairs]),
+    return run_simulation(cfg, saturated_async_load(pair_sources),
                           duration_us=duration, seed=0).throughput
 
 
@@ -435,7 +450,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     if isinstance(alloc_in, dict):
         alloc = [0] * n
         for key, val in alloc_in.items():
-            station = number(key, whole, "sync_allocation_us station", BAD_CONFIG)
+            station = number(key, int, "sync_allocation_us station", BAD_CONFIG)  # key is text
             if not 0 <= station < n:
                 raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
             alloc[station] = val
@@ -444,8 +459,8 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     else:
         raise InputError("sync_allocation_us: need a list or an object", BAD_CONFIG)
     km = doc.get("total_cable_km")  # kept as given: TotalCable quotes it
-    if km is not None and type(km) not in (int, float):  # a boolean is no length
-        raise InputError(f"total_cable_km: need a number, got {km!r}", BAD_CONFIG)
+    if km is not None and not 0 <= number(km, float, "total_cable_km", BAD_CONFIG) < math.inf:
+        raise InputError(f"total_cable_km: need a finite number >= 0, got {km!r}", BAD_CONFIG)
     compliance = doc.get("compliance", True)
     if not isinstance(compliance, bool):
         raise InputError(f"compliance: need true or false, got {compliance!r}", BAD_CONFIG)
@@ -469,9 +484,13 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         if rate in ("saturated", None):
             rate = None
         else:
-            rate = field(entry, "rate_mbps", float, where=where)
-            if not 0 <= rate < math.inf:
-                raise InputError(f"rate_mbps must be finite and >= 0, got {rate}", BAD_CONFIG)
+            try:  # text that reads as a rate ("nan", "-0.5") may be out of range
+                value = float(rate)
+            except (TypeError, ValueError, ArithmeticError):
+                value = None
+            if value is not None and not 0 <= value < math.inf:
+                raise InputError(f"rate_mbps must be finite and >= 0, got {value}", BAD_CONFIG)
+            rate = field(entry, "rate_mbps", float, where=where)  # and text is no number
         frame_bytes = field(entry, "frame_bytes", whole, 100, where)
         if frame_bytes < 1:
             raise InputError(f"frame_bytes must be >= 1, got {frame_bytes}", BAD_CONFIG)

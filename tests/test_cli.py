@@ -460,6 +460,48 @@ def test_simulate_refuses_booleans_and_out_of_range_counts(tmp_path, capsys, cha
     assert (out, err) == ("", f"error: bad-config: {reason}\n")
 
 
+@pytest.mark.parametrize("km,reason", [
+    *((km, f"need a finite number >= 0, got {km!r}")    # NaN and Infinity in the JSON
+      for km in (-5, float("nan"), float("inf"), float("-inf"))),
+    (10 ** 400, f"need a number, got {10 ** 400!r}"),  # past float: was a traceback
+], ids=["-5", "nan", "inf", "-inf", "10**400"])
+def test_simulate_refuses_a_negative_or_non_finite_cable_length(tmp_path, capsys, km, reason):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400, "total_cable_km": km})
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == ("", f"error: bad-config: total_cable_km: {reason}\n")
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"n_stations": "4"}, "n_stations: need a whole number, got '4'"),
+    ({"probes": "3"}, "probes: need a whole number, got '3'"),
+    ({"total_cable_km": "10"}, "total_cable_km: need a number, got '10'"),
+    ({"traffic": [{**_SOURCE, "rate_mbps": "5"}]}, "traffic[0].rate_mbps: need a number, got '5'"),
+    ({"traffic": [{**_SOURCE, "station": "0"}]},
+     "traffic[0].station: need a whole number, got '0'"),
+    ({"traffic": [{**_SOURCE, "frame_bytes": "100"}]},
+     "traffic[0].frame_bytes: need a whole number, got '100'"),
+    ({"traffic": [{**_SOURCE, "destination": "2"}]},
+     "traffic[0].destination: need a whole number, got '2'"),
+])
+def test_simulate_refuses_numeric_text_in_number_fields(tmp_path, capsys, change, reason):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400,
+        "traffic": [_SOURCE], **change})
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == ("", f"error: bad-config: {reason}\n")
+
+
+def test_simulate_reads_text_in_microsecond_fields_and_station_keys(tmp_path, capsys):
+    ring = {"n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400,
+            "sync_allocation_us": [0, 0, 0, 50], "traffic": [_SOURCE], "probes": 20}
+    want = _simulate_config(tmp_path, capsys, ring)
+    assert want[0] == 0
+    text = {**ring, "ring_latency_us": "100", "ttrt_us": "800/2",
+            "sync_allocation_us": {"3": "50"}}
+    assert _simulate_config(tmp_path, capsys, text) == want
+
+
 @pytest.mark.parametrize("n", [-2, 0])
 def test_simulate_reports_too_few_stations_as_no_stations(tmp_path, capsys, n):
     code, out, err = _simulate_config(tmp_path, capsys, {
@@ -480,6 +522,21 @@ def test_simulate_reports_too_few_stations_as_no_stations(tmp_path, capsys, n):
     ({"stations": -4}, "stations must be >= 0, got -4"),
 ])
 def test_plan_refuses_booleans_and_negative_stations(tmp_path, capsys, change, reason):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"stations": 4, "links": [{"media": "MF", "length_m": 5}],
+                                **change}))
+    code, out, err = run(["plan", "--ring", str(ring)], capsys)
+    _one_error_line(code, err, "bad-ring")
+    assert (out, err) == ("", f"error: bad-ring: {reason}\n")
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"links": [{"media": "MF", "length_m": "5"}]}, "links[0].length_m: need a number, got '5'"),
+    ({"links": [{"media": "MF", "length_m": 5, "connectors": "2"}]},
+     "links[0].connectors: need a whole number, got '2'"),
+    ({"stations": "12"}, "stations: need a whole number, got '12'"),
+])
+def test_plan_refuses_numeric_text_in_number_fields(tmp_path, capsys, change, reason):
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps({"stations": 4, "links": [{"media": "MF", "length_m": 5}],
                                 **change}))

@@ -23,7 +23,9 @@ from fddilab.mac_sim import (
     SimMetrics,
     TrafficModel,
     TrafficSource,
+    _arrival_ticks,
     _first_tick,
+    _probe_delays,
     run_simulation,
 )
 from fddilab.phy_codec import (
@@ -228,6 +230,23 @@ def unit_rings(draw):
     return cfg, _load(draw, n, frame), duration, frame, draw(seeds)
 
 
+def ref_probe_delays(visits_at, warmup, count, seed_):
+    """Reference probes on Fraction token arrival times: each found by an
+    exact bisect, a Fraction against the float probe time."""
+    probes = []
+    if count > 0:
+        rng = random.Random(seed_ * 1_000_003 + 7919)
+        horizon = min(float(a[-1]) if a else 0.0 for a in visits_at)
+        if horizon > float(warmup):
+            for _ in range(count):
+                at = rng.uniform(float(warmup), horizon)
+                arr = visits_at[rng.randrange(len(visits_at))]
+                i = bisect_right(arr, at)       # Fraction against float: exact
+                if i < len(arr):
+                    probes.append(float(arr[i]) - at)
+    return probes
+
+
 def ref_simulation(cfg, load, duration, seed_):
     """Reference run: Fraction time, float Poisson arrivals compared with
     float(now), one frame at a time, the token walked hop by hop."""
@@ -286,17 +305,7 @@ def ref_simulation(cfg, load, duration, seed_):
         station = (station + 1) % n
     gaps = [max_gap[i] for i in range(n) if cfg.sync_allocation_us[i] > 0] or max_gap
     gaps = [g for g in gaps if g is not None]
-    probes = []
-    if load.probe_count > 0:
-        rng = random.Random(seed_ * 1_000_003 + 7919)
-        horizon = min(float(a[-1]) if a else 0.0 for a in visits_at)
-        if horizon > float(warmup):
-            for _ in range(load.probe_count):
-                at = rng.uniform(float(warmup), horizon)
-                arr = visits_at[rng.randrange(n)]
-                i = bisect_right(arr, at)       # Fraction against float: exact
-                if i < len(arr):
-                    probes.append(float(arr[i]) - at)
+    probes = ref_probe_delays(visits_at, warmup, load.probe_count, seed_)
     return SimMetrics(
         float(duration), float(warmup), sum(map(len, visits_at)),
         float(Fraction(window_bits) / ((duration - warmup) * 100)),
@@ -358,6 +367,63 @@ def test_simulator_matches_fraction_reference(ring):
     cfg, load, duration, _, seed_ = ring
     assert run_simulation(cfg, load, duration, seed=seed_) == ref_simulation(
         cfg, load, duration, seed_)
+
+
+# Past 2**53 every float is an even integer, so with L ticks per us the
+# ticks t*L - 2 .. t*L + 2 around a probe time t all read as t, though
+# the last two lie after t and the first two before it.
+TIE_WARMUP, TIE_HORIZON = 2.0 ** 53, 2.0 ** 53 + 2 ** 20
+
+
+@pytest.mark.parametrize("ticks_per_us", [3, 7, 49])
+@pytest.mark.parametrize("seed_", [0, 1, 2])
+def test_probe_delays_are_exact_where_ticks_round_to_the_probe_time(ticks_per_us, seed_):
+    n, count, L = 5, 300, ticks_per_us
+    rng, times = random.Random(seed_ * 1_000_003 + 7919), []
+    for _ in range(count):                          # replay the probe times
+        times.append(rng.uniform(TIE_WARMUP, TIE_HORIZON))
+        rng.randrange(n)                            # and the station draws
+    pick = random.Random(seed_)
+    end = int(TIE_HORIZON) * L
+    log = [sorted({end} | {int(t) * L + d for t in times for d in range(-2, 3)
+                           if pick.random() < 0.4 and int(t) * L + d < end})
+           for _ in range(n)]
+    got = _probe_delays(log, L, TIE_WARMUP, count, seed_)
+    want = ref_probe_delays([[Fraction(a, L) for a in arr] for arr in log],
+                            Fraction(TIE_WARMUP), count, seed_)
+    assert got == want
+    assert len(got) == count and 0.0 in got   # a tick after t read as t was found
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_inlined_probe_draws_are_uniform_then_choice(n):
+    """Station s's token arrives at the whole microseconds s mod n, so a
+    probe's delay tells which station was drawn."""
+    L, warmup, count, seed_ = 7, 5.0, 50, n + 100
+    log = [[(k * n + s) * L for k in range(40)] for s in range(n)]
+    rng = random.Random(seed_ * 1_000_003 + 7919)
+    horizon, want = min(arr[-1] / L for arr in log), []
+    for _ in range(count):
+        t = rng.uniform(warmup, horizon)
+        arr = rng.choice(log)
+        p, q = t.as_integer_ratio()
+        idx = bisect_right(arr, p * L // q)
+        if idx < len(arr):
+            want.append(arr[idx] / L - t)
+    assert _probe_delays(log, L, warmup, count, seed_) == want
+
+
+@pytest.mark.parametrize("seed_", range(6))
+def test_inlined_arrival_draws_are_expovariate(seed_):
+    source = TrafficSource(0, ASYNC, rate_mbps=7.5 * (seed_ + 1), frame_bytes=100)
+    L, horizon = 10 ** 9, 2000.0
+    rng, lambd = random.Random(seed_), 1.0 / (100 * 8 / source.rate_mbps)
+    t, want = rng.expovariate(lambd), []
+    while t <= horizon:
+        want.append(_first_tick(t, L))
+        t += rng.expovariate(lambd)
+    assert list(_arrival_ticks(source, horizon, seed_, L)) == want
+    assert len(want) > 10
 
 
 # --- word-parallel line codes against per-bit references ------------------
