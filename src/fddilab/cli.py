@@ -39,33 +39,42 @@ _HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")
 _MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
 
 
+# rows in C: json.dumps with an indent runs CPython's pure-Python encoder
+_JSON_ROWS = json.JSONEncoder(separators=(",\n    ", ": "), default=float)
+_NEEDS_QUOTES = re.compile('[,"\n]').search
+
+
 def emit_report(rows, columns: list[str], fmt: str) -> str:
-    """Render rows, each its values in column order, as CSV or JSON;
-    identical input, identical bytes."""
+    """Render rows, each its values in column order (one column or more),
+    as CSV or JSON; identical input, identical bytes. The JSON is
+    json.dumps(..., indent=2) of one object per row: strings escape raw
+    newlines, so "},\\n    {" occurs only between two rows."""
     if fmt == JSON:
-        payload = [dict(zip(columns, row)) for row in rows]
-        return json.dumps(payload, indent=2, default=float) + "\n"
-    lines = [columns] + [[_cell(value) for value in row] for row in rows]
-    return "".join(",".join(line) + "\n" for line in lines)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, Fraction)):
-        return format(float(value), ".9g")
-    text = str(value)
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+        if not rows:
+            return "[]\n"
+        text = _JSON_ROWS.encode([dict(zip(columns, row)) for row in rows])
+        return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = [str(value) if value.__class__ in (str, int) else "" if value is None
+                 else format(float(value), ".9g") if isinstance(value, (float, Fraction))
+                 else str(value) for value in row]   # Fraction's isinstance is slow
+        if _NEEDS_QUOTES("".join(cells)):
+            cells = ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES(c) else c for c in cells]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _write(text: str, path: str | None, stream=None):
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        (stream or sys.stdout).write(text)
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            (stream or sys.stdout).write(text)
+    except OSError as exc:  # name where the text was going
+        exc.filename = exc.filename or path or ("stdout" if stream is None else "stderr")
+        raise
 
 
 def _read_digits(path: str, alphabet: str) -> str:
@@ -195,8 +204,8 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
 
 
 def cmd_simulate(args) -> tuple[str, InputError | None]:
-    cfg, load = mac_sim.load_config_file(args.config)
     try:
+        cfg, load = mac_sim.load_config_file(args.config)
         m = mac_sim.run_simulation(cfg, load, duration_us=args.duration, seed=args.seed)
     except mac_sim.ConfigViolationsError as exc:  # the report: one row per rule
         rows, error = [("violation", v.rule, v.detail) for v in exc.violations], exc
@@ -220,33 +229,25 @@ def cmd_simulate(args) -> tuple[str, InputError | None]:
 
 
 def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
-    mode_map = {"i": fddi2.ISOCHRONOUS, "p": fddi2.PACKET}
-    modes_str = args.modes.lower().replace(",", "")
-    if len(modes_str) != fddi2.WBC_COUNT or set(modes_str) - set("ip"):
+    letters = args.modes.lower().replace(",", "")
+    if len(letters) != fddi2.WBC_COUNT or set(letters) - set("ip"):
         raise InputError(f"need {fddi2.WBC_COUNT} chars of i/p, got {args.modes!r}",
                          "bad-modes")
-    modes = [mode_map[c] for c in modes_str]
+    modes = [fddi2.ISOCHRONOUS if c == "i" else fddi2.PACKET for c in letters]
     allocation = fddi2.allocate(modes, fddi2.load_requests_file(args.requests))
-    per_wbc: dict[int, dict[str, int]] = {}
-    for channel, slots in allocation.grants:
-        for wbc, _offset in slots:
-            per_wbc.setdefault(wbc, {}).setdefault(channel, 0)
-            per_wbc[wbc][channel] += 1
+    per_wbc: list[dict[str, int]] = [{} for _ in modes]   # channel -> bytes in each WBC
+    for channel, runs in allocation.grants:
+        for wbc, _first, count in runs:
+            per_wbc[wbc][channel] = per_wbc[wbc].get(channel, 0) + count
     rows = []
-    for wbc in range(fddi2.WBC_COUNT):
-        mode = allocation.wbc_modes[wbc]
-        label = wbc + 1  # channels are presented 1..16
+    for label, (mode, owned) in enumerate(zip(modes, per_wbc), 1):  # WBCs read 1..16
         if mode == fddi2.PACKET:
-            rows.append((label, "packet", "(pool)", fddi2.WBC_BYTES,
-                         fddi2.wbc_bandwidth_kbps()))
+            rows.append((label, "packet", "(pool)", fddi2.WBC_BYTES, fddi2.wbc_bandwidth_kbps()))
             continue
-        owned = list(per_wbc.get(wbc, {}).items())
-        free = fddi2.WBC_BYTES - sum(count for _, count in owned)
-        for channel, count in owned + ([("(free)", free)] if free else []):
-            rows.append((label, "isochronous", channel, count,
-                         fddi2.bytes_per_cycle_to_kbps(count)))
-    return emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"],
-                       args.format), None
+        free = fddi2.WBC_BYTES - sum(owned.values())
+        for channel, count in [*owned.items(), *([("(free)", free)] if free else [])]:
+            rows.append((label, "isochronous", channel, count, fddi2.bytes_per_cycle_to_kbps(count)))
+    return emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"], args.format), None
 
 
 def cmd_plan(args) -> tuple[str, InputError | None]:
@@ -349,7 +350,8 @@ def dispatch(argv: list[str]) -> int:
     except InputError as exc:
         error = exc
     except OSError as exc:  # missing, a directory, unreadable or unwritable
-        error = InputError(f"{exc.filename}: {exc.strerror}",
+        reason = exc.strerror or type(exc).__name__   # the errno text
+        error = InputError(reason if exc.filename is None else f"{exc.filename}: {reason}",
                            "missing-file" if isinstance(exc, FileNotFoundError)
                            else "file-error")
     if error is None:

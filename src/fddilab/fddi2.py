@@ -90,22 +90,13 @@ def _check_modes(wbc_modes: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Granted isochronous byte positions plus the packet-mode pool."""
+    """Granted isochronous byte runs plus the packet-mode pool."""
 
     wbc_modes: tuple[str, ...]
-    grants: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]  # (channel, ((wbc, offset), ...))
+    # (channel, ((wbc, first offset, count), ...)), one run per WBC reached
+    grants: tuple[tuple[str, tuple[tuple[int, int, int], ...]], ...]
     isochronous_capacity_bytes: int
     packet_pool_bytes: int
-
-    def grant_map(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        return dict(self.grants)
-
-    def owner_of(self) -> dict[tuple[int, int], str]:
-        owners: dict[tuple[int, int], str] = {}
-        for channel, slots in self.grants:
-            for slot in slots:
-                owners[slot] = channel
-        return owners
 
 
 def allocate(wbc_modes: Sequence[str],
@@ -113,8 +104,10 @@ def allocate(wbc_modes: Sequence[str],
     """First-fit byte-position assignment inside isochronous WBCs.
 
     Positions are (wbc index 0..15, byte offset 0..95) and are reserved:
-    an idle owner's bytes stay unused. Packet-mode WBCs contribute their
-    full 96 bytes to the pooled basic-mode capacity instead.
+    an idle owner's bytes stay unused. A channel gets the next free
+    positions, one run (wbc, first offset, count) per WBC it reaches.
+    Packet-mode WBCs contribute their full 96 bytes to the pooled
+    basic-mode capacity instead.
     """
     modes = _check_modes(wbc_modes)
     iso_wbcs = [i for i, m in enumerate(modes) if m == ISOCHRONOUS]
@@ -128,11 +121,15 @@ def allocate(wbc_modes: Sequence[str],
         raise CapacityExceededError(
             f"requested {requested} isochronous bytes/cycle, "
             f"only {capacity} available")
-    free = iter([(w, b) for w in iso_wbcs for b in range(WBC_BYTES)])
     grants = []
+    start = 0   # the first free byte, counted through the isochronous WBCs
     for name, count in channel_requests:
-        slots = tuple(next(free) for _ in range(count))
-        grants.append((name, slots))
+        runs, end = [], start + count
+        while start < end:
+            index, first = divmod(start, WBC_BYTES)
+            runs.append((iso_wbcs[index], first, min(end - start, WBC_BYTES - first)))
+            start += runs[-1][2]
+        grants.append((name, tuple(runs)))
     return Allocation(
         wbc_modes=modes,
         grants=tuple(grants),
@@ -174,22 +171,14 @@ def reserved_byte_audit(allocation: Allocation,
     IDLE. Owned bytes must carry their owner's payload or idle fill;
     unowned isochronous bytes must never carry channel payload.
     """
-    owners = allocation.owner_of()
-    findings = []
-    for cycle_index, fill in enumerate(cycle_trace):
-        for slot, carried in fill.items():
-            owner = owners.get(slot)
-            if carried is IDLE:
-                continue
-            if owner is None:
-                findings.append(AuditFinding(
-                    cycle_index, slot[0], slot[1], None, carried,
-                    "payload in unallocated byte"))
-            elif carried != owner:
-                findings.append(AuditFinding(
-                    cycle_index, slot[0], slot[1], owner, carried,
-                    "byte carried another channel's payload"))
-    return findings
+    owners = {(wbc, offset): channel for channel, runs in allocation.grants
+              for wbc, first, count in runs for offset in range(first, first + count)}
+    return [AuditFinding(cycle_index, wbc, offset, owner, carried,
+                         "payload in unallocated byte" if owner is None
+                         else "byte carried another channel's payload")
+            for cycle_index, fill in enumerate(cycle_trace)
+            for (wbc, offset), carried in fill.items()
+            if carried is not IDLE and carried != (owner := owners.get((wbc, offset)))]
 
 
 def cycles_in_flight(ring_latency_us) -> tuple[int, Fraction]:

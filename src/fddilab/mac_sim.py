@@ -25,12 +25,12 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import InputError, Violation, exact, number, read_input, whole
-from .link_planner import ring_limits
+from .link_planner import MAX_RING_STATIONS, ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
 
@@ -67,7 +67,7 @@ class RingConfig:
     n_stations: int
     ring_latency_us: Fraction       # D: zero-load round-trip token walk time
     ttrt_us: Fraction               # T: negotiated target token rotation time
-    sync_allocation_us: tuple[Fraction, ...] = ()
+    sync_allocation_us: tuple[Fraction, ...] = ()   # one per station; () is all 0
     stripping: str = "source"       # "source" | "destination"
     total_cable_km: float | None = None
     compliance: bool = True
@@ -75,22 +75,23 @@ class RingConfig:
     @staticmethod
     def make(n_stations, ring_latency_us, ttrt_us, sync_allocation_us=None,
              stripping="source", total_cable_km=None, compliance=True) -> "RingConfig":
-        alloc = sync_allocation_us or [0] * n_stations
-        if n_stations > 0 and len(alloc) != n_stations:  # fewer is NoStations
+        alloc = tuple(map(exact, sync_allocation_us or ()))
+        if alloc and 0 < n_stations != len(alloc):  # fewer is NoStations
             raise InputError(f"need one sync allocation per station ({n_stations})", BAD_CONFIG)
         return RingConfig(
             n_stations=n_stations,
             ring_latency_us=exact(ring_latency_us),
             ttrt_us=exact(ttrt_us),
-            sync_allocation_us=tuple(map(exact, alloc)),
+            sync_allocation_us=alloc,
             stripping=stripping,
             total_cable_km=total_cable_km,
             compliance=compliance,
         )
 
 
-def validate_config(cfg: RingConfig) -> list[Violation]:
-    """Every violated configuration invariant, with the offending values."""
+def validate_config(cfg: RingConfig, allocations=None) -> list[Violation]:
+    """Every violated configuration invariant, with the offending values;
+    ``allocations``, (station, us) pairs, stand in for the config's own."""
     out = []
     if cfg.n_stations < 1:
         out.append(Violation("NoStations", f"n_stations={cfg.n_stations}"))
@@ -101,10 +102,11 @@ def validate_config(cfg: RingConfig) -> list[Violation]:
                              f"TTRT {cfg.ttrt_us} us < ring latency {cfg.ring_latency_us} us"))
     if cfg.stripping not in ("source", "destination"):
         out.append(Violation("UnknownStripping", cfg.stripping))
-    for i, alloc in enumerate(cfg.sync_allocation_us):
+    sync_total = Fraction(0)
+    for i, alloc in enumerate(cfg.sync_allocation_us) if allocations is None else allocations:
         if alloc < 0:  # it would lift another station's share past T - D
             out.append(Violation("NegativeSyncAllocation", f"station {i}: {alloc} us < 0"))
-    sync_total = sum(cfg.sync_allocation_us, Fraction(0))
+        sync_total += alloc
     if sync_total > cfg.ttrt_us - cfg.ring_latency_us:
         out.append(Violation("SyncOversubscribed", f"sync allocations {sync_total} us > T - D "
                              f"= {cfg.ttrt_us - cfg.ring_latency_us} us"))
@@ -297,7 +299,7 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         return x.numerator * (L // x.denominator)
 
     hop_t, ttrt, dur, warm = ticks(hop), ticks(cfg.ttrt_us), ticks(duration), ticks(warmup)
-    alloc = [ticks(a) for a in cfg.sync_allocation_us]
+    alloc = [ticks(a) for a in cfg.sync_allocation_us] or [0] * n
     queues: dict[str, list[_Queue | None]] = {SYNC: [None] * n, ASYNC: [None] * n}
     for idx, src in enumerate(load.sources):
         dst = src.destination if src.destination is not None else (src.station + 1) % n
@@ -377,7 +379,7 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     throughput = float(Fraction(window_bits)
                        / ((duration - warmup) * LINE_RATE_BITS_PER_US))
 
-    sync_stations = [i for i in range(n) if cfg.sync_allocation_us[i] > 0]
+    sync_stations = [i for i in range(n) if alloc[i] > 0]
     gaps = [max_gap[i] for i in sync_stations or range(n) if max_gap[i] >= 0]
     max_sync_gap = max(gaps) / L if gaps else None
 
@@ -447,15 +449,15 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
 
     n = field(doc, "n_stations", whole)
     alloc_in = doc.get("sync_allocation_us", [])
-    if isinstance(alloc_in, dict):
-        alloc = [0] * n
+    if isinstance(alloc_in, dict):  # station -> us, the rest 0
+        given = {}
         for key, val in alloc_in.items():
             station = number(key, int, "sync_allocation_us station", BAD_CONFIG)  # key is text
             if not 0 <= station < n:
                 raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
-            alloc[station] = val
+            given[station] = val
     elif isinstance(alloc_in, list):
-        alloc = alloc_in + [0] * (n - len(alloc_in))
+        given = dict(enumerate(alloc_in))
     else:
         raise InputError("sync_allocation_us: need a list or an object", BAD_CONFIG)
     km = doc.get("total_cable_km")  # kept as given: TotalCable quotes it
@@ -464,16 +466,13 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     compliance = doc.get("compliance", True)
     if not isinstance(compliance, bool):
         raise InputError(f"compliance: need true or false, got {compliance!r}", BAD_CONFIG)
-    cfg = RingConfig.make(
-        n_stations=n,
-        ring_latency_us=field(doc, "ring_latency_us", exact),
-        ttrt_us=field(doc, "ttrt_us", exact),
-        sync_allocation_us=[number(a, exact, f"sync_allocation_us[{i}]", BAD_CONFIG)
-                            for i, a in enumerate(alloc)],
-        stripping=doc.get("stripping", "source"),
-        total_cable_km=km,
-        compliance=compliance,
-    )
+    cfg = RingConfig.make(n, field(doc, "ring_latency_us", exact), field(doc, "ttrt_us", exact),
+                          stripping=doc.get("stripping", "source"), total_cable_km=km,
+                          compliance=compliance)
+    given = {i: number(a, exact, f"sync_allocation_us[{i}]", BAD_CONFIG)
+             for i, a in sorted(given.items())}
+    if 0 < n < len(given):
+        raise InputError(f"need one sync allocation per station ({n})", BAD_CONFIG)
     traffic = doc.get("traffic", [])
     if not isinstance(traffic, list) or not all(isinstance(e, dict) for e in traffic):
         raise InputError("traffic: need a list of objects", BAD_CONFIG)
@@ -505,6 +504,12 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     probes = field(doc, "probes", whole, 0)
     if probes < 0:
         raise InputError(f"probes must be >= 0, got {probes}", BAD_CONFIG)
+    if compliance and n > MAX_RING_STATIONS:  # StationCount: refused before any per-station list
+        raise ConfigViolationsError(validate_config(cfg, given.items()))
+    if given:
+        zero = Fraction(0)
+        cfg = replace(cfg, sync_allocation_us=tuple(
+            given.get(i, zero) for i in range(max(n, len(given)))))
     return cfg, TrafficModel.make(sources, probe_count=probes)
 
 

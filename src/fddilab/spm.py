@@ -158,10 +158,14 @@ class SpeLayout:
     def capacity_bits(self) -> int:
         return self.user.size
 
-    def byte_runs(self) -> list[int]:
+    def byte_runs(self) -> tuple[int, ...]:
         """Lengths of maximal user-affectable byte runs, transmission order."""
+        return self._byte_runs
+
+    @functools.cached_property
+    def _byte_runs(self) -> tuple[int, ...]:   # worked out once per layout
         marks = "".join("u" if tag in _USER_MASK else "-" for tag in self.classification)
-        return [len(run) for run in re.findall("u+", marks)]
+        return tuple(len(run) for run in re.findall("u+", marks))
 
 
 @functools.cache

@@ -1,10 +1,13 @@
 """End-to-end tests of the fddilab command-line interface."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -552,6 +555,52 @@ def test_simulate_compliance_false_skips_the_ring_limits(tmp_path, capsys):
     assert (code, err) == (1, "error: config-violations: StationCount,TotalCable\n")
     code, _, err = _simulate_config(tmp_path, capsys, {**doc, "compliance": False})
     assert (code, err) == (0, "")
+
+
+def test_simulate_refuses_a_ring_over_the_station_limit_before_listing_stations(
+        tmp_path, capsys):
+    ring = {"ring_latency_us": 100, "ttrt_us": 400}
+    _simulate_config(tmp_path, capsys, {"n_stations": 600, **ring})   # parser built
+    start = time.perf_counter()
+    code, out, err = _simulate_config(tmp_path, capsys, {"n_stations": 200_000_000, **ring})
+    assert time.perf_counter() - start < 0.05
+    assert (code, err) == (1, "error: config-violations: StationCount\n")
+    assert out == "metric,value,unit\nviolation,StationCount,200000000 stations > 500\n"
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 200_000_000, **ring, "sync_allocation_us": {"199999999": -5, "3": 2}})
+    assert err == "error: config-violations: NegativeSyncAllocation,StationCount\n"
+    assert out.splitlines()[1:] == [
+        "violation,NegativeSyncAllocation,station 199999999: -5 us < 0",
+        "violation,StationCount,200000000 stations > 500"]
+
+
+class _FailingStream(io.StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc,reason", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "stdout: No space left on device"),
+    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), "stdout: Broken pipe"),
+    (BrokenPipeError(), "stdout: BrokenPipeError"),
+])
+def test_a_failed_write_to_stdout_names_stdout_and_the_reason(exc, reason):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStream(exc)), contextlib.redirect_stderr(err):
+        code = dispatch(["rates"])
+    _one_error_line(code, err.getvalue(), "file-error")
+    assert err.getvalue() == f"error: file-error: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_out_names_the_file(capsys):
+    code, out, err = run(["rates", "--out", "/dev/full"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: file-error: /dev/full: No space left on device\n"
 
 
 def test_fddi2_malformed_request_lines_exit_1_with_one_line(tmp_path, capsys):

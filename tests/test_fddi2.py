@@ -29,6 +29,12 @@ def modes(packet_indices=()):
     return [PACKET if i in packet_indices else ISOCHRONOUS for i in range(16)]
 
 
+def byte_slots(alloc, channel):
+    """The channel's granted (wbc, offset) positions, expanded from its runs."""
+    return [(wbc, offset) for name, runs in alloc.grants if name == channel
+            for wbc, first, count in runs for offset in range(first, first + count)]
+
+
 # --- cycle arithmetic --------------------------------------------------------
 
 def test_wbc_bandwidth_exact():
@@ -106,12 +112,14 @@ def test_allocation_all_packet_rejects_isochronous_requests():
 def test_allocation_all_isochronous_permitted():
     alloc = allocate(modes(), [("big", 16 * 96)])
     assert alloc.isochronous_capacity_bytes == 16 * 96
-    assert len(alloc.grant_map()["big"]) == 16 * 96
+    assert dict(alloc.grants)["big"] == tuple((wbc, 0, 96) for wbc in range(16))
+    assert len(byte_slots(alloc, "big")) == 16 * 96
 
 
 def test_two_byte_channel_is_128_kbps():
     alloc = allocate(modes(packet_indices={0}), [("voice", 2)])
-    slots = alloc.grant_map()["voice"]
+    assert alloc.grants == (("voice", ((1, 0, 2),)),)
+    slots = byte_slots(alloc, "voice")
     assert len(slots) == 2
     assert bytes_per_cycle_to_kbps(len(slots)) == 128
 
@@ -119,10 +127,16 @@ def test_two_byte_channel_is_128_kbps():
 def test_grants_are_disjoint():
     alloc = allocate(modes(packet_indices={2}),
                      [("a", 100), ("b", 57), ("c", 96)])
-    all_slots = [s for _, slots in alloc.grants for s in slots]
+    all_slots = [s for name in "abc" for s in byte_slots(alloc, name)]
     assert len(all_slots) == len(set(all_slots)) == 253
     for wbc, _offset in all_slots:
         assert alloc.wbc_modes[wbc] == ISOCHRONOUS
+
+
+def test_grants_are_runs_that_skip_packet_wbcs():
+    alloc = allocate(modes(packet_indices={1}), [("a", 100), ("b", 57), ("c", 96)])
+    assert alloc.grants == (("a", ((0, 0, 96), (2, 0, 4))), ("b", ((2, 4, 57),)),
+                            ("c", ((2, 61, 35), (3, 0, 61))))
 
 
 def test_mode_toggle_shifts_96_bytes():
@@ -150,21 +164,21 @@ def test_audit_empty_trace():
 
 def test_audit_idle_owner_is_clean():
     alloc = allocate(modes(), [("a", 4)])
-    slots = alloc.grant_map()["a"]
+    slots = byte_slots(alloc, "a")
     trace = [{slot: IDLE for slot in slots} for _ in range(3)]
     assert reserved_byte_audit(alloc, trace) == []
 
 
 def test_audit_active_owner_is_clean():
     alloc = allocate(modes(), [("a", 4)])
-    slots = alloc.grant_map()["a"]
+    slots = byte_slots(alloc, "a")
     trace = [{slot: "a" for slot in slots}]
     assert reserved_byte_audit(alloc, trace) == []
 
 
 def test_audit_flags_theft_and_squatting():
     alloc = allocate(modes(), [("a", 2), ("b", 2)])
-    a_slot = alloc.grant_map()["a"][0]
+    a_slot = byte_slots(alloc, "a")[0]
     free_slot = (15, 95)
     trace = [{a_slot: "b", free_slot: "b"}]
     findings = reserved_byte_audit(alloc, trace)

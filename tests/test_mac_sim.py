@@ -47,6 +47,19 @@ def test_station_count_compliance():
     assert validate_config(relaxed) == []
 
 
+def test_a_ring_over_the_station_limit_lists_no_station():
+    huge = RingConfig.make(200_000_000, 1000, 5000)
+    assert huge.sync_allocation_us == ()   # every station 0, kept as ()
+    assert [v.rule for v in validate_config(huge)] == ["StationCount"]
+
+
+def test_no_sync_allocations_run_as_all_zero():
+    given = run_simulation(cfg_of(sync_allocation_us=[0] * 4), saturated_async_load([0, 2]),
+                           duration_us=4000, seed=3)
+    assert run_simulation(cfg_of(), saturated_async_load([0, 2]),
+                          duration_us=4000, seed=3) == given
+
+
 def test_total_cable_compliance():
     cfg = RingConfig.make(10, 1000, 5000, total_cable_km=101)
     assert "TotalCable" in [v.rule for v in validate_config(cfg)]

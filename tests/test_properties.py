@@ -4,9 +4,13 @@ per-position shifts for the frame layout), the integer-tick ring
 simulator against a Fraction-time, frame-by-frame reference and the
 timed-token invariants on random rings, the word-parallel line codes
 (NRZI, MLT-3, 4b/5b, the KMP period search) against per-bit and
-per-symbol references, and the cyclic-chain match analyzer against the
-window-by-window search it replaced."""
+per-symbol references, the cyclic-chain match analyzer against the
+window-by-window search it replaced, the FDDI-II byte runs against the
+per-byte first-fit allocator, and the report renderer against
+``json.dumps(..., indent=2)`` and the per-cell CSV writer it replaced."""
 
+import json
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -15,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddilab import InputError
+from fddilab import InputError, fddi2
+from fddilab.cli import CSV, JSON, emit_report
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -713,3 +718,119 @@ def test_only_the_all_32_table_is_unbounded():
 @given(codes=st.integers(0, 32).flatmap(lambda k: st.permutations(CODES).map(lambda p: p[:k])))
 def test_match_equals_window_search_on_random_tables(codes):
     check_match(control_table(codes))
+
+
+# --- FDDI-II byte runs against the per-byte first-fit allocator ---------------
+
+def ref_allocate(wbc_modes, channel_requests):
+    """First fit one byte at a time: each channel's (wbc, offset) positions."""
+    iso = [i for i, m in enumerate(wbc_modes) if m == fddi2.ISOCHRONOUS]
+    if any(count < 0 for _, count in channel_requests):
+        raise ValueError("negative byte count")
+    if sum(count for _, count in channel_requests) > len(iso) * fddi2.WBC_BYTES:
+        raise fddi2.CapacityExceededError("capacity")
+    free = iter([(w, b) for w in iso for b in range(fddi2.WBC_BYTES)])
+    return [(name, tuple(next(free) for _ in range(count)))
+            for name, count in channel_requests]
+
+
+def expand(runs):
+    return tuple((wbc, offset) for wbc, first, count in runs
+                 for offset in range(first, first + count))
+
+
+@st.composite
+def fddi2_plans(draw):
+    """Random modes and requests: zero-byte requests, repeated channel names,
+    and one time in three a last request that fills the capacity exactly."""
+    modes = draw(st.lists(st.sampled_from([fddi2.ISOCHRONOUS, fddi2.PACKET]),
+                          min_size=16, max_size=16))
+    capacity = modes.count(fddi2.ISOCHRONOUS) * fddi2.WBC_BYTES
+    requests = draw(st.lists(st.tuples(st.sampled_from(["a", "b", "tv", "ψ"]),
+                                       st.integers(0, 2 * fddi2.WBC_BYTES + 5)), max_size=12))
+    left = capacity - sum(count for _, count in requests)
+    if left >= 0 and draw(st.integers(0, 2)) == 0:
+        requests.append(("fill", left))
+    return modes, requests
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan=fddi2_plans())
+def test_allocation_runs_expand_to_the_per_byte_first_fit(plan):
+    modes, requests = plan
+    try:
+        want = ref_allocate(modes, requests)
+    except fddi2.CapacityExceededError:
+        with pytest.raises(fddi2.CapacityExceededError):
+            fddi2.allocate(modes, requests)
+        return
+    alloc = fddi2.allocate(modes, requests)
+    assert [(name, expand(runs)) for name, runs in alloc.grants] == want
+    for _, runs in alloc.grants:
+        assert len({wbc for wbc, _, _ in runs}) == len(runs)   # one run per WBC
+        assert all(count > 0 and first + count <= fddi2.WBC_BYTES for _, first, count in runs)
+    assert alloc.isochronous_capacity_bytes + alloc.packet_pool_bytes == 16 * fddi2.WBC_BYTES
+
+
+def test_allocation_at_full_capacity_and_with_zero_byte_requests():
+    modes = [fddi2.PACKET] * 15 + [fddi2.ISOCHRONOUS]
+    requests = [("a", 0), ("b", 96), ("a", 0)]
+    assert fddi2.allocate(modes, requests).grants == (("a", ()), ("b", ((15, 0, 96),)), ("a", ()))
+    modes = [fddi2.ISOCHRONOUS] * 16
+    alloc = fddi2.allocate(modes, [("x", 95), ("x", 16 * 96 - 95)])
+    assert [(name, expand(runs)) for name, runs in alloc.grants] == ref_allocate(
+        modes, [("x", 95), ("x", 16 * 96 - 95)])
+
+
+# --- the report renderer against the encoders it replaced ----------------------
+
+def ref_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (float, Fraction)):
+        return format(float(value), ".9g")
+    text = str(value)
+    if any(c in text for c in ",\"\n"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def ref_emit_report(rows, columns, fmt):
+    """json.dumps with indent=2 (CPython's pure-Python encoder), or one
+    quote test per cell."""
+    if fmt == JSON:
+        payload = [dict(zip(columns, row)) for row in rows]
+        return json.dumps(payload, indent=2, default=float) + "\n"
+    lines = [columns] + [[ref_cell(value) for value in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+# report text: CSV and JSON specials, escapes, non-ASCII and astral characters
+report_text = (st.text(st.sampled_from(list(',"\n\r\t ab{}[]:\\é€ψ\u2028\x00😀')), max_size=8)
+               | st.text(max_size=8))
+report_values = st.one_of(
+    report_text, st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300]),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6))
+
+
+@st.composite
+def reports(draw):
+    columns = draw(st.lists(report_text, min_size=1, max_size=5))
+    rows = draw(st.lists(st.lists(report_values, min_size=len(columns),
+                                  max_size=len(columns)).map(tuple), max_size=6))
+    return rows, columns
+
+
+@settings(max_examples=500, deadline=None)
+@given(report=reports(), fmt=st.sampled_from([CSV, JSON]))
+def test_emit_report_matches_the_encoders_it_replaced(report, fmt):
+    rows, columns = report
+    assert emit_report(rows, columns, fmt) == ref_emit_report(rows, columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", [CSV, JSON])
+@pytest.mark.parametrize("columns", [["metric"], ["a", "b,c", "d"]])
+def test_emit_report_of_no_rows_matches_the_encoders_it_replaced(fmt, columns):
+    assert emit_report([], columns, fmt) == ref_emit_report([], columns, fmt)

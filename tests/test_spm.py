@@ -100,6 +100,14 @@ def test_layout_overhead_and_runs():
             run = []
 
 
+def test_byte_runs_are_worked_out_once_per_layout():
+    layout = build_spe_layout()
+    runs = layout.byte_runs()
+    assert layout.byte_runs() is runs
+    marks = "".join("u" if t in (USER_DATA, STUFF_CONTROL) else "-" for t in layout.classification)
+    assert list(runs) == [len(r) for r in re.findall("u+", marks)]
+
+
 def test_layout_capacity():
     layout = build_spe_layout()
     assert layout.capacity_bits == 17586
