@@ -18,7 +18,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import struct
 import sys
 from fractions import Fraction
@@ -66,10 +68,25 @@ def emit_report(rows, columns: list[str], fmt: str) -> str:
 
 
 def _write(text: str, path: str | None, stream=None):
+    """Write text to the file at path as UTF-8, else to stream (stdout).
+    A file is rewritten in place and a regular one then cut to the bytes
+    written, even after a failed write: truncating on open frees every
+    block of the old file first, which costs far more than the write."""
     try:
         if path:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            data = memoryview(text.encode("utf-8"))
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                regular = stat.S_ISREG(os.fstat(fd).st_mode)   # ftruncate refuses /dev/null
+                written = 0
+                try:
+                    while written < len(data):
+                        written += os.write(fd, data[written:])
+                finally:   # no tail of the old file stays
+                    if regular:
+                        os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
         else:
             (stream or sys.stdout).write(text)
     except OSError as exc:  # name where the text was going
@@ -109,16 +126,32 @@ INPUT_OPTIONS = ("infile", "config", "ring", "requests", "table")
 _NOT_PARAMETERS = {*INPUT_OPTIONS, "command", "handler", "out", "manifest", "report", "seed"}
 
 
-def _maybe_manifest(args):
-    """With --manifest, record what ran: every parsed option but the output
-    routing, the digest of each input file given, the seed and the version."""
-    if not args.manifest:
-        return
-    options = vars(args)
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _input_digests(args) -> dict:
+    """Each input file given -> its sha256, taken before the run writes
+    any output (which may name it), or the OSError reading it raised. A
+    pipe can be read only once, by the run: its digest (None) waits."""
     digests = {}
-    for path in filter(None, (options.get(key) for key in INPUT_OPTIONS)):
-        with open(path, "rb") as fh:
-            digests[path] = hashlib.sha256(fh.read()).hexdigest()
+    for path in filter(None, map(vars(args).get, INPUT_OPTIONS)):
+        try:
+            digests[path] = _sha256(path) if stat.S_ISREG(os.stat(path).st_mode) else None
+        except OSError as exc:   # raised only if the run gets to its manifest
+            digests[path] = exc
+    return digests
+
+
+def _write_manifest(args, digests: dict):
+    """Record what ran: every parsed option but the output routing, the
+    digest of each input file, the seed and the version."""
+    for path, digest in digests.items():
+        if isinstance(digest, OSError):
+            raise digest
+        digests[path] = digest or _sha256(path)
+    options = vars(args)
     manifest = {
         "subcommand": args.command,
         "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
@@ -344,9 +377,11 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        digests = _input_digests(args) if args.manifest else None
         report, error = args.handler(args)
         _write(report, args.out)
-        _maybe_manifest(args)
+        if digests is not None:
+            _write_manifest(args, digests)
     except InputError as exc:
         error = exc
     except OSError as exc:  # missing, a directory, unreadable or unwritable

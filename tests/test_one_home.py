@@ -1,5 +1,6 @@
 """Each shared name has one home: no fddilab module imports another's
-private (``_``-prefixed) names. What two modules share is public."""
+private (``_``-prefixed) names. What two modules share is public. And
+files are written in one place, ``cli._write``."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,44 @@ def test_the_check_sees_a_private_import(tmp_path):
     module.write_text("from .mac_sim import _us\nfrom fddilab.spm import _x, ok\n"
                       "from . import __version__\nfrom os import _exit\n")
     assert _private_imports(module) == ["mod.py:1 imports _us", "mod.py:2 imports _x"]
+
+
+def _file_writes(path: Path) -> list[str]:
+    """Calls outside ``cli._write`` of ``os.open``, or of ``open`` with a
+    mode that writes, appends, creates or updates (or is not a literal)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and (path.name, function) != ("cli.py", "_write"):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "open" and (
+                    isinstance(func.value, ast.Name) and func.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno} calls os.open")
+            elif isinstance(func, ast.Name) and func.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append(f"{path.name}:{node.lineno} opens to write")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text("utf-8")), None)
+    return found
+
+
+def test_only_cli_write_writes_files():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in _file_writes(path)] == []
+
+
+def test_the_check_sees_a_file_write(tmp_path):
+    module = tmp_path / "cli.py"
+    module.write_text("import os\n"
+                      "def _write(p):\n    os.open(p, 1)\n    open(p, 'w')\n"
+                      "def other(p, m):\n    open(p)\n    open(p, 'rb')\n"
+                      "    open(p, 'a')\n    open(p, mode='r+')\n    open(p, m)\n"
+                      "    os.open(p, os.O_RDONLY)\n")
+    assert _file_writes(module) == ["cli.py:8 opens to write", "cli.py:9 opens to write",
+                                    "cli.py:10 opens to write", "cli.py:11 calls os.open"]

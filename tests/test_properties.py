@@ -12,15 +12,17 @@ per-byte first-fit allocator, and the report renderer against
 import json
 import math
 import random
+import tempfile
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddilab import InputError, fddi2
-from fddilab.cli import CSV, JSON, emit_report
+from fddilab.cli import CSV, JSON, _write, emit_report
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -834,3 +836,28 @@ def test_emit_report_matches_the_encoders_it_replaced(report, fmt):
 @pytest.mark.parametrize("columns", [["metric"], ["a", "b,c", "d"]])
 def test_emit_report_of_no_rows_matches_the_encoders_it_replaced(fmt, columns):
     assert emit_report([], columns, fmt) == ref_emit_report([], columns, fmt)
+
+
+# --- the in-place file writer ------------------------------------------------
+
+@st.composite
+def rewrites(draw):
+    """(old file bytes, new text): the old file empty, shorter than the new
+    bytes, of equal length or longer."""
+    text = draw(report_text | st.lists(st.sampled_from(["\r\n", "\x00", " ", "é", "😀", "a"]),
+                                       max_size=12).map("".join))
+    size = len(text.encode("utf-8"))
+    old_size = draw(st.sampled_from([0, size, size + 1]) | st.integers(0, size)
+                    | st.integers(size, 4 * size + 64))
+    return draw(st.binary(min_size=old_size, max_size=old_size)), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(rewrite=rewrites())
+def test_write_leaves_exactly_the_utf8_bytes_of_the_text(rewrite):
+    old, text = rewrite
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        path.write_bytes(old)
+        _write(text, str(path))
+        assert path.read_bytes() == text.encode("utf-8")
