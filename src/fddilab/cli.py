@@ -69,21 +69,23 @@ def emit_report(rows, columns: list[str], fmt: str) -> str:
 
 def _write(text: str, path: str | None, stream=None):
     """Write text to the file at path as UTF-8, else to stream (stdout).
-    A file is rewritten in place and a regular one then cut to the bytes
-    written, even after a failed write: truncating on open frees every
-    block of the old file first, which costs far more than the write."""
+    A file is rewritten in place, and a regular one that was longer is
+    then cut to the bytes written, even after a failed write: on ext4 a
+    truncation, on open or by ftruncate, costs 50-100 us, the write of a
+    report a few."""
     try:
         if path:
             data = memoryview(text.encode("utf-8"))
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             try:
-                regular = stat.S_ISREG(os.fstat(fd).st_mode)   # ftruncate refuses /dev/null
+                st = os.fstat(fd)   # ftruncate refuses /dev/null: cut regular files only
+                old_size = st.st_size if stat.S_ISREG(st.st_mode) else 0
                 written = 0
                 try:
                     while written < len(data):
                         written += os.write(fd, data[written:])
                 finally:   # no tail of the old file stays
-                    if regular:
+                    if old_size > written:
                         os.ftruncate(fd, written)
             finally:
                 os.close(fd)
@@ -132,30 +134,28 @@ def _sha256(path: str) -> str:
 
 
 def _input_digests(args) -> dict:
-    """Each input file given -> its sha256, taken before the run writes
-    any output (which may name it), or the OSError reading it raised. A
-    pipe can be read only once, by the run: its digest (None) waits."""
+    """Each regular input file given -> its sha256, taken before the run
+    writes any output, which may name it. A pipe, read only once and by
+    the run, and an input that cannot be read are left to the manifest."""
     digests = {}
     for path in filter(None, map(vars(args).get, INPUT_OPTIONS)):
         try:
-            digests[path] = _sha256(path) if stat.S_ISREG(os.stat(path).st_mode) else None
-        except OSError as exc:   # raised only if the run gets to its manifest
-            digests[path] = exc
+            if stat.S_ISREG(os.stat(path).st_mode):
+                digests[path] = _sha256(path)
+        except OSError:   # the run or its manifest reports it
+            pass
     return digests
 
 
 def _write_manifest(args, digests: dict):
     """Record what ran: every parsed option but the output routing, the
     digest of each input file, the seed and the version."""
-    for path, digest in digests.items():
-        if isinstance(digest, OSError):
-            raise digest
-        digests[path] = digest or _sha256(path)
     options = vars(args)
     manifest = {
         "subcommand": args.command,
         "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
-        "inputs": digests,
+        "inputs": {p: digests.get(p) or _sha256(p)
+                   for p in filter(None, map(options.get, INPUT_OPTIONS))},
         "seed": args.seed,
         "artifact_version": __version__,
     }

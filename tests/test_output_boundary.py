@@ -147,6 +147,20 @@ def test_a_shorter_report_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_pa
     assert out.read_bytes() == run(["rates", "--level", "3"], capsys)[1].encode()
 
 
+@pytest.mark.parametrize("old,cuts", [(None, 0), (b"", 0), (b"x", 0), ("same", 0), ("longer", 1)])
+def test_only_a_longer_old_file_is_truncated(old, cuts, tmp_path, capsys, monkeypatch):
+    expected = run(["rates"], capsys)[1].encode()
+    out = tmp_path / "out.csv"
+    if old is not None:
+        out.write_bytes({"same": expected, "longer": expected + b"\n"}.get(old, old))
+    calls = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: calls.append(n) or real_ftruncate(fd, n))
+    assert run(["rates", "--out", out], capsys) == (0, "", "")
+    assert out.read_bytes() == expected
+    assert calls == [len(expected)] * cuts
+
+
 def test_out_to_dev_null_exits_0():
     # /dev/null refuses ftruncate (EINVAL): a non-regular target is not cut
     assert dispatch(["rates", "--out", "/dev/null", "--manifest", "/dev/null"]) == 0
