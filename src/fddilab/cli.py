@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -129,19 +128,21 @@ _NOT_PARAMETERS = {*INPUT_OPTIONS, "command", "handler", "out", "manifest", "rep
 
 
 def _sha256(path: str) -> str:
+    import hashlib   # only a manifest needs it: not loaded at start-up
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _input_digests(args) -> dict:
-    """Each regular input file given -> its sha256, taken before the run
-    writes any output, which may name it. A pipe, read only once and by
-    the run, and an input that cannot be read are left to the manifest."""
+    """Each input file given -> its sha256, taken before the run writes
+    any output, which may name it; None for one that is no regular file,
+    such as a pipe, whose bytes only the run reads. An input that cannot
+    be read is left to the manifest."""
     digests = {}
     for path in filter(None, map(vars(args).get, INPUT_OPTIONS)):
         try:
-            if stat.S_ISREG(os.stat(path).st_mode):
-                digests[path] = _sha256(path)
+            digests[path] = _sha256(path) if stat.S_ISREG(os.stat(path).st_mode) else None
         except OSError:   # the run or its manifest reports it
             pass
     return digests
@@ -154,7 +155,7 @@ def _write_manifest(args, digests: dict):
     manifest = {
         "subcommand": args.command,
         "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
-        "inputs": {p: digests.get(p) or _sha256(p)
+        "inputs": {p: digests[p] if p in digests else _sha256(p)
                    for p in filter(None, map(options.get, INPUT_OPTIONS))},
         "seed": args.seed,
         "artifact_version": __version__,

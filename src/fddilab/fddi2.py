@@ -15,9 +15,8 @@ in mac_sim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import InputError, exact, read_input
 
@@ -65,8 +64,7 @@ def bytes_per_cycle_to_kbps(n_bytes: int) -> Fraction:
     return Fraction(n_bytes * 8 * 1000, CYCLE_US)
 
 
-@dataclass(frozen=True)
-class StationKind:
+class StationKind(NamedTuple):
     station_id: int
     kind: str  # FDDI | FDDI2
 
@@ -88,8 +86,7 @@ def _check_modes(wbc_modes: Sequence[str]) -> tuple[str, ...]:
     return modes
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Granted isochronous byte runs plus the packet-mode pool."""
 
     wbc_modes: tuple[str, ...]
@@ -152,8 +149,7 @@ def load_requests_file(path: str) -> list[tuple[str, int]]:
     return requests
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     cycle_index: int
     wbc: int
     offset: int

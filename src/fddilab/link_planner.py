@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import InputError, Violation, number, read_input, whole
 
@@ -48,8 +47,7 @@ class WavelengthMismatchError(ValueError):
     """A non-1300 nm device cannot pair with the 1300 nm PMDs."""
 
 
-@dataclass(frozen=True)
-class MediaSpec:
+class MediaSpec(NamedTuple):
     """One physical-medium record. None marks unpublished values."""
 
     name: str
@@ -69,20 +67,23 @@ class MediaSpec:
         return self.kind == "optical"
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """One link of the ring: medium, length, and connector losses."""
-
+class _LinkSpec(NamedTuple):
     media: str
     length_m: float
-    connector_losses_db: tuple[float, ...] = ()
+    connector_losses_db: tuple[float, ...]
 
-    def __post_init__(self):
-        if not 0 < self.length_m < math.inf:
-            raise InputError(f"link length must be finite and > 0, got {self.length_m:g}",
-                             BAD_RING)
-        if not all(0 <= loss < math.inf for loss in self.connector_losses_db):
+
+class LinkSpec(_LinkSpec):
+    """One link of the ring: medium, length, and connector losses."""
+
+    __slots__ = ()
+
+    def __new__(cls, media: str, length_m: float, connector_losses_db: tuple[float, ...] = ()):
+        if not 0 < length_m < math.inf:
+            raise InputError(f"link length must be finite and > 0, got {length_m:g}", BAD_RING)
+        if not all(0 <= loss < math.inf for loss in connector_losses_db):
             raise InputError("connector losses must be finite and >= 0", BAD_RING)
+        return super().__new__(cls, media, length_m, connector_losses_db)
 
 
 def connectors(count: int) -> tuple[float, ...]:
@@ -92,8 +93,7 @@ def connectors(count: int) -> tuple[float, ...]:
     return (CONNECTOR_LOSS_DB,) * count
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     """Verdict for one link."""
 
     link: LinkSpec
@@ -105,8 +105,7 @@ class BudgetReport:
     warnings: tuple[Violation, ...] = ()
 
 
-@dataclass(frozen=True)
-class RingReport:
+class RingReport(NamedTuple):
     links: tuple[BudgetReport, ...]
     ring_rules: tuple[Violation, ...]  # violated global rules
     verdict: str

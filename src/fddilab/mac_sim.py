@@ -25,9 +25,8 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import InputError, Violation, exact, number, read_input, whole
 from .link_planner import MAX_RING_STATIONS, ring_limits
@@ -60,8 +59,7 @@ class ConfigViolationsError(InputError):
         super().__init__(",".join(v.rule for v in violations))
 
 
-@dataclass(frozen=True)
-class RingConfig:
+class RingConfig(NamedTuple):
     """Ring topology and timed-token parameters."""
 
     n_stations: int
@@ -104,6 +102,8 @@ def validate_config(cfg: RingConfig, allocations=None) -> list[Violation]:
         out.append(Violation("UnknownStripping", cfg.stripping))
     sync_total = Fraction(0)
     for i, alloc in enumerate(cfg.sync_allocation_us) if allocations is None else allocations:
+        if not alloc:   # most stations have none; a Fraction compare or add costs ~1 us
+            continue
         if alloc < 0:  # it would lift another station's share past T - D
             out.append(Violation("NegativeSyncAllocation", f"station {i}: {alloc} us < 0"))
         sync_total += alloc
@@ -133,8 +133,7 @@ def estimate_ring_latency(total_cable_km, n_stations: int) -> Fraction:
     return exact(total_cable_km) * PROPAGATION_US_PER_KM + n_stations * STATION_DELAY_US
 
 
-@dataclass(frozen=True)
-class TrafficSource:
+class TrafficSource(NamedTuple):
     """Offered load at one station. rate_mbps=None means saturated."""
 
     station: int
@@ -144,8 +143,7 @@ class TrafficSource:
     destination: int | None = None  # default: downstream neighbour
 
 
-@dataclass(frozen=True)
-class TrafficModel:
+class TrafficModel(NamedTuple):
     sources: tuple[TrafficSource, ...] = ()
     probe_count: int = 0
 
@@ -154,8 +152,7 @@ class TrafficModel:
         return TrafficModel(sources=tuple(sources), probe_count=probe_count)
 
 
-@dataclass(frozen=True)
-class VisitRecord:
+class VisitRecord(NamedTuple):
     """One token visit: timing and what was transmitted."""
 
     station: int
@@ -166,8 +163,7 @@ class VisitRecord:
     depart_us: Fraction
 
 
-@dataclass(frozen=True)
-class SimMetrics:
+class SimMetrics(NamedTuple):
     """Aggregate results of one simulation run."""
 
     duration_us: float
@@ -183,8 +179,8 @@ class SimMetrics:
     max_sync_gap_us: float | None
     mean_access_delay_us: float | None
     max_access_delay_us: float | None
-    probe_delays_us: tuple[float, ...] = field(repr=False, default=())
-    trace: tuple[VisitRecord, ...] = field(repr=False, compare=False, default=())
+    probe_delays_us: tuple[float, ...] = ()
+    trace: tuple[VisitRecord, ...] = ()
 
 
 def _first_tick(t: float, ticks_per_us: int) -> int:
@@ -508,7 +504,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         raise ConfigViolationsError(validate_config(cfg, given.items()))
     if given:
         zero = Fraction(0)
-        cfg = replace(cfg, sync_allocation_us=tuple(
+        cfg = cfg._replace(sync_allocation_us=tuple(
             given.get(i, zero) for i in range(max(n, len(given)))))
     return cfg, TrafficModel.make(sources, probe_count=probes)
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter, ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import InputError, number
 
@@ -112,8 +111,7 @@ class AperiodicSignalError(ValueError):
     """The line signal shows no exact repetition over its length."""
 
 
-@dataclass(frozen=True)
-class Symbol4b5b:
+class Symbol4b5b(NamedTuple):
     """One 4b/5b symbol: a 5-bit pattern plus its interpretation."""
 
     code: str            # 5 chars of '0'/'1', transmission order
@@ -127,8 +125,7 @@ class Symbol4b5b:
         return int(self.meaning, 16)
 
 
-@dataclass(frozen=True)
-class LineSignal:
+class LineSignal(NamedTuple):
     """A line-coded signal: one level per code bit."""
 
     levels: tuple[int, ...]

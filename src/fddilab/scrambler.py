@@ -28,8 +28,7 @@ sequences here are plain 0/1 bit streams in transmission order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import InputError
 from .phy_codec import BAD_TABLE, CodeTable, bits_to_text
@@ -39,18 +38,22 @@ PERIOD = 127  # 2**7 - 1: the polynomial is primitive
 SEED_BITS = (1, 1, 1, 1, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class ScramblerState:
+class _ScramblerState(NamedTuple):
+    registers: tuple[int, ...]
+    position: int
+
+
+class ScramblerState(_ScramblerState):
     """Register contents (stage 1..7) plus bit offset since frame start."""
 
-    registers: tuple[int, ...] = SEED_BITS
-    position: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.registers) != STAGES or not set(self.registers) <= {0, 1}:
+    def __new__(cls, registers: tuple[int, ...] = SEED_BITS, position: int = 0):
+        if len(registers) != STAGES or not set(registers) <= {0, 1}:
             raise ValueError(f"need {STAGES} register bits of 0 or 1")
-        if not any(self.registers):
+        if not any(registers):
             raise ValueError("all-zero scrambler state is degenerate")
+        return super().__new__(cls, registers, position)
 
 
 def seed() -> ScramblerState:
@@ -128,8 +131,7 @@ def scramble_with_state(data: Sequence[int], state: ScramblerState,
     return out, ScramblerState(_REGISTERS[end], state.position + n)
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Longest reproducible window for one matching model."""
 
     model: str               # "whole_symbol" | "with_fragments"
@@ -143,8 +145,7 @@ class MatchResult:
     trailing_fragment: str   # head of a symbol consumed after the last full one
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """Both matching models plus the table the analysis ran against."""
 
     with_fragments: MatchResult

@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import re
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import InputError
 from .phy_codec import bit_bytes, pack_bits, unpack_bits
@@ -78,8 +77,7 @@ class UnknownLevelError(InputError):
     tag = "unknown-level"
 
 
-@dataclass(frozen=True)
-class RateEntry:
+class RateEntry(NamedTuple):
     """One row of the SONET/SDH signal hierarchy."""
 
     sts_level: int
@@ -139,8 +137,7 @@ def spe_arithmetic_report() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SpeLayout:
+class SpeLayout(NamedTuple):
     """Per-byte classification of one SPE, and its frame bits as one record.
 
     ``frame`` holds the 2349 x 8 frame bits, one byte per bit, in
@@ -148,11 +145,13 @@ class SpeLayout:
     run of fixed bits (path overhead, fixed stuff, the stuff-control bit)
     is ``Nx`` padding, which packs as zero bytes, that is FIXED_STUFF_FILL.
     ``user`` holds the same ``Ns`` runs back to back: one frame's payload.
+    ``user_runs`` holds the lengths of the user-affectable byte runs.
     """
 
     classification: tuple[str, ...]
-    frame: struct.Struct = field(repr=False)
-    user: struct.Struct = field(repr=False)
+    frame: struct.Struct
+    user: struct.Struct
+    user_runs: tuple[int, ...]
 
     @property
     def capacity_bits(self) -> int:
@@ -160,12 +159,7 @@ class SpeLayout:
 
     def byte_runs(self) -> tuple[int, ...]:
         """Lengths of maximal user-affectable byte runs, transmission order."""
-        return self._byte_runs
-
-    @functools.cached_property
-    def _byte_runs(self) -> tuple[int, ...]:   # worked out once per layout
-        marks = "".join("u" if tag in _USER_MASK else "-" for tag in self.classification)
-        return tuple(len(run) for run in re.findall("u+", marks))
+        return self.user_runs
 
 
 @functools.cache
@@ -190,11 +184,12 @@ def build_spe_layout() -> SpeLayout:
     runs = re.findall("u+|-+", mask)
     frame = "".join(f"{len(run)}{'s' if run[0] == 'u' else 'x'}" for run in runs)
     user = "".join(f"{len(run)}s" for run in runs if run[0] == "u")
-    return SpeLayout(tags, struct.Struct(frame), struct.Struct(user))
+    marks = "".join("u" if tag in _USER_MASK else "-" for tag in tags)
+    return SpeLayout(tags, struct.Struct(frame), struct.Struct(user),
+                     tuple(len(run) for run in re.findall("u+", marks)))
 
 
-@dataclass(frozen=True)
-class SpeFrame:
+class SpeFrame(NamedTuple):
     """One mapped SPE: raw bytes plus how many payload bits are meaningful."""
 
     data: bytes

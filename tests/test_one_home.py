@@ -1,6 +1,8 @@
 """Each shared name has one home: no fddilab module imports another's
-private (``_``-prefixed) names. What two modules share is public. And
-files are written in one place, ``cli._write``."""
+private (``_``-prefixed) names. What two modules share is public.
+Files are written in one place, ``cli._write``. And a record is a
+``typing.NamedTuple``: no module imports ``dataclasses``, whose import
+alone costs more than most commands' work."""
 
 import ast
 from pathlib import Path
@@ -71,3 +73,29 @@ def test_the_check_sees_a_file_write(tmp_path):
                       "    os.open(p, os.O_RDONLY)\n")
     assert _file_writes(module) == ["cli.py:8 opens to write", "cli.py:9 opens to write",
                                     "cli.py:10 opens to write", "cli.py:11 calls os.open"]
+
+
+def _imports_of(path: Path, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                 else [])
+        if any(name.split(".")[0] == module for name in names):
+            found.append(f"{path.name}:{node.lineno} imports {module}")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert [hit for path in sorted(SRC.glob("*.py"))
+            for hit in _imports_of(path, "dataclasses")] == []
+
+
+def test_the_check_sees_a_dataclasses_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import os, dataclasses\nfrom dataclasses import dataclass\n"
+                      "from .dataclasses import x\nimport dataclasses_json\n"
+                      "def f():\n    import dataclasses as dc\n")
+    assert _imports_of(module, "dataclasses") == [
+        "mod.py:1 imports dataclasses", "mod.py:2 imports dataclasses",
+        "mod.py:6 imports dataclasses"]

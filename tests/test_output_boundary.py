@@ -289,3 +289,6 @@ def test_a_pipe_input_is_read_by_the_run_not_drained_by_the_manifest(tmp_path, c
     finally:
         os.close(read_end)
     assert (code, stdout) == run(["codec", "nrzi", "--in", GOLDEN / "code.bits"], capsys)[:2]
+    # only the run reads a pipe: hashing it afterwards would digest no bytes
+    path = f"/dev/fd/{read_end}"
+    assert json.loads((tmp_path / "m.json").read_text())["inputs"] == {path: None}
