@@ -17,6 +17,17 @@ are rounded up to a tick once, when they are drawn. Access-delay probes
 draw with inlined ``random`` calls on the library's stream and bisect
 float times, recounted on the integer ticks at a rounded tie. A run is
 a pure function of (config, load, duration, seed).
+
+The walk keeps tau = now - station * D/n and, per station, last[i], the
+tau of its last token arrival; the rotation there is tau - last[i]. A
+hop leaves tau as it is, a transmission adds its length and the wrap to
+station 0 adds D, so tau never falls and last[station:], written in the
+previous pass, is sorted: the first station ahead whose token comes
+early is one bisect. Stations with a sync allocation (their gaps are
+reported) are walked visit by visit, and so is every station when a
+trace or probe times are kept. The visits up to the next such station
+or early sender send nothing and are taken in one step, and a ring that
+can never send (no async queue, or T = D) skips to its last pass.
 """
 
 from __future__ import annotations
@@ -283,19 +294,22 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
 
     n = cfg.n_stations
     hop = cfg.ring_latency_us / n
+    horizon = float(duration)
     # One tick is 1/L us, L the lcm of every time's denominator, so the
     # loop below runs on ints and stays exact.
     frame_us = {b: Fraction(b * 8) / LINE_RATE_BITS_PER_US
                 for b in {s.frame_bytes for s in load.sources}}
+    allocs = [a for a in cfg.sync_allocation_us if a]
     L = math.lcm(*(x.denominator for x in (
-        hop, cfg.ttrt_us, duration, warmup, *cfg.sync_allocation_us,
-        *frame_us.values())))
+        hop, cfg.ttrt_us, duration, warmup, *allocs, *frame_us.values())))
 
     def ticks(x: Fraction) -> int:
         return x.numerator * (L // x.denominator)
 
     hop_t, ttrt, dur, warm = ticks(hop), ticks(cfg.ttrt_us), ticks(duration), ticks(warmup)
-    alloc = [ticks(a) for a in cfg.sync_allocation_us] or [0] * n
+    d_t = hop_t * n
+    frame_t = {b: ticks(f) for b, f in frame_us.items()}
+    alloc = [ticks(a) if a else 0 for a in cfg.sync_allocation_us] or [0] * n
     queues: dict[str, list[_Queue | None]] = {SYNC: [None] * n, ASYNC: [None] * n}
     for idx, src in enumerate(load.sources):
         dst = src.destination if src.destination is not None else (src.station + 1) % n
@@ -309,8 +323,8 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
             raise InputError("duplicate traffic source for "
                              f"{(src.station, src.traffic_class)}", BAD_CONFIG)
         row[src.station] = _Queue(
-            src, ticks(frame_us[src.frame_bytes]), ((dst - src.station) % n or n) * hop_t,
-            float(duration), seed * 1_000_003 + idx, L)
+            src, frame_t[src.frame_bytes], ((dst - src.station) % n or n) * hop_t,
+            horizon, seed * 1_000_003 + idx, L)
     sync_q, async_q = queues[SYNC], queues[ASYNC]
 
     def send(q: _Queue, start: int, budget: int) -> int:
@@ -334,21 +348,62 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         q.delivered += min(k, max(0, (dur - q.deliver_ticks - start) // ft))
         return k * ft
 
-    # pretend a zero-load rotation preceded t=0 so first rotations read D
-    last_arrival = [(i - n) * hop_t for i in range(n)]
-    arrivals_log = [[] for _ in range(n)] if load.probe_count > 0 else None
-    max_gap = [-1] * n
-    visits = 0
-    trace: list[VisitRecord] = []
+    # A stop is walked one visit at a time: a station with a sync
+    # allocation (its gaps are reported), or every station when the run
+    # keeps a trace or arrival times for probes. A sender has an async
+    # queue, so it may send on an early token. next_*[i] is the first
+    # such station at or after i (n: none).
+    walk_all = collect_trace or load.probe_count > 0
+    next_stop, next_sender = [n] * (n + 1), [n] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        next_stop[i] = i if walk_all or alloc[i] else next_stop[i + 1]
+        next_sender[i] = i if async_q[i] is not None else next_sender[i + 1]
 
-    now = station = 0
-    while now <= dur:
-        rotation = now - last_arrival[station]
-        last_arrival[station] = now
+    # last[i] is tau = now - station * hop at station i's last visit, so
+    # last[station:] is sorted (module docstring); a zero-load rotation
+    # before t=0 makes first rotations read D.
+    last = [-d_t] * n
+    arrivals_log = [[] for _ in range(n)] if load.probe_count > 0 else None
+    sync_free = not allocs
+    gap = -1        # largest post-warmup rotation at a reported station
+    visits = tau = station = 0
+    trace: list[VisitRecord] = []
+    if next_stop[0] == n and (next_sender[0] == n or ttrt == d_t):
+        # no station can send (at T = D every token is late), so every
+        # rotation reads D: skip to the last pass
+        tau = dur // d_t * d_t
+        visits = tau // d_t * n
+        last = [tau - d_t] * n
+
+    while True:
+        if station == n:
+            station = 0
+            tau += d_t
+        stop = next_stop[station]
+        if stop > station and (next_sender[station] > station or tau - last[station] >= ttrt):
+            # Up to the next stop, the next early sender or the end of
+            # the run, every visit sends nothing and tau stays put.
+            end = min(stop, next_sender[bisect_right(last, tau - ttrt, station, stop)],
+                      (dur - tau) // hop_t + 1)
+            if end > station:
+                visits += end - station
+                # the first visit past the warmup has the largest rotation
+                first = max(station, (warm - tau) // hop_t + 1)
+                if sync_free and first < end and tau - last[first] > gap:
+                    gap = tau - last[first]
+                last[station:end] = [tau] * (end - station)
+                station = end
+                if station == n:
+                    continue
+        now = tau + station * hop_t
+        if now > dur:
+            break
+        rotation = tau - last[station]
+        last[station] = tau
         if arrivals_log is not None:
             arrivals_log[station].append(now)
-        if now > warm and rotation > max_gap[station]:
-            max_gap[station] = rotation
+        if now > warm and rotation > gap and (sync_free or alloc[station]):
+            gap = rotation
         visits += 1
 
         q = sync_q[station]
@@ -356,12 +411,11 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         q = async_q[station]
         async_used = (send(q, now + sync_used, ttrt - rotation)
                       if q is not None and rotation < ttrt else 0)
-        depart = now + sync_used + async_used
+        tau += sync_used + async_used
         if collect_trace:
             trace.append(VisitRecord(station, *(Fraction(x, L) for x in (
-                now, rotation, sync_used, async_used, depart))))
-        now = depart + hop_t
-        station = station + 1 if station + 1 < n else 0
+                now, rotation, sync_used, async_used, now + sync_used + async_used))))
+        station += 1
 
     counts = {SYNC: [0, 0, 0], ASYNC: [0, 0, 0]}  # bytes sent, delivered; in flight
     window_bits = 0
@@ -375,15 +429,11 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     throughput = float(Fraction(window_bits)
                        / ((duration - warmup) * LINE_RATE_BITS_PER_US))
 
-    sync_stations = [i for i in range(n) if alloc[i] > 0]
-    gaps = [max_gap[i] for i in sync_stations or range(n) if max_gap[i] >= 0]
-    max_sync_gap = max(gaps) / L if gaps else None
-
     probe_delays = (_probe_delays(arrivals_log, L, float(warmup), load.probe_count, seed)
                     if arrivals_log is not None else [])
 
     return SimMetrics(
-        duration_us=float(duration),
+        duration_us=horizon,
         warmup_us=float(warmup),
         n_token_visits=visits,
         throughput=throughput,
@@ -393,7 +443,7 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         async_bytes_delivered=counts[ASYNC][1],
         sync_frames_in_flight=counts[SYNC][2],
         async_frames_in_flight=counts[ASYNC][2],
-        max_sync_gap_us=max_sync_gap,
+        max_sync_gap_us=gap / L if gap >= 0 else None,
         mean_access_delay_us=(sum(probe_delays) / len(probe_delays)
                               if probe_delays else None),
         max_access_delay_us=max(probe_delays) if probe_delays else None,
@@ -441,7 +491,10 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         raise InputError(f"need a JSON object, got {type(doc).__name__}", BAD_CONFIG)
 
     def field(entry: dict, key: str, to, default=None, where: str = ""):
-        return number(entry.get(key, default), to, where + key, BAD_CONFIG)
+        value = entry.get(key, default)
+        if value.__class__ is int and to is whole:  # whole as it is: no checks
+            return value
+        return number(value, to, where + key, BAD_CONFIG)
 
     n = field(doc, "n_stations", whole)
     alloc_in = doc.get("sync_allocation_us", [])
@@ -478,7 +531,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         rate = entry.get("rate_mbps")
         if rate in ("saturated", None):
             rate = None
-        else:
+        elif rate.__class__ is not float or not 0 <= rate < math.inf:  # else as it is
             try:  # text that reads as a rate ("nan", "-0.5") may be out of range
                 value = float(rate)
             except (TypeError, ValueError, ArithmeticError):

@@ -505,6 +505,27 @@ def test_simulate_reads_text_in_microsecond_fields_and_station_keys(tmp_path, ca
     assert _simulate_config(tmp_path, capsys, text) == want
 
 
+@pytest.mark.parametrize("key", ["station", "frame_bytes", "destination"])
+@pytest.mark.parametrize("value", [True, 1.5, [1], {}])
+def test_simulate_names_a_traffic_field_that_is_no_whole_number(tmp_path, capsys, key, value):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400,
+        "traffic": [_SOURCE, {**_SOURCE, "station": 1, key: value}]})
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == (
+        "", f"error: bad-config: traffic[1].{key}: need a whole number, got {value!r}\n")
+
+
+def test_simulate_reads_whole_floats_in_traffic_fields_as_ints(tmp_path, capsys):
+    ring = {"n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400,
+            "traffic": [{**_SOURCE, "station": 1, "frame_bytes": 200, "destination": 3}]}
+    want = _simulate_config(tmp_path, capsys, ring)
+    assert want[0] == 0
+    floats = {**ring, "traffic": [{**_SOURCE, "station": 1.0, "frame_bytes": 200.0,
+                                   "destination": 3.0}]}
+    assert _simulate_config(tmp_path, capsys, floats) == want
+
+
 @pytest.mark.parametrize("n", [-2, 0])
 def test_simulate_reports_too_few_stations_as_no_stations(tmp_path, capsys, n):
     code, out, err = _simulate_config(tmp_path, capsys, {
@@ -572,6 +593,24 @@ def test_simulate_refuses_a_ring_over_the_station_limit_before_listing_stations(
     assert out.splitlines()[1:] == [
         "violation,NegativeSyncAllocation,station 199999999: -5 us < 0",
         "violation,StationCount,200000000 stations > 500"]
+
+
+def test_simulate_walks_a_ring_that_never_sends_in_one_step(tmp_path, capsys):
+    # 1e-4 us hops over 1000 us: 10,000,001 visits, seconds if walked one by one
+    config = tmp_path / "idle.json"
+    config.write_text('{"n_stations": 1, "ring_latency_us": 1e-4, "ttrt_us": 4000}')
+    argv = ["simulate", "--config", str(config), "--duration", "1000", "--seed", "0"]
+    run(argv, capsys)                                                   # parser built
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 0.05
+    assert (code, err) == (0, "")
+    assert out == (
+        "metric,value,unit\nthroughput,0,fraction\nduration,1000,us\nwarmup,200,us\n"
+        "token_visits,10000001,count\nsync_bytes_sent,0,bytes\nasync_bytes_sent,0,bytes\n"
+        "sync_bytes_delivered,0,bytes\nasync_bytes_delivered,0,bytes\n"
+        "sync_frames_in_flight,0,frames\nasync_frames_in_flight,0,frames\n"
+        "max_sync_gap,0.0001,us\nmean_access_delay,,us\nmax_access_delay,,us\n")
 
 
 class _FailingStream(io.StringIO):

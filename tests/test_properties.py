@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fddilab import InputError, fddi2
@@ -374,6 +374,48 @@ def test_simulator_matches_fraction_reference(ring):
     cfg, load, duration, _, seed_ = ring
     assert run_simulation(cfg, load, duration, seed=seed_) == ref_simulation(
         cfg, load, duration, seed_)
+
+
+@st.composite
+def mixed_rings(draw):
+    """A ring whose stations are saturated, Poisson, sync-allocated or
+    traffic-free, T from D up, and a duration that ends, with a warmup
+    that falls, anywhere between two hops: inside runs of idle visits."""
+    n = draw(st.integers(1, 12))
+    d = Fraction(draw(st.integers(1, 300)), draw(st.sampled_from([1, 3, 7])))
+    hop = d / n
+    t = d * Fraction(draw(st.sampled_from([10, 10, 11, 15, 20, 40])), 10)
+    share = (t - d) / (n + 1)
+    frame = {cls: draw(st.integers(25, 400)) for cls in (SYNC, ASYNC)}
+    rate = st.none() | st.floats(0.5, 40)
+    alloc, sources = [], []
+    for station in range(n):
+        kind = draw(st.sampled_from(["free", "saturated", "poisson", "sync"]))
+        alloc.append(share * Fraction(draw(st.integers(1, 10)), 10) if kind == "sync" else 0)
+        if kind == "sync" or kind == "saturated" and draw(st.booleans()):  # unallocated too
+            sources.append(TrafficSource(station, SYNC, draw(rate), frame[SYNC]))
+        if kind in ("saturated", "poisson") or kind == "sync" and draw(st.booleans()):
+            sources.append(TrafficSource(
+                station, ASYNC, None if kind == "saturated" else draw(st.floats(0.5, 40)),
+                frame[ASYNC], draw(st.none() | st.integers(0, n - 1))))
+    cfg = RingConfig.make(n, d, t, sync_allocation_us=alloc, compliance=False)
+    duration = (t * draw(st.integers(1, 12))
+                + hop * Fraction(draw(st.integers(0, 20 * n)), draw(st.sampled_from([1, 10]))))
+    load = TrafficModel.make(sources, probe_count=draw(st.sampled_from([0, 0, 0, 20])))
+    return cfg, load, duration, draw(seeds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring=mixed_rings())
+@example(ring=(  # the run's largest rotation is in an idle run, just before the warmup
+    RingConfig.make(2, 7, 28, sync_allocation_us=[0, 0], compliance=False),
+    TrafficModel.make([TrafficSource(1, ASYNC, 34.5224415314544, 25)]), Fraction(175, 2), 582))
+def test_idle_visits_taken_at_once_match_the_visit_by_visit_walk(ring):
+    # a trace walks every station one by one, so it pins the idle runs
+    cfg, load, duration, seed_ = ring
+    traced = run_simulation(cfg, load, duration, seed=seed_, collect_trace=True)
+    plain = run_simulation(cfg, load, duration, seed=seed_)
+    assert plain == traced._replace(trace=()) == ref_simulation(cfg, load, duration, seed_)
 
 
 # Past 2**53 every float is an even integer, so with L ticks per us the
