@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from importlib import resources
+import os
 from typing import NamedTuple, Sequence
 
 from . import InputError, Violation, number, read_input, whole
@@ -156,8 +156,9 @@ def parse_media_table(text: str) -> dict[str, MediaSpec]:
 @functools.cache
 def default_media_table() -> dict[str, MediaSpec]:
     """The media table shipped with the package, read on first use."""
-    text = resources.files("fddilab.data").joinpath("media_table.txt").read_text("utf-8")
-    return parse_media_table(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "media_table.txt"),
+              encoding="utf-8") as fh:
+        return parse_media_table(fh.read())
 
 
 def _resolve(media: str | MediaSpec) -> MediaSpec:

@@ -13,7 +13,8 @@ Protocol rules implemented per token visit at a station:
 
 Time is counted in integer ticks of 1/L us, one L per run chosen so
 that every configured time is a whole number of ticks; Poisson arrivals
-are rounded up to a tick once, when they are drawn. Access-delay probes
+are rounded up to a tick once, when they are drawn, from the float t * L
+where two int divisions confirm it (_first_tick). Access-delay probes
 draw with inlined ``random`` calls on the library's stream and bisect
 float times, recounted on the integer ticks at a rounded tie. A run is
 a pure function of (config, load, duration, seed).
@@ -196,7 +197,14 @@ class SimMetrics(NamedTuple):
 
 def _first_tick(t: float, ticks_per_us: int) -> int:
     """The first tick N with float(N / L) >= t us, L = ticks_per_us: that
-    is ceil(t * L), unless ticks just below t * L already round to t."""
+    is ceil(t * L), unless ticks just below t * L already round to t.
+    While L and the float product t * L are below 2**53, ceil of that
+    product is taken once two exact int / int divisions confirm it; else,
+    or if they do not, ceil(t * L) comes from t's integer ratio."""
+    if ticks_per_us < 2 ** 53 and (x := t * ticks_per_us) < 2 ** 53:
+        hi = math.ceil(x)
+        if (hi - 1) / ticks_per_us < t <= hi / ticks_per_us:
+            return hi
     p, q = t.as_integer_ratio()
     hi = -(-p * ticks_per_us // q)                  # ceil(t * L), exact
     if (hi - 1) / ticks_per_us < t:                 # int / int rounds once
@@ -343,9 +351,13 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         if k <= 0:
             return 0
         q.sent += k
-        q.in_window += max(0, min(k, (dur - start) // ft)
-                           - min(k, max(0, (warm - start) // ft)))
-        q.delivered += min(k, max(0, (dur - q.deliver_ticks - start) // ft))
+        if start >= warm and start + k * ft + q.deliver_ticks <= dur:
+            q.in_window += k            # every frame ends in the window
+            q.delivered += k            # and reaches its destination
+        else:
+            q.in_window += max(0, min(k, (dur - start) // ft)
+                               - min(k, max(0, (warm - start) // ft)))
+            q.delivered += min(k, max(0, (dur - q.deliver_ticks - start) // ft))
         return k * ft
 
     # A stop is walked one visit at a time: a station with a sync

@@ -20,8 +20,8 @@ of ``x & (p >> 1)`` as its high bit. 4b/5b is one dict lookup per symbol.
 from __future__ import annotations
 
 import functools
+import os
 import re
-from importlib import resources
 from operator import attrgetter, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -190,8 +190,9 @@ def parse_code_table(text: str) -> CodeTable:
 @functools.cache
 def default_code_table() -> CodeTable:
     """The code table shipped with the package, read on first use."""
-    text = resources.files("fddilab.data").joinpath("4b5b_table.txt").read_text("utf-8")
-    return parse_code_table(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "4b5b_table.txt"),
+              encoding="utf-8") as fh:
+        return parse_code_table(fh.read())
 
 
 def encode_4b5b(data: Iterable[int], table: CodeTable | None = None) -> list[Symbol4b5b]:

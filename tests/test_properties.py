@@ -376,6 +376,82 @@ def test_simulator_matches_fraction_reference(ring):
         cfg, load, duration, seed_)
 
 
+def ref_first_tick(t, ticks_per_us):
+    """The first tick N with float(N / L) >= t, from t's integer ratio
+    alone: the body _first_tick has past its float path."""
+    p, q = t.as_integer_ratio()
+    hi = -(-p * ticks_per_us // q)
+    if (hi - 1) / ticks_per_us < t:
+        return hi
+    p, q = math.nextafter(t, 0.0).as_integer_ratio()
+    lo = p * ticks_per_us // q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid / ticks_per_us >= t else (mid, hi)
+    return hi
+
+
+@st.composite
+def tick_cases(draw):
+    """(t, L): L small, a power of two or past the float range; t zero,
+    subnormal, near t * L = 2**53 (where the float path gives way) or a
+    tick's own float N / L, give or take one ulp, so neighbouring ticks
+    round to t."""
+    L = draw(st.sampled_from([1, 7, 10 ** 30, 2 ** 1100])
+             | st.integers(0, 1100).map(lambda e: 2 ** e))
+    kind = draw(st.sampled_from(["zero", "subnormal", "2**53", "tick"]))
+    if kind == "zero":
+        return 0.0, L
+    if kind == "subnormal":
+        return draw(st.floats(5e-324, 2.0 ** -1022, exclude_max=True)), L
+    tick = 2 ** 53 + draw(st.integers(-4, 4)) if kind == "2**53" else draw(
+        st.integers(0, 2 ** 64))
+    t = float(Fraction(tick, L))
+    return draw(st.sampled_from([t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)])), L
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=tick_cases())
+def test_first_tick_float_path_matches_the_integer_ratio(case):
+    t, ticks_per_us = case
+    assert _first_tick(t, ticks_per_us) == ref_first_tick(t, ticks_per_us)
+
+
+def test_first_tick_past_the_float_range_is_exact():
+    # 1.5 * 2**1100 is no float: t * L would overflow converting L
+    L = 2 ** 1100
+    tick = _first_tick(1.5, L)
+    assert tick == ref_first_tick(1.5, L)
+    assert float(Fraction(tick, L)) >= 1.5 > float(Fraction(tick - 1, L))
+
+
+# A send that starts on the warmup tick, and one whose last frame reaches
+# its destination on the run's last tick: the two edges of the send that
+# counts every frame as in the window and delivered.
+SEND_EDGES = {
+    "saturated, starts at the warmup": (3, 12, 49, 50, None, 300, 8),
+    "poisson, starts at the warmup": (1, 1, 22, 25, 40.0, 145, 35),
+    "saturated, delivered on the last tick": (1, 3, 31, 50, None, 575, 33),
+    "poisson, delivered on the last tick": (1, 1, 18, 50, 40.0, 215, 40),
+}
+
+
+@pytest.mark.parametrize("edge", SEND_EDGES)
+def test_sends_on_the_edges_of_the_window_match_fraction_reference(edge):
+    n, d, t, frame_bytes, rate, duration, seed_ = SEND_EDGES[edge]
+    cfg = RingConfig.make(n, d, t, sync_allocation_us=[0] * n, compliance=False)
+    load = TrafficModel.make([TrafficSource(0, ASYNC, rate, frame_bytes)])
+    duration = Fraction(duration)
+    sends = [v for v in run_simulation(cfg, load, duration, seed_, collect_trace=True).trace
+             if v.async_tx_us]
+    if "warmup" in edge:
+        assert any(v.arrival_us == duration / 5 for v in sends)
+    else:
+        assert any(v.depart_us + cfg.ring_latency_us / n == duration for v in sends)
+    assert run_simulation(cfg, load, duration, seed=seed_) == ref_simulation(
+        cfg, load, duration, seed_)
+
+
 @st.composite
 def mixed_rings(draw):
     """A ring whose stations are saturated, Poisson, sync-allocated or
