@@ -9,24 +9,23 @@ read by loaders in their modules, which raise InputError. Each ``cmd_*``
 handler returns its report and, for a failing verdict, the InputError
 that explains it; ``dispatch`` alone writes the report to --out or
 stdout, writes the manifest and the error line, and picks the exit code.
+A call is a fresh process, so a handler imports its own module when it
+runs, and json loads with the first JSON report or manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import stat
 import struct
 import sys
-from fractions import Fraction
 from operator import attrgetter
 
-from . import (InputError, __version__, fddi2, link_planner, mac_sim, phy_codec,
-               read_input, scrambler, spm)
+from . import InputError, __version__, link_planner, phy_codec, read_input
 from .phy_codec import bits_from_text, bits_to_text
 
 CSV = "csv"
@@ -40,26 +39,29 @@ _HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")
 _MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
 
 
-# rows in C: json.dumps with an indent runs CPython's pure-Python encoder
-_JSON_ROWS = json.JSONEncoder(separators=(",\n    ", ": "), default=float)
 _NEEDS_QUOTES = re.compile('[,"\n]').search
 
 
+@functools.cache
+def _json_encoder(sort_keys=False):   # C, where json.dumps with an indent is pure Python
+    import json   # on the first JSON report or manifest, not at start-up
+    return json.JSONEncoder(separators=(",\n    ", ": "), default=float, sort_keys=sort_keys)
+
+
 def emit_report(rows, columns: list[str], fmt: str) -> str:
-    """Render rows, each its values in column order (one column or more),
-    as CSV or JSON; identical input, identical bytes. The JSON is
-    json.dumps(..., indent=2) of one object per row: strings escape raw
-    newlines, so "},\\n    {" occurs only between two rows."""
+    """Render rows of str, int, float, bool or None cells in column order
+    as CSV or JSON; identical input, identical bytes. The JSON is json.dumps
+    (indent=2) of one object per row: strings escape newlines, so "},\\n    {" parts rows."""
     if fmt == JSON:
         if not rows:
             return "[]\n"
-        text = _JSON_ROWS.encode([dict(zip(columns, row)) for row in rows])
+        text = _json_encoder().encode([dict(zip(columns, row)) for row in rows])
         return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
     lines = [",".join(columns)]
     for row in rows:
         cells = [str(value) if value.__class__ in (str, int) else "" if value is None
-                 else format(float(value), ".9g") if isinstance(value, (float, Fraction))
-                 else str(value) for value in row]   # Fraction's isinstance is slow
+                 else format(float(value), ".9g") if isinstance(value, float)
+                 else str(value) for value in row]
         if _NEEDS_QUOTES("".join(cells)):
             cells = ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES(c) else c for c in cells]
         lines.append(",".join(cells))
@@ -152,15 +154,24 @@ def _write_manifest(args, digests: dict):
     """Record what ran: every parsed option but the output routing, the
     digest of each input file, the seed and the version."""
     options = vars(args)
-    manifest = {
+    _write(_manifest_text({
         "subcommand": args.command,
         "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
         "inputs": {p: digests[p] if p in digests else _sha256(p)
                    for p in filter(None, map(options.get, INPUT_OPTIONS))},
         "seed": args.seed,
         "artifact_version": __version__,
-    }
-    _write(json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.manifest)
+    }), args.manifest)
+
+
+def _manifest_text(manifest: dict) -> str:
+    """json.dumps(manifest, indent=2, sort_keys=True) + "\\n", its dicts flat."""
+    encode, lines = _json_encoder(True).encode, []
+    for key, value in sorted(manifest.items()):
+        text = encode(value)
+        text = "{\n    " + text[1:-1] + "\n  }" if text[:2] == '{"' else text   # a dict
+        lines.append(f"  {encode(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -168,9 +179,10 @@ def _write_manifest(args, digests: dict):
 # that dispatch reports after writing the text (else None).
 
 def cmd_rates(args) -> tuple[str, InputError | None]:
-    levels = list(spm.STS_LEVELS) if args.level is None else [args.level]
+    from . import spm
+    entries = spm.rate_table() if args.level is None else [spm.sts_rates(args.level)]
     rows = [(f"STS-{e.sts_level}", e.oc, e.stm or "", spm.kbps_to_mbps_str(e.line_rate_kbps),
-             spm.kbps_to_mbps_str(e.payload_rate_kbps)) for e in map(spm.sts_rates, levels)]
+             spm.kbps_to_mbps_str(e.payload_rate_kbps)) for e in entries]
     return emit_report(rows, ["sts", "oc", "stm", "line_mbps", "payload_mbps"],
                        args.format), None
 
@@ -198,6 +210,7 @@ def cmd_codec(args) -> tuple[str, InputError | None]:
 
 
 def cmd_scrambler(args) -> tuple[str, InputError | None]:
+    from . import scrambler
     if args.action == "dump":
         return bits_to_text(scrambler.keystream(args.bits)) + "\n", None
     # analyze
@@ -217,6 +230,7 @@ def cmd_scrambler(args) -> tuple[str, InputError | None]:
 def cmd_sonet_map(args) -> tuple[str, InputError | None]:
     """The recovered bits are the report; the mapping report goes to
     --report, or to stderr."""
+    from . import spm
     bits = bits_from_text(_read_digits(args.infile, "01"))
     layout = spm.build_spe_layout()
     frames = spm.map_fddi(bits, layout)
@@ -238,6 +252,7 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
 
 
 def cmd_simulate(args) -> tuple[str, InputError | None]:
+    from . import mac_sim
     try:
         cfg, load = mac_sim.load_config_file(args.config)
         m = mac_sim.run_simulation(cfg, load, duration_us=args.duration, seed=args.seed)
@@ -263,6 +278,7 @@ def cmd_simulate(args) -> tuple[str, InputError | None]:
 
 
 def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
+    from . import fddi2
     letters = args.modes.lower().replace(",", "")
     if len(letters) != fddi2.WBC_COUNT or set(letters) - set("ip"):
         raise InputError(f"need {fddi2.WBC_COUNT} chars of i/p, got {args.modes!r}",
@@ -279,8 +295,8 @@ def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
             rows.append((label, "packet", "(pool)", fddi2.WBC_BYTES, fddi2.wbc_bandwidth_kbps()))
             continue
         free = fddi2.WBC_BYTES - sum(owned.values())
-        for channel, count in [*owned.items(), *([("(free)", free)] if free else [])]:
-            rows.append((label, "isochronous", channel, count, fddi2.bytes_per_cycle_to_kbps(count)))
+        rows += [(label, "isochronous", channel, n, float(fddi2.bytes_per_cycle_to_kbps(n)))
+                 for channel, n in [*owned.items(), *([("(free)", free)] if free else [])]]
     return emit_report(rows, ["wbc", "mode", "channel", "bytes", "kbps"], args.format), None
 
 
@@ -338,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scrambler", parents=[common],
                        help="keystream dump / 4b5b match analysis")
     p.add_argument("action", choices=["dump", "analyze"])
-    p.add_argument("--bits", type=_count, default=scrambler.PERIOD)
+    p.add_argument("--bits", type=_count, default=127)   # scrambler.PERIOD, held by a test
     p.add_argument("--table", help="alternate 4b/5b code table file")
     p.set_defaults(handler=cmd_scrambler)
 

@@ -10,7 +10,6 @@ loader bit-exactly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from typing import NamedTuple, Sequence
@@ -305,6 +304,7 @@ def validate_ring(links: Sequence[LinkSpec], n_stations: int) -> RingReport:
 def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
     """Read a ring plan file (README "Ring plan file"): its links and its
     station count. Malformed input raises InputError tagged bad-ring."""
+    import json   # only a ring plan needs it: not loaded at start-up
     doc = read_input(path, BAD_RING, json.loads)
     links = doc.get("links", []) if isinstance(doc, dict) else None
     if not isinstance(links, list) or not all(

@@ -70,14 +70,13 @@ def next_bit(state: ScramblerState) -> tuple[int, ScramblerState]:
 
 
 def _walk_period() -> tuple[bytes, list[tuple[int, ...]]]:
-    """One period of output bits and the register contents at each phase."""
-    bits, registers = [], []
-    st = seed()
-    for _ in range(PERIOD):
-        registers.append(st.registers)
-        bit, st = next_bit(st)
-        bits.append(bit)
-    return bytes(bits), registers
+    """One period of output bits and the registers at each phase p: bits p+6..p,
+    as stage k outputs its bit 7 - k steps on. Bit n + 7 is bit n XOR bit n + 1."""
+    bits = bytearray(SEED_BITS[::-1])
+    for n in range(PERIOD - STAGES):
+        bits.append(bits[n] ^ bits[n + 1])
+    cycle = bits * 2
+    return bytes(bits), [tuple(cycle[p:p + STAGES][::-1]) for p in range(PERIOD)]
 
 
 # Phase = bits emitted since the all-ones seed, modulo the period. The

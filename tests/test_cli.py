@@ -739,6 +739,13 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_the_default_bits_are_one_scrambler_period():
+    # the parser holds the period as a literal, so it needs no scrambler import
+    from fddilab import scrambler
+    from fddilab.cli import build_parser
+    assert build_parser().parse_args(["scrambler", "dump"]).bits == scrambler.PERIOD
+
+
 def test_module_runs_as_a_script():
     import os
     import subprocess

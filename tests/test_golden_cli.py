@@ -5,12 +5,16 @@ Each line of ``golden/cli/cases.txt`` is one run: stdout, stderr, the exit
 code and every file the run writes (``--out``, ``--report``) must match the
 recorded bytes. Run this file as a script to record the outputs of the
 code under test: ``PYTHONPATH=src python tests/test_golden_cli.py``.
+Usage and help text is part of the contract, so argparse formats it for an
+80-column terminal whatever the terminal running the tests.
 """
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -30,7 +34,8 @@ def _run(argv) -> dict[str, bytes]:
     """Every output of one run, by the suffix of its golden file."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
             code = dispatch([a.format(dir=GOLDEN, tmp=tmp) for a in argv])
         files = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
     return {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode(),

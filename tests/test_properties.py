@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fddilab import InputError, fddi2
-from fddilab.cli import CSV, JSON, _write, emit_report
+from fddilab.cli import CSV, JSON, _manifest_text, _write, emit_report
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -947,13 +947,36 @@ def reports(draw):
 @given(report=reports(), fmt=st.sampled_from([CSV, JSON]))
 def test_emit_report_matches_the_encoders_it_replaced(report, fmt):
     rows, columns = report
-    assert emit_report(rows, columns, fmt) == ref_emit_report(rows, columns, fmt)
+    # a handler passes float(x) for an exact x: the old encoders' bytes for x
+    cells = [tuple(float(v) if isinstance(v, Fraction) else v for v in row) for row in rows]
+    assert emit_report(cells, columns, fmt) == ref_emit_report(rows, columns, fmt)
 
 
 @pytest.mark.parametrize("fmt", [CSV, JSON])
 @pytest.mark.parametrize("columns", [["metric"], ["a", "b,c", "d"]])
 def test_emit_report_of_no_rows_matches_the_encoders_it_replaced(fmt, columns):
     assert emit_report([], columns, fmt) == ref_emit_report([], columns, fmt)
+
+
+# --- the manifest renderer against json.dumps ----------------------------------
+
+manifest_scalars = st.one_of(
+    report_text, st.text(), st.integers(-10 ** 20, 10 ** 20), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True))
+flat_dicts = st.dictionaries(report_text | st.text(), manifest_scalars, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(manifest=st.fixed_dictionaries({
+    "subcommand": manifest_scalars, "parameters": flat_dicts, "inputs": flat_dicts,
+    "seed": manifest_scalars, "artifact_version": manifest_scalars}))
+@example(manifest={"subcommand": "rates", "parameters": {}, "inputs": {}, "seed": 0,
+                   "artifact_version": "0.1.0"})
+@example(manifest={"subcommand": "plan", "parameters": {"format": "csv", "level": None},
+                   "inputs": {"ring é.json": "ab", "-": None}, "seed": -1,
+                   "artifact_version": "0.1.0"})
+def test_manifest_text_matches_json_dumps(manifest):
+    assert _manifest_text(manifest) == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 # --- the in-place file writer ------------------------------------------------

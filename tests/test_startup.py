@@ -3,9 +3,14 @@ importing the package costs more than most commands' work, so the CLI
 with both default tables loaded pulls in neither ``dataclasses`` (with
 ``inspect``, ``ast`` and ``dis`` behind it), nor ``importlib.resources``
 (with ``tempfile`` and ``shutil``), nor ``hashlib``, which only a
-manifest needs. The interpreter runs without ``site``, whose start-up
+manifest needs. Nor does it load a handler's module before that handler
+runs: ``mac_sim``, ``fddi2``, ``spm`` and ``scrambler`` load with their
+subcommand, ``fractions`` (with ``decimal``) with the modules that
+compute exactly, and ``json`` with a JSON report, a manifest or an input
+file in JSON. The interpreter runs without ``site``, whose start-up
 hooks may import any of these first."""
 
+import ast
 import hashlib
 import json
 import subprocess
@@ -15,31 +20,57 @@ from pathlib import Path
 import fddilab
 
 SRC = Path(fddilab.__file__).parents[1]
-CODE_BITS = Path(__file__).parent / "golden" / "cli" / "code.bits"
+GOLDEN = Path(__file__).parent / "golden"
+CODE_BITS = GOLDEN / "cli" / "code.bits"
+WATCHED = {"dataclasses", "inspect", "hashlib", "importlib.resources", "fractions", "decimal",
+           "json", "fddilab.mac_sim", "fddilab.fddi2", "fddilab.spm", "fddilab.scrambler"}
 
-# a fresh interpreter: the modules the import and the tables load, then
-# one --manifest run in the same process
+# a fresh interpreter: the watched modules the import and the tables
+# load, then those one run of the CLI in the same process adds
 STARTUP = """
-import json, sys
+import sys
 sys.path.insert(0, sys.argv[1])
+watched = set(sys.argv[2].split(","))
 before = set(sys.modules)
 import fddilab.cli
 from fddilab import link_planner, phy_codec
 phy_codec.default_code_table()
 link_planner.default_media_table()
-loaded = sorted({"dataclasses", "inspect", "hashlib", "importlib.resources"}
-                & (set(sys.modules) - before))
-code = fddilab.cli.dispatch(sys.argv[2:])
-print(json.dumps({"loaded": loaded, "code": code}))
+startup = sorted(watched & (set(sys.modules) - before))
+code = fddilab.cli.dispatch(sys.argv[3:])
+print(repr((startup, sorted(watched & (set(sys.modules) - before)), code)))
 """
 
 
-def test_the_cli_and_its_tables_load_no_dataclasses_inspect_or_hashlib(tmp_path):
-    manifest = tmp_path / "m.json"
-    argv = ["codec", "nrzi", "--in", str(CODE_BITS), "--out", str(tmp_path / "out"),
-            "--manifest", str(manifest)]
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", STARTUP, str(SRC), *argv],
+def _fresh_run(*argv) -> tuple[list[str], list[str], int]:
+    """(watched modules loaded at start-up, those loaded by the end of
+    the run, the exit code) of one fresh ``python -I -S`` process."""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", STARTUP, str(SRC),
+                           ",".join(sorted(WATCHED)), *argv],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert json.loads(proc.stdout) == {"loaded": [], "code": 0}
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_the_cli_and_its_tables_load_no_watched_module_and_codec_only_json(tmp_path):
+    manifest = tmp_path / "m.json"
+    startup, run, code = _fresh_run("codec", "nrzi", "--in", str(CODE_BITS),
+                                    "--out", str(tmp_path / "out"), "--manifest", str(manifest))
+    assert (startup, run, code) == ([], ["hashlib", "json"], 0)
     digest = hashlib.sha256(CODE_BITS.read_bytes()).hexdigest()
     assert json.loads(manifest.read_text())["inputs"] == {str(CODE_BITS): digest}
+
+
+def test_scrambler_dump_loads_only_the_scrambler(tmp_path):
+    out = tmp_path / "out"
+    assert _fresh_run("scrambler", "dump", "--out", str(out)) == ([], ["fddilab.scrambler"], 0)
+    assert out.read_bytes() == (GOLDEN / "cli" / "dump_out.out").read_bytes()
+
+
+def test_simulate_runs_in_a_fresh_process(tmp_path):
+    out = tmp_path / "out"
+    startup, run, code = _fresh_run(
+        "simulate", "--config", str(GOLDEN / "simulate" / "readme.json"),
+        "--duration", "50000", "--seed", "1", "--out", str(out))
+    assert (startup, code) == ([], 0)
+    assert {"fddilab.mac_sim", "fractions", "json"} <= set(run)
+    assert out.read_bytes() == (GOLDEN / "simulate" / "readme.out.csv").read_bytes()
