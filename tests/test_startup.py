@@ -51,7 +51,7 @@ def _fresh_run(*argv) -> tuple[list[str], list[str], int]:
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-def test_the_cli_and_its_tables_load_no_watched_module_and_codec_only_json(tmp_path):
+def test_the_cli_and_its_tables_load_no_dataclasses_inspect_or_hashlib(tmp_path):
     manifest = tmp_path / "m.json"
     startup, run, code = _fresh_run("codec", "nrzi", "--in", str(CODE_BITS),
                                     "--out", str(tmp_path / "out"), "--manifest", str(manifest))
