@@ -21,22 +21,17 @@ import math
 import os
 import re
 import stat
-import struct
 import sys
 from operator import attrgetter
 
 from . import InputError, __version__, link_planner, phy_codec, read_input
-from .phy_codec import bits_from_text, bits_to_text
+from .phy_codec import bits_to_text
 
 CSV = "csv"
 JSON = "json"
 
 GIVEN = "given"       # constant carried from the published figures
 COMPUTED = "computed"  # value recomputed by this tool
-
-_HEX_VALUES = bytes.maketrans(b"0123456789abcdefABCDEF", bytes(range(16)) + bytes(range(10, 16)))
-_HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")
-_MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
 
 
 _NEEDS_QUOTES = re.compile('[,"\n]').search
@@ -95,14 +90,6 @@ def _write(text: str, path: str | None, stream=None):
     except OSError as exc:  # name where the text was going
         exc.filename = exc.filename or path or ("stdout" if stream is None else "stderr")
         raise
-
-
-def _read_digits(path: str, alphabet: str) -> str:
-    symbols = "".join(read_input(path, "bad-input-symbol").split())
-    if symbols.encode().translate(None, alphabet.encode()):
-        bad = set(symbols) - set(alphabet)
-        raise InputError(f"{sorted(bad)} not in {alphabet!r}", "bad-input-symbol")
-    return symbols
 
 
 def _count(text: str) -> int:
@@ -191,21 +178,21 @@ def cmd_codec(args) -> tuple[str, InputError | None]:
     if args.decode and args.scheme != "4b5b":
         raise InputError(f"{args.scheme} decode", "unsupported")
     if args.scheme == "4b5b" and args.decode:
-        bits = _read_digits(args.infile, "01")
+        bits = phy_codec.read_bits(args.infile)
         if len(bits) % 5:
             raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
-        nibbles = phy_codec.decode_4b5b(re.findall(".{5}", bits))
-        text = bytes(nibbles).translate(_HEX_DIGITS).decode()
+        nibbles = phy_codec.decode_4b5b(phy_codec.bits_to_patterns(bits))
+        text = phy_codec.nibbles_to_text(nibbles)
     elif args.scheme == "4b5b":
-        nibbles = _read_digits(args.infile, "0123456789abcdefABCDEF").encode().translate(_HEX_VALUES)
-        text = "".join(map(attrgetter("code"), phy_codec.encode_4b5b(nibbles)))
+        symbols = phy_codec.encode_4b5b(phy_codec.read_nibbles(args.infile))
+        text = "".join(map(attrgetter("code"), symbols))
     elif args.scheme == "nrzi":
-        bits = bits_from_text(_read_digits(args.infile, "01"))
-        signal = phy_codec.nrzi_encode(bits, initial_level=args.initial_level)
+        signal = phy_codec.nrzi_encode(phy_codec.read_bits(args.infile),
+                                       initial_level=args.initial_level)
         text = bits_to_text(signal.levels)
     else:
-        levels = phy_codec.mlt3_encode(bits_from_text(_read_digits(args.infile, "01"))).levels
-        text = struct.pack(f"{len(levels)}b", *levels).translate(_MLT3_GLYPHS).decode()
+        signal = phy_codec.mlt3_encode(phy_codec.read_bits(args.infile))
+        text = phy_codec.mlt3_to_text(signal.levels)
     return text + "\n", None
 
 
@@ -231,12 +218,11 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
     """The recovered bits are the report; the mapping report goes to
     --report, or to stderr."""
     from . import spm
-    bits = bits_from_text(_read_digits(args.infile, "01"))
+    bits = phy_codec.read_bits(args.infile)
     layout = spm.build_spe_layout()
     frames = spm.map_fddi(bits, layout)
-    recovered = spm.extract_fddi(frames, layout)
-    text = bits_to_text(recovered) + "\n"
-    if recovered != bits:
+    text = bits_to_text(spm.extract_fddi(frames, layout)) + "\n"
+    if text[:-1] != bits_to_text(bits):
         return text, InputError("extracted bits differ from input", "roundtrip-mismatch")
     rows = (
         ("frames", len(frames), "count", COMPUTED),

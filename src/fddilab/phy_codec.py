@@ -4,28 +4,35 @@ The 4b/5b code table is not hardwired; it is loaded from a versioned data
 file (``data/4b5b_table.txt``) so the codec logic stays table-driven. All
 operations are pure functions over immutable values.
 
-Bit conventions: bit sequences are iterables of 0/1 ints, and read and
-print as text of '0'/'1' digits (``bits_from_text``, ``bits_to_text``),
-and as bytes, one per bit or packed 8 to a byte (``pack_bits``). Line
-signals run at FDDI_CODE_BIT_RATE_BPS: two-level ones use 0 = low, 1 = high;
-three-level (MLT-3) ones use -1/0/+1.
+Bit conventions: a function takes bits as any iterable of 0/1 ints: a
+list, a tuple, an iterator, or bytes of one bit each. In memory the line
+path keeps them as 0/1 bytes: ``read_bits`` reads a file of '0'/'1'
+digits that way, and ``nrzi_encode``, ``mlt3_encode`` and ``spm.map_fddi``
+read such bytes without a per-bit step. Lists and tuples are built only
+where a public type needs them: ``LineSignal.levels`` and the lists that
+``scrambler`` and ``spm`` return. Bits print as '0'/'1' digits
+(``bits_to_text``; ``bits_from_text`` reads them back as a list) and
+pack 8 to a byte (``pack_bits``). Line signals run at
+FDDI_CODE_BIT_RATE_BPS: two-level ones use 0 = low, 1 = high; three-level
+(MLT-3) ones use -1/0/+1 and print as '-', '0', '+' (``mlt3_to_text``).
 
 No code loops per bit: bits are read as one int x, first bit most
 significant. NRZI levels are the prefix XOR of x, ceil(log2 n) steps of
 ``x ^= x >> s`` (Warren, *Hacker's Delight*, ch. 5). MLT-3's phase, the
 count of ones mod 4, has that parity p as its low bit and the prefix XOR
-of ``x & (p >> 1)`` as its high bit. 4b/5b is one dict lookup per symbol.
+of ``x & (p >> 1)`` as its high bit. 4b/5b is one dict lookup per symbol,
+and the 5-bit split reads bit i of every symbol as one strided slice.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import re
+import struct
 from operator import attrgetter, ne
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from . import InputError, number
+from . import InputError, number, read_input
 
 FDDI_DATA_RATE_BPS = 100_000_000
 FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
@@ -33,17 +40,27 @@ FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 SYMBOL_BITS = 5
 NIBBLE_BITS = 4
 
-BAD_TABLE = "bad-table"   # InputError tag of a malformed code table
+BAD_TABLE = "bad-table"          # InputError tag of a malformed code table
+BAD_SYMBOL = "bad-input-symbol"  # InputError tag of a digit outside its alphabet
 
 _DIGITS = b"0" + b"1" * 255                        # bit value -> digit; non-zero is 1
+_ONES = b"\0" + b"\1" * 255                        # bit value -> 0/1; non-zero is 1
 _VALUES = bytes.maketrans(b"01", b"\x00\x01")     # digit -> bit value
+_HEX = "0123456789abcdefABCDEF"
+_HEX_VALUES = bytes.maketrans(_HEX.encode(), bytes(range(16)) + bytes(range(10, 16)))
+_HEX_TEXT = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")   # nibble -> digit
+
+
+def _bytes(bits: Iterable[int]) -> bytearray:
+    """The bits as given, one byte each (one outside [0, 255] is a ValueError)."""
+    if isinstance(bits, int):   # bytearray(n) would read it as n zero bits
+        raise TypeError(f"need an iterable of bits, got the int {bits!r}")
+    return bytearray(bits)
 
 
 def bits_to_text(bits: Iterable[int]) -> str:
     """Bits as '0'/'1' text, one digit per bit (any non-zero bit reads as 1)."""
-    if isinstance(bits, int):   # bytearray(n) would read it as n zero bits
-        raise TypeError(f"need an iterable of bits, got the int {bits!r}")
-    return bytearray(bits).translate(_DIGITS).decode("ascii")
+    return _bytes(bits).translate(_DIGITS).decode("ascii")
 
 
 def bits_from_text(text: str) -> list[int]:
@@ -51,25 +68,53 @@ def bits_from_text(text: str) -> list[int]:
     return list(text.encode("ascii").translate(_VALUES))
 
 
+def _read_digits(path: str, alphabet: str, values: bytes) -> bytes:
+    """The digits of a text file, whitespace ignored, through ``values``."""
+    digits = "".join(read_input(path, BAD_SYMBOL).split()).encode()
+    if digits.translate(None, alphabet.encode()):
+        bad = set(digits.decode()) - set(alphabet)
+        raise InputError(f"{sorted(bad)} not in {alphabet!r}", BAD_SYMBOL)
+    return digits.translate(values)
+
+
+def read_bits(path: str) -> bytes:
+    """A file of '0'/'1' digits, whitespace ignored, as 0/1 bytes; any other
+    character is an InputError."""
+    return _read_digits(path, "01", _VALUES)
+
+
+def read_nibbles(path: str) -> bytes:
+    """A file of hex digits, either case, whitespace ignored, as one nibble
+    value per byte; any other character is an InputError."""
+    return _read_digits(path, _HEX, _HEX_VALUES)
+
+
+def nibbles_to_text(nibbles: Iterable[int]) -> str:
+    """Nibbles as upper-case hex digits, one per nibble."""
+    return _bytes(nibbles).translate(_HEX_TEXT).decode("ascii")
+
+
 def _word(bits: Iterable[int]) -> tuple[int, int]:
     """The bits as one int, first bit most significant, and their count."""
-    text = bits_to_text(bits)
-    return int(text or "0", 2), len(text)
+    digits = _bytes(bits).translate(_DIGITS)
+    return int(digits or b"0", 2), len(digits)
 
 
 def _unword(word: int, n: int) -> bytes:
-    """The n low bits of ``word`` as 0/1 bytes, most significant first."""
-    return format(word | 1 << n, "b")[1:].encode("ascii").translate(_VALUES)
+    """``word``, below 2**n, as n 0/1 bytes, most significant first."""
+    return format(word, f"0{n}b").encode("ascii").translate(_VALUES) if n else b""
 
 
 def bit_bytes(bits: Iterable[int]) -> bytes:
     """The bits as one 0/1 byte each (any non-zero bit reads as 1)."""
-    return bits_to_text(bits).encode("ascii").translate(_VALUES)
+    return bytes(_bytes(bits).translate(_ONES))
 
 
 def pack_bits(bits: Iterable[int]) -> bytes:
     """The bits, a multiple of 8 of them, packed eight to a byte."""
     word, n = _word(bits)
+    if n % 8:
+        raise ValueError(f"bit count {n} not a multiple of 8")
     return word.to_bytes(n // 8, "big")
 
 
@@ -235,11 +280,23 @@ def symbols_to_bits(symbols: Iterable[Symbol4b5b]) -> list[int]:
     return bits_from_text("".join(map(attrgetter("code"), symbols)))
 
 
-def bits_to_patterns(bits: Sequence[int]) -> Iterator[str]:
-    """Regroup a code-bit stream into 5-bit patterns (length must divide)."""
-    if len(bits) % SYMBOL_BITS:
-        raise ValueError(f"bit count {len(bits)} not a multiple of {SYMBOL_BITS}")
-    yield from re.findall("." * SYMBOL_BITS, bits_to_text(bits))
+_PATTERNS = tuple(format(v, "05b") for v in range(1 << SYMBOL_BITS))   # value -> pattern
+
+
+def bits_to_patterns(bits: Iterable[int]) -> list[str]:
+    """Regroup a code-bit stream into 5-bit patterns (length must divide).
+
+    Bit i of every symbol is the strided slice ``ones[i::5]``, one byte per
+    symbol, so five shift-ORs give every symbol's value in its own byte.
+    """
+    ones = _bytes(bits).translate(_ONES)
+    count, extra = divmod(len(ones), SYMBOL_BITS)
+    if extra:
+        raise ValueError(f"bit count {len(ones)} not a multiple of {SYMBOL_BITS}")
+    values = 0
+    for i in range(SYMBOL_BITS):   # each byte stays below 32: no carry between them
+        values = values << 1 | int.from_bytes(ones[i::SYMBOL_BITS], "big")
+    return [_PATTERNS[v] for v in values.to_bytes(count, "big")]
 
 
 def encoded_bit_rate(data_rate_bps: float) -> float:
@@ -253,13 +310,14 @@ def nrzi_encode(bits: Iterable[int], initial_level: str = "low") -> LineSignal:
         raise ValueError(f"initial_level must be 'low' or 'high', got {initial_level!r}")
     word, n = _word(bits)
     levels = _prefix_parity(word, n) ^ ((1 << n) - 1 if initial_level == "high" else 0)
-    return LineSignal(levels=tuple(_unword(levels, n)))
+    return LineSignal(levels=struct.unpack(f"{n}B", _unword(levels, n)))
 
 
 # MLT-3 cycles through these levels; a 1 bit advances, a 0 bit holds.
 # Direct +1 <-> -1 jumps are impossible by construction.
 MLT3_CYCLE = (0, 1, 0, -1)
 _MLT3_LEVELS = bytes(lv & 0xFF for lv in MLT3_CYCLE).ljust(256, b"\0")  # phase -> level
+_MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
 
 
 def mlt3_encode(bits: Iterable[int]) -> LineSignal:
@@ -269,8 +327,12 @@ def mlt3_encode(bits: Iterable[int]) -> LineSignal:
     high = _prefix_parity(word & odd >> 1, n)    # phase bit 1
     phase = (int.from_bytes(_unword(odd, n), "big")      # one byte per bit
              | int.from_bytes(_unword(high, n), "big") << 1).to_bytes(n, "big")
-    levels = memoryview(phase.translate(_MLT3_LEVELS)).cast("b")
-    return LineSignal(levels=tuple(levels))
+    return LineSignal(levels=struct.unpack(f"{n}b", phase.translate(_MLT3_LEVELS)))
+
+
+def mlt3_to_text(levels: Sequence[int]) -> str:
+    """MLT-3 levels as text: '-', '0' and '+' for -1, 0 and +1."""
+    return struct.pack(f"{len(levels)}b", *levels).translate(_MLT3_GLYPHS).decode("ascii")
 
 
 def transition_count(signal: LineSignal, initial_level: int = 0) -> int:

@@ -28,7 +28,7 @@ sequences here are plain 0/1 bit streams in transmission order.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import InputError
 from .phy_codec import BAD_TABLE, CodeTable, bits_to_text
@@ -85,11 +85,16 @@ _PERIOD_BYTES, _REGISTERS = _walk_period()
 _PHASE = {regs: phase for phase, regs in enumerate(_REGISTERS)}
 
 
+def _key(phase: int, n: int) -> bytes:
+    """The n output bits from ``phase``, one byte each, cut from repeated periods."""
+    return (_PERIOD_BYTES * ((phase + n) // PERIOD + 1))[phase:phase + n]
+
+
 def keystream(n: int, state: ScramblerState | None = None) -> list[int]:
     """The next n scrambler output bits (from seed if no state given)."""
     if n < 0:
         raise ValueError(f"keystream length {n} is negative")
-    return scramble_with_state(bytes(n), state or seed())[0]
+    return list(_key(_PHASE[tuple((state or seed()).registers)], n))
 
 
 def sequence_127() -> list[int]:
@@ -97,7 +102,7 @@ def sequence_127() -> list[int]:
     return keystream(PERIOD)
 
 
-def scramble(data: Sequence[int], state: ScramblerState | None = None,
+def scramble(data: Iterable[int], state: ScramblerState | None = None,
              exempt: Iterable[int] = ()) -> list[int]:
     """XOR the frame-synchronous keystream onto data bits.
 
@@ -110,7 +115,7 @@ def scramble(data: Sequence[int], state: ScramblerState | None = None,
     return scramble_with_state(data, state or seed(), exempt)[0]
 
 
-def scramble_with_state(data: Sequence[int], state: ScramblerState,
+def scramble_with_state(data: Iterable[int], state: ScramblerState,
                         exempt: Iterable[int] = ()) -> tuple[list[int], ScramblerState]:
     """Scramble continuing from ``state``; returns the end state as well.
 
@@ -118,10 +123,12 @@ def scramble_with_state(data: Sequence[int], state: ScramblerState,
     and XORed onto the data bytes as one int (an element outside [0, 255] is
     a ValueError); ``next_bit`` stays the bit-by-bit reference.
     """
+    if isinstance(data, int):   # bytearray(n) would read it as n zero bits
+        raise TypeError(f"need an iterable of bits, got the int {data!r}")
+    data = bytearray(data)
     n = len(data)
     phase = _PHASE[tuple(state.registers)]
-    key = (_PERIOD_BYTES * ((phase + n) // PERIOD + 1))[phase:phase + n]
-    word = int.from_bytes(bytearray(data), "big") ^ int.from_bytes(key, "big")
+    word = int.from_bytes(data, "big") ^ int.from_bytes(_key(phase, n), "big")
     out = list(word.to_bytes(n, "big"))
     for i in exempt:
         if 0 <= i < n:

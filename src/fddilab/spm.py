@@ -17,7 +17,7 @@ import functools
 import re
 import struct
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import InputError
 from .phy_codec import bit_bytes, pack_bits, unpack_bits
@@ -196,7 +196,7 @@ class SpeFrame(NamedTuple):
     user_bits_filled: int
 
 
-def map_fddi(code_bits: Sequence[int], layout: SpeLayout | None = None) -> list[SpeFrame]:
+def map_fddi(code_bits: Iterable[int], layout: SpeLayout | None = None) -> list[SpeFrame]:
     """Pack a 4b/5b code-bit stream into SPE frames, MSB-first per byte.
 
     Overhead and fixed-stuff positions carry the fixed fill; unfilled

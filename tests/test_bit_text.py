@@ -2,10 +2,10 @@
 packed bytes; and the packaged tables read once."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fddilab import link_planner, phy_codec, spm
+from fddilab import link_planner, phy_codec, scrambler, spm
 
 
 @given(st.lists(st.integers(0, 1), max_size=300))
@@ -23,11 +23,51 @@ def test_any_non_zero_bit_reads_as_one():
     assert phy_codec.bits_to_text(b"") == ""
     assert phy_codec.bit_bytes([0, 1, 2, 255, 0]) == b"\0\1\1\1\0"
     assert phy_codec.pack_bits([1, 0, 0, 0, 0, 0, 2, 1, 0] + [0] * 7) == b"\x83\0"
+    assert phy_codec.bits_to_patterns([0, 2, 255, 1, 0, 3, 0, 0, 0, 9]) == ["01110", "10001"]
+
+
+def test_pack_bits_refuses_a_count_that_is_not_whole_bytes():
+    for bits, count in (([0] * 8 + [1], 9), ([1, 0, 1], 3)):
+        with pytest.raises(ValueError, match=f"bit count {count} not a multiple of 8"):
+            phy_codec.pack_bits(bits)
+
+
+# one bit sequence through each function that takes bits
+BIT_FUNCTIONS = {
+    "bits_to_text": phy_codec.bits_to_text,
+    "bit_bytes": phy_codec.bit_bytes,
+    "pack_bits": phy_codec.pack_bits,
+    "nrzi_low": phy_codec.nrzi_encode,
+    "nrzi_high": lambda bits: phy_codec.nrzi_encode(bits, initial_level="high"),
+    "mlt3": phy_codec.mlt3_encode,
+    "map_fddi": spm.map_fddi,
+    "scramble": scrambler.scramble,
+    "bits_to_patterns": phy_codec.bits_to_patterns,
+}
+
+
+def _outcome(fn, bits):
+    try:
+        return fn(bits)
+    except ValueError as exc:   # a length pack_bits or bits_to_patterns refuses
+        return str(exc)
+
+
+@given(st.lists(st.integers(0, 1), max_size=120))
+@example([])
+@example([1, 0, 1, 1, 0, 0, 1, 0, 1, 1])
+@example([0, 1] * 20)
+def test_every_bit_form_gives_the_same_result(bits):
+    for name, fn in BIT_FUNCTIONS.items():
+        want = _outcome(fn, bits)   # the list
+        for form in (tuple, bytes, bytearray, iter):
+            assert _outcome(fn, form(bits)) == want, (name, form.__name__)
 
 
 @pytest.mark.parametrize("fn", [phy_codec.bits_to_text, phy_codec.nrzi_encode,
                                 phy_codec.mlt3_encode, spm.map_fddi,
-                                phy_codec.bit_bytes, phy_codec.pack_bits])
+                                phy_codec.bit_bytes, phy_codec.pack_bits,
+                                phy_codec.bits_to_patterns, scrambler.scramble])
 @pytest.mark.parametrize("n", [0, 5, True])
 def test_an_int_is_no_bit_sequence(fn, n):
     with pytest.raises(TypeError):

@@ -190,6 +190,23 @@ def test_sonet_map_round_trip(tmp_path, capsys):
     assert "spe_bandwidth_recomputed,150.336,Mbps,computed" in err
 
 
+def test_sonet_map_reports_a_round_trip_mismatch(tmp_path, capsys, monkeypatch):
+    from fddilab import spm
+    extract = spm.extract_fddi
+
+    def flip_first(frames, layout=None):
+        bits = extract(frames, layout)
+        bits[0] ^= 1
+        return bits
+
+    monkeypatch.setattr(spm, "extract_fddi", flip_first)
+    infile = tmp_path / "in.txt"
+    infile.write_text("0110\n1\n")
+    code, out, err = run(["sonet-map", "--in", str(infile)], capsys)
+    assert (code, out) == (1, "11101\n")
+    assert err == "error: roundtrip-mismatch: extracted bits differ from input\n"
+
+
 def test_simulate_reports_metrics(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

@@ -1,6 +1,7 @@
 """Each shared name has one home: no fddilab module imports another's
 private (``_``-prefixed) names. What two modules share is public.
-Files are written in one place, ``cli._write``. And a record is a
+The bit format's translate tables live in ``phy_codec``: ``cli`` makes
+none. Files are written in one place, ``cli._write``. And a record is a
 ``typing.NamedTuple``: no module imports ``dataclasses``, whose import
 alone costs more than most commands' work."""
 
@@ -32,6 +33,25 @@ def test_the_check_sees_a_private_import(tmp_path):
     module.write_text("from .mac_sim import _us\nfrom fddilab.spm import _x, ok\n"
                       "from . import __version__\nfrom os import _exit\n")
     assert _private_imports(module) == ["mod.py:1 imports _us", "mod.py:2 imports _x"]
+
+
+def _translate_tables(path: Path) -> list[str]:
+    """Calls of ``maketrans``, on any object."""
+    return [f"{path.name}:{node.lineno} calls maketrans"
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "maketrans"]
+
+
+def test_cli_makes_no_translate_table():
+    assert _translate_tables(SRC / "cli.py") == []
+
+
+def test_the_check_sees_a_translate_table(tmp_path):
+    module = tmp_path / "cli.py"
+    module.write_text("T = bytes.maketrans(b'01', b'ab')\n"
+                      "def f(s):\n    return s.translate(str.maketrans('0', '1'))\n")
+    assert _translate_tables(module) == ["cli.py:1 calls maketrans", "cli.py:3 calls maketrans"]
 
 
 def _file_writes(path: Path) -> list[str]:
