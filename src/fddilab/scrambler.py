@@ -15,11 +15,11 @@ models are computed:
   on the wire, where a user's symbol boundaries need not align with the
   window, and is the primary model reported.
 
-Both come from one pass per polarity around the 127-cycle: gcd(5, 127)
-= 1, so p -> p+5 visits every phase, and walked backwards from a window
-that is no symbol it counts the whole symbols chained from each phase.
-A window is then a leading fragment, that chain and a trailing fragment,
-whose lengths are read from 32-entry tables of the symbols' pieces. A
+Both come from one backward walk per polarity around the 127-cycle
+(gcd(5, 127) = 1, so p -> p+5 visits every phase). Each phase's reach is
+the next one's plus 5 if its window is a symbol, else the head (at most 4
+bits) the window begins. A window with fragments is the longest end of a
+symbol that the window before a phase ends, then that phase's reach. A
 table of all 32 patterns covers the sequence without end: refused.
 
 Bit-transmission order within bytes is most-significant-bit first; all
@@ -28,6 +28,7 @@ sequences here are plain 0/1 bit streams in transmission order.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, NamedTuple
 
 from . import InputError
@@ -36,6 +37,9 @@ from .phy_codec import BAD_TABLE, CodeTable, bits_to_text
 STAGES = 7
 PERIOD = 127  # 2**7 - 1: the polynomial is primitive
 SEED_BITS = (1, 1, 1, 1, 1, 1, 1)
+# The scrambler restarts at each frame, so no frame takes more keystream than
+# an STS-192 frame has bits (192 x 6480); a longer one is refused unbuilt.
+MAX_KEYSTREAM_BITS = 192 * 6480
 
 
 class _ScramblerState(NamedTuple):
@@ -94,6 +98,9 @@ def keystream(n: int, state: ScramblerState | None = None) -> list[int]:
     """The next n scrambler output bits (from seed if no state given)."""
     if n < 0:
         raise ValueError(f"keystream length {n} is negative")
+    if n > MAX_KEYSTREAM_BITS:
+        raise InputError(f"keystream length {n} is over {MAX_KEYSTREAM_BITS} bits, "
+                         "one STS-192 frame", "too-many-bits")
     return list(_key(_PHASE[tuple((state or seed()).registers)], n))
 
 
@@ -160,55 +167,52 @@ class MatchReport(NamedTuple):
     symbol_count: int
 
 
-def _heads(pieces: set[str]) -> list[int]:
-    """Per 5-bit pattern, its longest head in ``pieces`` (prefix-closed): a
-    k-bit piece heads 2**(5-k) patterns, and longer pieces write last."""
-    heads = [0] * 32
-    for piece in sorted(pieces, key=len):
-        n = 1 << 5 - len(piece)
-        heads[int(piece, 2) * n:(int(piece, 2) + 1) * n] = [len(piece)] * n
-    return heads
+# Per polarity, its text and its 127 five-bit windows in the order the walk
+# p -> p+5 visits them: step q reads bits 5q..5q+4 (mod 127) of the cycle.
+_SEQUENCE = bits_to_text(_PERIOD_BYTES)
+_POLARITIES = [(name, text, [int((text * 2)[5 * q % PERIOD:][:5], 2) for q in range(PERIOD)])
+               for name, text in (("sequence", _SEQUENCE),
+                                  ("complement", _SEQUENCE.translate(str.maketrans("01", "10"))))]
 
 
 def longest_valid_match(table: CodeTable) -> MatchReport:
     """Longest window per model (method in the module docstring); ties go
     to the first window in (polarity, offset, alignment) order."""
-    codes = {s.code for s in table.symbols}
+    codes = {int(s.code, 2) for s in table.symbols}
     if len(codes) == 32:
         raise InputError("all 32 patterns are symbols: the cover is unbounded", BAD_TABLE)
-    # lead[a][w]: first bits of 5-bit window w that continue a symbol from its bit a
-    lead = [_heads({c[a:a + k] for c in codes for k in range(1, 6 - a)}) for a in range(5)]
-    trail = [min(k, 4) for k in lead[0]]   # a trailing fragment is shorter than a symbol
-    seq = bits_to_text(_PERIOD_BYTES)
-    word = int(seq + seq[:4], 2)   # the window at p is bits p..p+4 of the cycle
-    whole, frag = [], []   # window lengths in scan order
-    for flip in (0, 31):
-        win = [(word >> PERIOD - 1 - p & 31) ^ flip for p in range(PERIOD)]
-        valid = [lead[0][w] == 5 for w in win]
-        # symbols chained from each phase p, walking p -> p+5 (one cycle
-        # through all 127 phases) backwards from an invalid window
-        chain, p = [0] * PERIOD, valid.index(False)
-        for _ in range(PERIOD - 1):
-            p, q = (p - 5) % PERIOD, p
-            chain[p] = chain[q] + 1 if valid[p] else 0
-        whole += [5 * n for n in chain]
-        # whole symbols from p, then the trailing fragment
-        tail = [5 * n + trail[win[(p + 5 * n) % PERIOD]] for p, n in enumerate(chain)]
-        # at alignment a, a lead of 5-a bits is followed by the tail after it
-        by_align = [tail] + [[k if k < 5 - a else k + tail[(p + k) % PERIOD]
-                              for p, k in enumerate(map(lead[a].__getitem__, win))]
-                             for a in range(1, 5)]
-        frag += [n for lengths in zip(*by_align) for n in lengths]
-    texts = (("sequence", seq), ("complement", seq.translate(str.maketrans("01", "10"))))
+    # heads[w] / ends[w]: the most first / last bits of pattern w that begin /
+    # end a symbol (5: w is one); each k-bit table extends the (k-1)-bit one
+    heads, ends = [0], [0]
+    for k in range(1, 6):
+        firsts, lasts = {c >> 5 - k for c in codes}, {c & (1 << k) - 1 for c in codes}
+        heads = [k if v in firsts else heads[v >> 1] for v in range(1 << k)]
+        ends = [k if v in lasts else e for v, e in enumerate(ends * 2)]
+    # per step, sequence then complement: its front (the step before's end), lengths
+    fronts, frag, whole = [], [], []
+    for _, _, walk in _POLARITIES:
+        steps = list(map(heads.__getitem__, walk))
+        # reach[q]: whole symbols from step q on, then a trailing fragment (a head
+        # shorter than a symbol), walked back from a step that is no symbol
+        reach, first, n = [0] * PERIOD, steps.index(min(steps)), 0
+        for q in range(first, first - PERIOD, -1):   # a negative q wraps round
+            n = n + 5 if steps[q] == 5 else steps[q]
+            reach[q] = n
+        fronts += map(ends.__getitem__, walk[-1:] + walk[:-1])
+        frag += map(add, fronts[-PERIOD:], reach)
+        whole += [n - n % 5 for n in reach]
     names = {s.code: s.meaning for s in table.symbols}
     best = []
-    for model, lengths, aligns in (("with_fragments", frag, 5), ("whole_symbol", whole, 1)):
+    for model, lengths, front in (("with_fragments", frag, fronts),
+                                  ("whole_symbol", whole, [0] * len(whole))):
         length = max(lengths)
-        window, align = divmod(lengths.index(length), aligns)
-        (polarity, text), start = texts[window // PERIOD], window % PERIOD
+        # step q is at phase 5q; a front of b bits starts b bits earlier, at alignment 5 - b
+        window, start, align = min((q // PERIOD, (5 * q - b) % PERIOD, -b % 5) for q, (b, n)
+                                   in enumerate(zip(front, lengths)) if n == length)
+        polarity, text = _POLARITIES[window][:2]
         text *= (start + length) // PERIOD + 1
         end = start + length
-        i = start + (min(length, 5 - align) if align else 0)   # after the lead
+        i = start + (5 - align) % 5                             # after the front
         j = i + (end - i) // 5 * 5                              # after the symbols
         best.append(MatchResult(
             model=model, length_bits=length, offset=start, polarity=polarity,

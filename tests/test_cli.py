@@ -149,6 +149,19 @@ def test_scrambler_dump_negative_bits_is_usage_error(capsys):
     assert (code, out) == (0, "\n")
 
 
+def test_scrambler_dump_refuses_more_keystream_than_a_frame(capsys):
+    """One STS-192 frame of keystream is the most a dump gives. A longer one
+    is refused before any of it is built: 10**18 bits would not fit in
+    memory, and 10**20 overflows the count of periods to repeat."""
+    code, out, _ = run(["scrambler", "dump", "--bits", "1244160"], capsys)
+    assert (code, len(out)) == (0, 1244160 + 1)
+    for bits in (10**18, 10**20):
+        code, out, err = run(["scrambler", "dump", "--bits", str(bits)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: too-many-bits: keystream length {bits} is over 1244160 bits, "
+                       "one STS-192 frame\n")
+
+
 def test_scrambler_analyze_reports_both_models(capsys):
     code, out, _ = run(["scrambler", "analyze"], capsys)
     assert code == 0

@@ -840,6 +840,15 @@ def test_match_equals_window_search_on_random_tables(codes):
     check_match(control_table(codes))
 
 
+@settings(max_examples=200, deadline=None)
+@given(codes=st.permutations(CODES).flatmap(lambda p: st.integers(16, 32).map(lambda k: p[:k])))
+def test_match_equals_window_search_on_random_data_tables(codes):
+    """Data symbols 0-F at 16 random distinct codes, then random control
+    symbols: the witness names data and control symbols alike."""
+    data = [Symbol4b5b(code=c, kind="data", meaning=f"{i:X}") for i, c in enumerate(codes[:16])]
+    check_match(CodeTable([*data, *control_table(codes[16:]).symbols], version="random"))
+
+
 # --- FDDI-II byte runs against the per-byte first-fit allocator ---------------
 
 def ref_allocate(wbc_modes, channel_requests):

@@ -42,13 +42,19 @@ print(repr((startup, sorted(watched & (set(sys.modules) - before)), code)))
 """
 
 
-def _fresh_run(*argv) -> tuple[list[str], list[str], int]:
-    """(watched modules loaded at start-up, those loaded by the end of
-    the run, the exit code) of one fresh ``python -I -S`` process."""
+def _fresh_process(*argv) -> tuple[str, tuple[list[str], list[str], int]]:
+    """The run's stdout and (watched modules loaded at start-up, those
+    loaded by the end of the run, the exit code) of one fresh
+    ``python -I -S`` process."""
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", STARTUP, str(SRC),
                            ",".join(sorted(WATCHED)), *argv],
                           capture_output=True, text=True, timeout=60, check=True)
-    return ast.literal_eval(proc.stdout.splitlines()[-1])
+    *out, last = proc.stdout.splitlines(keepends=True)
+    return "".join(out), ast.literal_eval(last)
+
+
+def _fresh_run(*argv) -> tuple[list[str], list[str], int]:
+    return _fresh_process(*argv)[1]
 
 
 def test_the_cli_and_its_tables_load_no_dataclasses_inspect_or_hashlib(tmp_path):
@@ -64,6 +70,14 @@ def test_scrambler_dump_loads_only_the_scrambler(tmp_path):
     out = tmp_path / "out"
     assert _fresh_run("scrambler", "dump", "--out", str(out)) == ([], ["fddilab.scrambler"], 0)
     assert out.read_bytes() == (GOLDEN / "cli" / "dump_out.out").read_bytes()
+
+
+def test_scrambler_analyze_loads_only_the_scrambler():
+    """The analyzer's walk windows are built as the scrambler loads, from
+    nothing heavier than the scrambler itself."""
+    stdout, result = _fresh_process("scrambler", "analyze")
+    assert result == ([], ["fddilab.scrambler"], 0)
+    assert stdout == (GOLDEN / "cli" / "analyze.stdout").read_text()
 
 
 def test_simulate_runs_in_a_fresh_process(tmp_path):
