@@ -22,7 +22,6 @@ import os
 import re
 import stat
 import sys
-from operator import attrgetter
 
 from . import InputError, __version__, link_planner, phy_codec, read_input
 from .phy_codec import bits_to_text
@@ -181,18 +180,14 @@ def cmd_codec(args) -> tuple[str, InputError | None]:
         bits = phy_codec.read_bits(args.infile)
         if len(bits) % 5:
             raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
-        nibbles = phy_codec.decode_4b5b(phy_codec.bits_to_patterns(bits))
-        text = phy_codec.nibbles_to_text(nibbles)
+        text = phy_codec.nibbles_to_text(phy_codec.decode_nibbles(bits))
     elif args.scheme == "4b5b":
-        symbols = phy_codec.encode_4b5b(phy_codec.read_nibbles(args.infile))
-        text = "".join(map(attrgetter("code"), symbols))
+        text = bits_to_text(phy_codec.encode_bits(phy_codec.read_nibbles(args.infile)))
     elif args.scheme == "nrzi":
-        signal = phy_codec.nrzi_encode(phy_codec.read_bits(args.infile),
-                                       initial_level=args.initial_level)
-        text = bits_to_text(signal.levels)
+        levels = phy_codec.nrzi_levels(phy_codec.read_bits(args.infile), args.initial_level)
+        text = bits_to_text(levels)
     else:
-        signal = phy_codec.mlt3_encode(phy_codec.read_bits(args.infile))
-        text = phy_codec.mlt3_to_text(signal.levels)
+        text = phy_codec.phases_to_text(phy_codec.mlt3_phases(phy_codec.read_bits(args.infile)))
     return text + "\n", None
 
 

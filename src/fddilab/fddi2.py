@@ -59,9 +59,9 @@ def voice_channels_per_wbc() -> int:
     return wbc_bandwidth_kbps() // VOICE_CHANNEL_KBPS
 
 
-def bytes_per_cycle_to_kbps(n_bytes: int) -> Fraction:
-    """n owned bytes per cycle = n * 8 bits / 125 us, in kbps."""
-    return Fraction(n_bytes * 8 * 1000, CYCLE_US)
+def bytes_per_cycle_to_kbps(n_bytes: int) -> int:
+    """n owned bytes per cycle = n * 8 bits / 125 us, in kbps: exactly 64 per byte."""
+    return n_bytes * 8 * 1000 // CYCLE_US
 
 
 class StationKind(NamedTuple):

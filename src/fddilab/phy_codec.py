@@ -5,23 +5,24 @@ file (``data/4b5b_table.txt``) so the codec logic stays table-driven. All
 operations are pure functions over immutable values.
 
 Bit conventions: a function takes bits as any iterable of 0/1 ints: a
-list, a tuple, an iterator, or bytes of one bit each. In memory the line
-path keeps them as 0/1 bytes: ``read_bits`` reads a file of '0'/'1'
-digits that way, and ``nrzi_encode``, ``mlt3_encode`` and ``spm.map_fddi``
-read such bytes without a per-bit step. Lists and tuples are built only
-where a public type needs them: ``LineSignal.levels`` and the lists that
-``scrambler`` and ``spm`` return. Bits print as '0'/'1' digits
-(``bits_to_text``; ``bits_from_text`` reads them back as a list) and
-pack 8 to a byte (``pack_bits``). Line signals run at
-FDDI_CODE_BIT_RATE_BPS: two-level ones use 0 = low, 1 = high; three-level
-(MLT-3) ones use -1/0/+1 and print as '-', '0', '+' (``mlt3_to_text``).
+list, a tuple, an iterator, or bytes of one bit each. The line path keeps
+them as 0/1 bytes from ``read_bits`` on. Each code has one kernel from
+bytes to bytes, ``encode_bits``, ``decode_nibbles``, ``nrzi_levels`` and
+``mlt3_phases``, and the CLI renders its text from them; ``encode_4b5b``,
+``decode_4b5b``, ``nrzi_encode`` and ``mlt3_encode`` wrap them for their
+public types. Bits print as '0'/'1' digits (``bits_to_text``;
+``bits_from_text`` reads them back as a list) and pack 8 to a byte
+(``pack_bits``). Line signals run at FDDI_CODE_BIT_RATE_BPS: two-level
+ones use 0 = low, 1 = high; three-level (MLT-3) ones use -1/0/+1 and
+print as '-', '0', '+' (``phases_to_text``).
 
 No code loops per bit: bits are read as one int x, first bit most
 significant. NRZI levels are the prefix XOR of x, ceil(log2 n) steps of
 ``x ^= x >> s`` (Warren, *Hacker's Delight*, ch. 5). MLT-3's phase, the
 count of ones mod 4, has that parity p as its low bit and the prefix XOR
-of ``x & (p >> 1)`` as its high bit. 4b/5b is one dict lookup per symbol,
-and the 5-bit split reads bit i of every symbol as one strided slice.
+of ``x & (p >> 1)`` as its high bit. Nor per symbol: 4b/5b translates
+5-bit values, one byte each, through the code table, and bit i of every
+symbol is one strided slice.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+from itertools import repeat
 from operator import attrgetter, ne
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,6 +51,9 @@ _VALUES = bytes.maketrans(b"01", b"\x00\x01")     # digit -> bit value
 _HEX = "0123456789abcdefABCDEF"
 _HEX_VALUES = bytes.maketrans(_HEX.encode(), bytes(range(16)) + bytes(range(10, 16)))
 _HEX_TEXT = bytes.maketrans(bytes(range(16)), b"0123456789ABCDEF")   # nibble -> digit
+_NONE = 0xFF                                       # code-table translate: no such symbol
+# 5-bit value -> its bit i, first bit 0: one table per bit, built by repeats
+_COLUMNS = tuple((b"\0" * (16 >> i) + b"\1" * (16 >> i)) * (8 << i) for i in range(SYMBOL_BITS))
 
 
 def _bytes(bits: Iterable[int]) -> bytearray:
@@ -184,7 +189,8 @@ class CodeTable:
         self.version = version
         self.by_code: dict[str, Symbol4b5b] = {}
         self.by_nibble: dict[int, Symbol4b5b] = {}
-        self.nibble_of: dict[str | Symbol4b5b, int] = {}  # data symbol or code
+        # translate tables: nibble -> code value, code value -> nibble; _NONE: no such symbol
+        self.code_values, self.nibble_values = bytearray([_NONE] * 256), bytearray([_NONE] * 256)
         for sym in self.symbols:
             if len(sym.code) != SYMBOL_BITS or set(sym.code) - {"0", "1"}:
                 raise InputError(f"malformed code pattern {sym.code!r}", BAD_TABLE)
@@ -194,13 +200,15 @@ class CodeTable:
             if sym.kind == "data":
                 value = number(sym.meaning, lambda m: int(m, 16),
                                f"data symbol {sym.code}", BAD_TABLE)
+                if not 0 <= value <= 15:
+                    raise InputError(f"data value {sym.meaning} not one hex digit", BAD_TABLE)
                 if value in self.by_nibble:
                     raise InputError(f"data value {value:x} mapped twice", BAD_TABLE)
                 self.by_nibble[value] = sym
-                self.nibble_of[sym] = self.nibble_of[sym.code] = value
+                self.code_values[value] = code = int(sym.code, 2)
+                self.nibble_values[code] = value
         if self.by_nibble and len(self.by_nibble) != 16:
-            raise InputError(f"expected 16 data symbols, got {len(self.by_nibble)}",
-                             BAD_TABLE)
+            raise InputError(f"expected 16 data symbols, got {len(self.by_nibble)}", BAD_TABLE)
 
     @property
     def data_symbols(self) -> tuple[Symbol4b5b, ...]:
@@ -240,39 +248,58 @@ def default_code_table() -> CodeTable:
         return parse_code_table(fh.read())
 
 
+def encode_bits(nibbles: bytes, table: CodeTable | None = None) -> bytes:
+    """4b/5b-encode nibble values, one byte each (as read_nibbles gives
+    them), into code bits: 0/1 bytes in transmission order."""
+    codes = nibbles.translate((table or default_code_table()).code_values)
+    if _NONE in codes:   # name the first nibble out of range by its position
+        i = codes.index(_NONE)
+        raise ValueError(f"nibble {nibbles[i]} at position {i} not in [0, 15]")
+    bits = bytearray(SYMBOL_BITS * len(codes))
+    for i, column in enumerate(_COLUMNS):   # bit i of every symbol: one byte per symbol
+        bits[i::SYMBOL_BITS] = codes.translate(column)
+    return bytes(bits)
+
+
 def encode_4b5b(data: Iterable[int], table: CodeTable | None = None) -> list[Symbol4b5b]:
     """Encode a sequence of nibbles (ints in [0, 15]) into 4b/5b symbols."""
     table = table or default_code_table()
     nibbles = list(data)
     try:
-        return list(map(table.by_nibble.__getitem__, nibbles))
-    except KeyError:  # name the first nibble out of range by its position
-        for i, nibble in enumerate(nibbles):
-            if not 0 <= nibble <= 15:
-                raise ValueError(f"nibble {nibble!r} at position {i} not in [0, 15]") from None
-        raise
+        bits = encode_bits(bytes(nibbles), table)
+    except ValueError:   # name the first nibble out of range by its position
+        i, nibble = next((i, v) for i, v in enumerate(nibbles) if not 0 <= v <= 15)
+        raise ValueError(f"nibble {nibble!r} at position {i} not in [0, 15]") from None
+    return list(map(table.by_code.__getitem__, bits_to_patterns(bits)))
+
+
+def _nibbles(codes: bytes, table: CodeTable, patterns: Sequence[str] = ()) -> bytes:
+    """Each code value's nibble; the first that is no data symbol raises by position."""
+    nibbles = codes.translate(table.nibble_values)
+    if _NONE in nibbles:   # name the first miss by its position
+        i = nibbles.index(_NONE)
+        pattern = patterns[i] if patterns else _PATTERNS[codes[i]]
+        sym = table.by_code.get(pattern)
+        if sym is None:
+            raise InvalidSymbolError(i, pattern)
+        raise ControlSymbolError(i, sym.meaning)
+    return nibbles
+
+
+def decode_nibbles(bits: Iterable[int], table: CodeTable | None = None) -> bytes:
+    """Nibble values, one byte each, of code bits (length must divide by 5);
+    errors as decode_4b5b."""
+    return _nibbles(_symbol_values(bits), table or default_code_table())
 
 
 def decode_4b5b(stream: Iterable[str | Symbol4b5b],
                 table: CodeTable | None = None) -> list[int]:
-    """Decode 5-bit patterns back to nibbles.
-
-    Control symbols and unmapped patterns are never dropped silently:
-    they raise ControlSymbolError / InvalidSymbolError with the position.
-    """
-    table = table or default_code_table()
-    items = list(stream)
-    nibbles = list(map(table.nibble_of.get, items))
-    if None in nibbles:  # name the first miss by its position
-        for i, item in enumerate(items):
-            code = item.code if isinstance(item, Symbol4b5b) else item
-            sym = table.by_code.get(code)
-            if sym is None:
-                raise InvalidSymbolError(i, code)
-            if sym.kind != "data":
-                raise ControlSymbolError(i, sym.meaning)
-            nibbles[i] = sym.value
-    return nibbles
+    """Decode 5-bit patterns back to nibbles. Control symbols and unmapped
+    patterns are never dropped silently: they raise ControlSymbolError /
+    InvalidSymbolError with the position."""
+    patterns = [getattr(item, "code", item) for item in stream]
+    codes = bytes(map(_CODE_OF.get, patterns, repeat(_NONE)))
+    return list(_nibbles(codes, table or default_code_table(), patterns))
 
 
 def symbols_to_bits(symbols: Iterable[Symbol4b5b]) -> list[int]:
@@ -281,14 +308,13 @@ def symbols_to_bits(symbols: Iterable[Symbol4b5b]) -> list[int]:
 
 
 _PATTERNS = tuple(format(v, "05b") for v in range(1 << SYMBOL_BITS))   # value -> pattern
+_CODE_OF = dict(zip(_PATTERNS, range(1 << SYMBOL_BITS)))                # pattern -> value
 
 
-def bits_to_patterns(bits: Iterable[int]) -> list[str]:
-    """Regroup a code-bit stream into 5-bit patterns (length must divide).
-
-    Bit i of every symbol is the strided slice ``ones[i::5]``, one byte per
-    symbol, so five shift-ORs give every symbol's value in its own byte.
-    """
+def _symbol_values(bits: Iterable[int]) -> bytes:
+    """The 5-bit value of each symbol of a code-bit stream (length must
+    divide), one byte each. Bit i of every symbol is the strided slice
+    ``ones[i::5]``, so five shift-ORs give every value in its own byte."""
     ones = _bytes(bits).translate(_ONES)
     count, extra = divmod(len(ones), SYMBOL_BITS)
     if extra:
@@ -296,7 +322,12 @@ def bits_to_patterns(bits: Iterable[int]) -> list[str]:
     values = 0
     for i in range(SYMBOL_BITS):   # each byte stays below 32: no carry between them
         values = values << 1 | int.from_bytes(ones[i::SYMBOL_BITS], "big")
-    return [_PATTERNS[v] for v in values.to_bytes(count, "big")]
+    return values.to_bytes(count, "big")
+
+
+def bits_to_patterns(bits: Iterable[int]) -> list[str]:
+    """Regroup a code-bit stream into 5-bit patterns (length must divide)."""
+    return list(map(_PATTERNS.__getitem__, _symbol_values(bits)))
 
 
 def encoded_bit_rate(data_rate_bps: float) -> float:
@@ -304,35 +335,46 @@ def encoded_bit_rate(data_rate_bps: float) -> float:
     return data_rate_bps * SYMBOL_BITS / NIBBLE_BITS
 
 
-def nrzi_encode(bits: Iterable[int], initial_level: str = "low") -> LineSignal:
-    """NRZI: a 1 bit toggles the line level, a 0 bit holds it."""
+def nrzi_levels(bits: Iterable[int], initial_level: str = "low") -> bytes:
+    """NRZI levels, 0/1 bytes: a 1 bit toggles the line level, a 0 bit holds it."""
     if initial_level not in ("low", "high"):
         raise ValueError(f"initial_level must be 'low' or 'high', got {initial_level!r}")
     word, n = _word(bits)
-    levels = _prefix_parity(word, n) ^ ((1 << n) - 1 if initial_level == "high" else 0)
-    return LineSignal(levels=struct.unpack(f"{n}B", _unword(levels, n)))
+    return _unword(_prefix_parity(word, n) ^ ((1 << n) - 1 if initial_level == "high" else 0), n)
+
+
+def nrzi_encode(bits: Iterable[int], initial_level: str = "low") -> LineSignal:
+    """NRZI: a 1 bit toggles the line level, a 0 bit holds it."""
+    levels = nrzi_levels(bits, initial_level)
+    return LineSignal(levels=struct.unpack(f"{len(levels)}B", levels))
 
 
 # MLT-3 cycles through these levels; a 1 bit advances, a 0 bit holds.
 # Direct +1 <-> -1 jumps are impossible by construction.
 MLT3_CYCLE = (0, 1, 0, -1)
 _MLT3_LEVELS = bytes(lv & 0xFF for lv in MLT3_CYCLE).ljust(256, b"\0")  # phase -> level
-_MLT3_GLYPHS = bytes.maketrans(b"\xff\x00\x01", b"-0+")   # level as a signed byte
+_MLT3_GLYPHS = bytes.maketrans(b"\0\1\2\3", b"0+0-")                  # phase -> glyph
+
+
+def mlt3_phases(bits: Iterable[int]) -> bytes:
+    """The MLT-3 phase after each bit, one byte each: the count of ones so
+    far mod 4, whose level is MLT3_CYCLE[phase]."""
+    word, n = _word(bits)
+    odd = _prefix_parity(word, n)                # phase bit 0
+    high = _prefix_parity(word & odd >> 1, n)    # phase bit 1
+    return (int.from_bytes(_unword(odd, n), "big")      # one byte per bit
+            | int.from_bytes(_unword(high, n), "big") << 1).to_bytes(n, "big")
 
 
 def mlt3_encode(bits: Iterable[int]) -> LineSignal:
     """MLT-3 three-level code: worst-case signal frequency is half NRZI's."""
-    word, n = _word(bits)
-    odd = _prefix_parity(word, n)                # phase bit 0
-    high = _prefix_parity(word & odd >> 1, n)    # phase bit 1
-    phase = (int.from_bytes(_unword(odd, n), "big")      # one byte per bit
-             | int.from_bytes(_unword(high, n), "big") << 1).to_bytes(n, "big")
-    return LineSignal(levels=struct.unpack(f"{n}b", phase.translate(_MLT3_LEVELS)))
+    phases = mlt3_phases(bits)
+    return LineSignal(levels=struct.unpack(f"{len(phases)}b", phases.translate(_MLT3_LEVELS)))
 
 
-def mlt3_to_text(levels: Sequence[int]) -> str:
-    """MLT-3 levels as text: '-', '0' and '+' for -1, 0 and +1."""
-    return struct.pack(f"{len(levels)}b", *levels).translate(_MLT3_GLYPHS).decode("ascii")
+def phases_to_text(phases: bytes) -> str:
+    """MLT-3 phases as the text of their levels: '-', '0' and '+' for -1, 0 and +1."""
+    return phases.translate(_MLT3_GLYPHS).decode("ascii")
 
 
 def transition_count(signal: LineSignal, initial_level: int = 0) -> int:

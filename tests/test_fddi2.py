@@ -58,6 +58,7 @@ def test_cycle_byte_accounting():
 def test_bytes_per_cycle_to_kbps():
     assert bytes_per_cycle_to_kbps(2) == 128  # two owned bytes per cycle
     assert bytes_per_cycle_to_kbps(96) == 6144
+    assert type(bytes_per_cycle_to_kbps(3)) is int   # exact: 64 kbps per byte
 
 
 # --- hybrid-mode eligibility ---------------------------------------------------

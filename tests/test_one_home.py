@@ -1,5 +1,6 @@
 """Each shared name has one home: no fddilab module imports another's
-private (``_``-prefixed) names. What two modules share is public.
+private (``_``-prefixed) names, or reads one as an attribute of an
+imported module (``scrambler._key``). What two modules share is public.
 The bit format's translate tables live in ``phy_codec``: ``cli`` makes
 none. Files are written in one place, ``cli._write``. And a record is a
 ``typing.NamedTuple``: no module imports ``dataclasses``, whose import
@@ -13,15 +14,33 @@ import fddilab
 SRC = Path(fddilab.__file__).parent
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def _private_imports(path: Path) -> list[str]:
-    found = []
-    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+    """Private names imported from fddilab, and private attributes read off
+    a name that an import from fddilab binds (``spm._x``, ``fddilab.spm._x``),
+    in line order."""
+    hits, imported = [], set()
+    tree = ast.parse(path.read_text("utf-8"))
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == "fddilab"):
-            found += [f"{path.name}:{node.lineno} imports {alias.name}"
-                      for alias in node.names
-                      if alias.name.startswith("_") and not alias.name.endswith("__")]
-    return found
+            hits += [(node.lineno, f"imports {alias.name}")
+                     for alias in node.names if _private(alias.name)]
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or "fddilab" for alias in node.names
+                            if alias.name.split(".")[0] == "fddilab")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                hits.append((node.lineno, f"reads {ast.unparse(node)}"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(hits)]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -33,6 +52,17 @@ def test_the_check_sees_a_private_import(tmp_path):
     module.write_text("from .mac_sim import _us\nfrom fddilab.spm import _x, ok\n"
                       "from . import __version__\nfrom os import _exit\n")
     assert _private_imports(module) == ["mod.py:1 imports _us", "mod.py:2 imports _x"]
+
+
+def test_the_check_sees_a_private_attribute_of_a_module(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from . import scrambler\nfrom fddilab import spm as s\n"
+                      "import fddilab.mac_sim\nimport os\n"
+                      "scrambler._key(0, 5)\nx = s._frame\nfddilab.mac_sim._us(1)\n"
+                      "self._own\nos._exit\nscrambler.__name__\nscrambler.keystream\n")
+    assert _private_imports(module) == ["mod.py:5 reads scrambler._key",
+                                        "mod.py:6 reads s._frame",
+                                        "mod.py:7 reads fddilab.mac_sim._us"]
 
 
 def _translate_tables(path: Path) -> list[str]:

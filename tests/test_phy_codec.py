@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fddilab import phy_codec
+from fddilab import InputError, phy_codec
 from fddilab.phy_codec import (
     AperiodicSignalError,
     ControlSymbolError,
@@ -88,6 +88,25 @@ def test_decode_control_symbol_reported_distinctly():
 def test_parse_rejects_duplicate_pattern():
     with pytest.raises(ValueError):
         parse_code_table("11110 data 0\n11110 data 1\n")
+
+
+@pytest.mark.parametrize("meaning", ["10", "-1", "FFF"])
+def test_parse_rejects_a_data_value_that_is_no_hex_digit(meaning):
+    """Sixteen distinct data values are not enough: each must be a nibble."""
+    rows = [f"{v:05b} data {v:X}" for v in range(15)] + [f"11111 data {meaning}"]
+    with pytest.raises(InputError, match="not one hex digit") as err:
+        parse_code_table("\n".join(rows))
+    assert err.value.tag == phy_codec.BAD_TABLE
+
+
+def test_byte_kernels_name_the_first_bad_item():
+    with pytest.raises(ValueError, match="nibble 16 at position 1 "):
+        phy_codec.encode_bits(bytes([1, 16, 255]))
+    control = phy_codec.encode_bits(bytes([5])) + b"\0\0\1\1\1"    # 00111 is R
+    with pytest.raises(ControlSymbolError, match="R at symbol 1"):
+        phy_codec.decode_nibbles(control + b"\0" * 5)
+    with pytest.raises(InvalidSymbolError, match="00001 at symbol 0"):
+        phy_codec.decode_nibbles(b"\0\0\0\0\1" + control)
 
 
 def test_nrzi_all_zeros_holds_level():

@@ -9,11 +9,13 @@ window-by-window search it replaced, the FDDI-II byte runs against the
 per-byte first-fit allocator, and the report renderer against
 ``json.dumps(..., indent=2)`` and the per-cell CSV writer it replaced."""
 
+import io
 import json
 import math
 import random
 import tempfile
 from bisect import bisect_right
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fddilab import InputError, fddi2
-from fddilab.cli import CSV, JSON, _manifest_text, _write, emit_report
+from fddilab.cli import CSV, JSON, _manifest_text, _write, dispatch, emit_report
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -44,6 +46,7 @@ from fddilab.phy_codec import (
     InvalidSymbolError,
     LineSignal,
     Symbol4b5b,
+    bits_to_patterns,
     decode_4b5b,
     default_code_table,
     encode_4b5b,
@@ -656,14 +659,61 @@ def test_encode_names_the_first_nibble_out_of_range(nibbles, pos, wrong):
         encode_4b5b(data)
 
 
-def test_code_table_maps_each_data_symbol_and_its_code_to_its_nibble():
-    assert TABLE.nibble_of == {**{s: s.value for s in TABLE.data_symbols},
-                               **{s.code: s.value for s in TABLE.data_symbols}}
-
-
 def test_decode_reads_a_data_symbol_of_another_table_by_its_code():
     foreign = [Symbol4b5b(code=s.code, kind="data", meaning="F") for s in TABLE.data_symbols]
     assert decode_4b5b(foreign) == [s.value for s in TABLE.data_symbols]
+
+
+def run_codec(argv, text):
+    """``fddilab codec`` on a file holding text: (exit code, --out text or
+    None when nothing was written, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in.txt"), Path(tmp, "out.txt")
+        src.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = dispatch(["codec", *argv, "--in", str(src), "--out", str(out)])
+        return code, out.read_text() if out.exists() else None, err.getvalue()
+
+
+def rendered(render):
+    """The same run rendered through the public API."""
+    try:
+        return 0, render() + "\n", ""
+    except InputError as exc:
+        return 1, None, f"error: {exc.tag}: {exc}\n"
+
+
+def wrapped(digits, width):
+    return "\n".join(digits[i:i + width] for i in range(0, len(digits), width)) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(nibbles=st.lists(st.integers(0, 15), max_size=120),
+       bad=st.lists(st.tuples(st.integers(0, 120), st.sampled_from(CODES)), max_size=3),
+       width=st.integers(1, 80), upper=st.booleans())
+@example(nibbles=[], bad=[], width=1, upper=False)
+@example(nibbles=[1, 2, 3], bad=[(1, "00111"), (2, "00001")], width=7, upper=True)
+@example(nibbles=[1, 2, 3], bad=[(3, "00001"), (1, "11110")], width=64, upper=False)
+def test_codec_runs_match_the_public_api(nibbles, bad, width, upper):
+    """Each codec run prints what the public records render to, and a decode
+    stream with a control or unmapped pattern fails with the same line."""
+    symbols = encode_4b5b(nibbles)
+    hex_text = "".join(f"{v:X}" if upper else f"{v:x}" for v in nibbles)
+    assert run_codec(["4b5b"], wrapped(hex_text, width)) == rendered(
+        lambda: "".join(s.code for s in symbols))
+    patterns = [s.code for s in symbols]
+    for pos, code in bad:   # any 5-bit pattern: data, control or unmapped
+        patterns.insert(min(pos, len(patterns)), code)
+    bits = [int(c) for c in "".join(patterns)]
+    text = wrapped("".join(patterns), width)
+    assert run_codec(["4b5b", "--decode"], text) == rendered(
+        lambda: "".join(f"{v:X}" for v in decode_4b5b(bits_to_patterns(bits))))
+    for level in ("low", "high"):
+        assert run_codec(["nrzi", "--initial-level", level], text) == rendered(
+            lambda: "".join(map(str, nrzi_encode(bits, initial_level=level).levels)))
+    assert run_codec(["mlt3"], text) == rendered(
+        lambda: "".join("-0+"[v + 1] for v in mlt3_encode(bits).levels))
 
 
 REF_PERIOD = ref_keystream(PERIOD, seed())[0]
