@@ -37,29 +37,53 @@ _NEEDS_QUOTES = re.compile('[,"\n]').search
 
 
 @functools.cache
-def _json_encoder(sort_keys=False):   # C, where json.dumps with an indent is pure Python
+def _json_encoder(item_separator: str, sort_keys=False):   # C; json.dumps(indent=) is not
     import json   # on the first JSON report or manifest, not at start-up
-    return json.JSONEncoder(separators=(",\n    ", ": "), default=float, sort_keys=sort_keys)
+    return json.JSONEncoder(separators=(item_separator, ": "), default=float, sort_keys=sort_keys)
+
+
+@functools.cache
+def _csv_template(kinds: tuple) -> str:
+    """The % template of a CSV row whose cells have these types."""
+    return ",".join("%.0s" if kind is type(None) else "%.9g" if issubclass(kind, float)
+                    else "%s" for kind in kinds)
+
+
+def _csv_quoted(row) -> str:
+    """A CSV row with each cell that holds a comma, quote or newline quoted."""
+    parts = _csv_template(tuple(map(type, row))).split(",")
+    cells = [part % (cell,) for part, cell in zip(parts, row)]
+    return ",".join(['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES(c) else c for c in cells])
 
 
 def emit_report(rows, columns: list[str], fmt: str) -> str:
-    """Render rows of str, int, float, bool or None cells in column order
-    as CSV or JSON; identical input, identical bytes. The JSON is json.dumps
-    (indent=2) of one object per row: strings escape newlines, so "},\\n    {" parts rows."""
+    """Render rows (tuples) of str, int, float, bool or None cells, one per
+    column, as CSV or JSON; identical input, identical bytes. JSON is
+    json.dumps(indent=2) of a dict per row: one encoding of all cells, split
+    at the raw newlines between them (a cell has none), fills a row template.
+    CSV is one % template per run of rows with the same cell types."""
+    if not rows:
+        return "[]\n" if fmt == JSON else ",".join(columns) + "\n"
     if fmt == JSON:
-        if not rows:
-            return "[]\n"
-        text = _json_encoder().encode([dict(zip(columns, row)) for row in rows])
-        return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
-    lines = [",".join(columns)]
+        keys = dict.fromkeys(columns)
+        if len(keys) < len(columns):   # a repeated name keeps its first place, its last cell
+            rows = [list(dict(zip(columns, row)).values()) for row in rows]
+        encode = _json_encoder("\n").encode
+        names = encode(list(keys))[1:-1].replace("%", "%%").split("\n")
+        template = "  {\n    " + ",\n    ".join([name + ": %s" for name in names]) + "\n  }"
+        cells = encode([cell for row in rows for cell in row])[1:-1].split("\n")
+        return "[\n" + ",\n".join([template] * len(rows)) % tuple(cells) + "\n]\n"
+    lines, kinds = [], None
     for row in rows:
-        cells = [str(value) if value.__class__ in (str, int) else "" if value is None
-                 else format(float(value), ".9g") if isinstance(value, float)
-                 else str(value) for value in row]
-        if _NEEDS_QUOTES("".join(cells)):
-            cells = ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES(c) else c for c in cells]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        row_kinds = tuple(map(type, row))
+        if row_kinds != kinds:
+            kinds, template = row_kinds, _csv_template(row_kinds)
+        lines.append(template % row)
+    body = "\n".join(lines)
+    if ('"' in body or body.count("\n") >= len(rows)
+            or body.count(",") > sum(map(len, rows)) - len(rows)):
+        body = "\n".join(map(_csv_quoted, rows))
+    return ",".join(columns) + "\n" + body + "\n"
 
 
 def _write(text: str, path: str | None, stream=None):
@@ -152,7 +176,7 @@ def _write_manifest(args, digests: dict):
 
 def _manifest_text(manifest: dict) -> str:
     """json.dumps(manifest, indent=2, sort_keys=True) + "\\n", its dicts flat."""
-    encode, lines = _json_encoder(True).encode, []
+    encode, lines = _json_encoder(",\n    ", True).encode, []
     for key, value in sorted(manifest.items()):
         text = encode(value)
         text = "{\n    " + text[1:-1] + "\n  }" if text[:2] == '{"' else text   # a dict
@@ -285,14 +309,14 @@ def cmd_plan(args) -> tuple[str, InputError | None]:
     links, stations = link_planner.load_ring_file(args.ring)
     report = link_planner.validate_ring(links, stations)
     rows = []
-    for i, rep in enumerate(report.links):
-        summary = f"{rep.link.media} {rep.link.length_m:g}m"
-        if rep.margin_db is not None:
-            summary += f" margin={rep.margin_db:g}dB"
-        if rep.verdict == "pass":
-            rows.append((i, "-", "pass", summary))
-        rows += [(i, rule, "fail", detail) for rule, detail in rep.violated_rules]
-        rows += [(i, rule, "warn", detail) for rule, detail in rep.warnings]
+    for i, (link, _, _, margin, _, rules, warnings) in enumerate(report.links):
+        if rules:
+            rows += [(i, rule, "fail", detail) for rule, detail in rules]
+        else:
+            tail = "" if margin is None else f" margin={margin:g}dB"
+            rows.append((i, "-", "pass", f"{link.media} {link.length_m:g}m{tail}"))
+        if warnings:
+            rows += [(i, rule, "warn", detail) for rule, detail in warnings]
     rows += [("ring", rule, "fail", detail) for rule, detail in report.ring_rules]
     if not report.ring_rules:
         rows.append(("ring", "-", report.verdict, f"{len(links)} links"))

@@ -19,6 +19,7 @@ from . import InputError, Violation, number, read_input, whole
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
 CONNECTOR_LOSS_DB = 0.3
+MAX_CONNECTORS = 1000   # mated pairs a ring plan may count on one link: 300 dB
 
 MAX_RING_STATIONS = 500
 MAX_RING_CABLE_KM = 100
@@ -80,7 +81,7 @@ class LinkSpec(_LinkSpec):
     def __new__(cls, media: str, length_m: float, connector_losses_db: tuple[float, ...] = ()):
         if not 0 < length_m < math.inf:
             raise InputError(f"link length must be finite and > 0, got {length_m:g}", BAD_RING)
-        if not all(0 <= loss < math.inf for loss in connector_losses_db):
+        if connector_losses_db and not all(0 <= loss < math.inf for loss in connector_losses_db):
             raise InputError("connector losses must be finite and >= 0", BAD_RING)
         return super().__new__(cls, media, length_m, connector_losses_db)
 
@@ -109,10 +110,6 @@ class RingReport(NamedTuple):
     ring_rules: tuple[Violation, ...]  # violated global rules
     verdict: str
 
-    @property
-    def failing_links(self) -> tuple[int, ...]:
-        return tuple(i for i, rep in enumerate(self.links) if rep.verdict == "fail")
-
 
 def _number(token: str) -> float | None:
     return None if token == "-" else float(token)
@@ -132,19 +129,10 @@ def parse_media_table(text: str) -> dict[str, MediaSpec]:
          budget, max_len, atten, tx_rf, rx_rf, status) = fields
         if name in table:
             raise ValueError(f"duplicate media {name}")
-        spec = MediaSpec(
-            name=name,
-            kind=kind,
-            wavelength_nm=None if wl == "-" else int(wl),
-            tx_power_dbm=(_number(tx_min), _number(tx_max)),
-            rx_power_dbm=(_number(rx_min), _number(rx_max)),
-            budget_db=_number(budget),
-            max_length_m=_number(max_len),
-            attenuation_db_per_km=_number(atten),
-            tx_rise_fall_ns=_number(tx_rf),
-            rx_rise_fall_tol_ns=_number(rx_rf),
-            status=status,
-        )
+        spec = MediaSpec(   # the record's fields are in the table's order
+            name, kind, None if wl == "-" else int(wl), (_number(tx_min), _number(tx_max)),
+            (_number(rx_min), _number(rx_max)),
+            *map(_number, (budget, max_len, atten, tx_rf, rx_rf)), status)
         for lo, hi in (spec.tx_power_dbm, spec.rx_power_dbm):
             if lo is not None and hi is not None and hi < lo:
                 raise ValueError(f"{name}: power range max < min")
@@ -187,37 +175,40 @@ def power_budget(media: str | MediaSpec) -> float:
     return tx_min - rx_min
 
 
+def _limits(spec: MediaSpec) -> tuple:
+    """A medium's warnings, length limit (inf if unpublished), loss budget and
+    attenuation (None where no loss is checked: no budget, as on SMF)."""
+    warnings = (() if spec.status == "standard" else
+                (Violation("NonStandardMedia", f"{spec.name} is a rejected alternative"),))
+    try:
+        allowed = power_budget(spec)
+    except NotOpticalError:   # not optical, or no budget published
+        allowed = None
+    return (warnings, math.inf if spec.max_length_m is None else spec.max_length_m,
+            allowed, None if allowed is None else spec.attenuation_db_per_km)
+
+
+@functools.cache
+def _named_limits(name: str) -> tuple:
+    """``_limits`` of a shipped medium, worked out on its first link."""
+    return _limits(_resolve(name))
+
+
 def validate_link(link: LinkSpec) -> BudgetReport:
     """Check one link against its medium's length and loss limits."""
-    spec = _resolve(link.media)
-    rules = []
-    warnings = []
-    if spec.status != "standard":
-        warnings.append(Violation("NonStandardMedia", f"{spec.name} is a rejected alternative"))
-    if spec.max_length_m is not None and link.length_m > spec.max_length_m:
-        rules.append(Violation("LengthExceeded", f"{link.length_m:g} m > {spec.max_length_m:g} m"))
-
-    allowed = computed = margin = None
-    if spec.optical:
-        try:
-            allowed = power_budget(spec)
-        except NotOpticalError:
-            allowed = None  # optical medium without published budget (SMF)
-        if allowed is not None and spec.attenuation_db_per_km is not None:
-            computed = (spec.attenuation_db_per_km * link.length_m / 1000.0
-                        + sum(link.connector_losses_db))
-            margin = allowed - computed
-            if margin < 0:
-                rules.append(Violation("BudgetExceeded", f"loss {computed:g} dB > {allowed:g} dB"))
-    return BudgetReport(
-        link=link,
-        allowed_loss_db=allowed,
-        computed_loss_db=computed,
-        margin_db=margin,
-        verdict="fail" if rules else "pass",
-        violated_rules=tuple(rules),
-        warnings=tuple(warnings),
-    )
+    media, length, losses = link
+    warnings, max_len, allowed, atten = (
+        _limits(media) if isinstance(media, MediaSpec) else _named_limits(media))
+    rules = ((Violation("LengthExceeded", f"{length:g} m > {max_len:g} m"),)
+             if length > max_len else ())
+    computed = margin = None
+    if atten is not None:
+        computed = atten * length / 1000.0 + sum(losses)
+        margin = allowed - computed
+        if margin < 0:
+            rules += (Violation("BudgetExceeded", f"loss {computed:g} dB > {allowed:g} dB"),)
+    return BudgetReport(link, allowed, computed, margin, "fail" if rules else "pass",
+                        rules, warnings)
 
 
 def _implied_tx_min(spec: MediaSpec) -> float | None:
@@ -293,10 +284,10 @@ def ring_limits(n_stations: int, total_km: float | None) -> list[Violation]:
 
 def validate_ring(links: Sequence[LinkSpec], n_stations: int) -> RingReport:
     """Per-link checks plus the global ring limits."""
-    reports = tuple(validate_link(link) for link in links)
+    reports = tuple(map(validate_link, links))
     total_km = sum(link.length_m for link in links) / 1000.0
     ring_rules = tuple(ring_limits(n_stations, total_km))
-    ok = not ring_rules and all(r.verdict == "pass" for r in reports)
+    ok = not ring_rules and not any(rep.violated_rules for rep in reports)
     return RingReport(links=reports, ring_rules=ring_rules,
                       verdict="pass" if ok else "fail")
 
@@ -311,16 +302,23 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
             isinstance(e, dict) and isinstance(e.get("media"), str) for e in links):
         raise InputError("need an object whose links each name a media", BAD_RING, path)
     out = []
-    for i, entry in enumerate(links):
+    for i, entry in enumerate(links):   # a JSON int count or float length as it is
         losses = entry.get("connector_losses_db")
         if losses is None:
-            losses = connectors(number(entry.get("connectors", 0), whole,
-                                       f"links[{i}].connectors", BAD_RING, path))
+            count = entry.get("connectors", 0)
+            if count.__class__ is not int:
+                count = number(count, whole, f"links[{i}].connectors", BAD_RING, path)
+            if count > MAX_CONNECTORS:
+                raise InputError(f"links[{i}].connectors: need at most {MAX_CONNECTORS} "
+                                 f"mated pairs, got {count}", BAD_RING, path)
+            losses = connectors(count)
         elif not isinstance(losses, list) or not all(
                 type(x) in (int, float) for x in losses):  # a boolean is no loss
             raise InputError(f"links[{i}].connector_losses_db: need a list of numbers",
                              BAD_RING, path)
-        length = number(entry.get("length_m"), float, f"links[{i}].length_m", BAD_RING, path)
+        length = entry.get("length_m")
+        if length.__class__ is not float:
+            length = number(length, float, f"links[{i}].length_m", BAD_RING, path)
         out.append(LinkSpec(entry["media"], length, tuple(losses)))
     stations = number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
     if stations < 0:

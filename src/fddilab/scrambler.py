@@ -206,9 +206,12 @@ def longest_valid_match(table: CodeTable) -> MatchReport:
     for model, lengths, front in (("with_fragments", frag, fronts),
                                   ("whole_symbol", whole, [0] * len(whole))):
         length = max(lengths)
+        at = [lengths.index(length)]                            # the steps at the maximum
+        for _ in range(lengths.count(length) - 1):
+            at.append(lengths.index(length, at[-1] + 1))
         # step q is at phase 5q; a front of b bits starts b bits earlier, at alignment 5 - b
-        window, start, align = min((q // PERIOD, (5 * q - b) % PERIOD, -b % 5) for q, (b, n)
-                                   in enumerate(zip(front, lengths)) if n == length)
+        window, start, align = min((q // PERIOD, (5 * q - front[q]) % PERIOD, -front[q] % 5)
+                                   for q in at)
         polarity, text = _POLARITIES[window][:2]
         text *= (start + length) // PERIOD + 1
         end = start + length

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fddilab import link_planner
 from fddilab.cli import dispatch, emit_report
 
 GOLDEN_RATES = """\
@@ -597,6 +598,30 @@ def test_plan_refuses_numeric_text_in_number_fields(tmp_path, capsys, change, re
     code, out, err = run(["plan", "--ring", str(ring)], capsys)
     _one_error_line(code, err, "bad-ring")
     assert (out, err) == ("", f"error: bad-ring: {reason}\n")
+
+
+@pytest.mark.parametrize("count,shown", [
+    (1e20, "100000000000000000000"),   # was an OverflowError traceback
+    (100000000, "100000000"),          # was an 800 MB tuple of losses
+    (1001, "1001"),
+])
+def test_plan_refuses_more_connectors_than_the_cap(tmp_path, capsys, count, shown):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"links": [{"media": "MF", "length_m": 5},
+                                          {"media": "MF", "length_m": 5, "connectors": count}]}))
+    code, out, err = run(["plan", "--ring", str(ring)], capsys)
+    _one_error_line(code, err, "bad-ring")
+    assert (out, err) == ("", "error: bad-ring: links[1].connectors: need at most "
+                              f"{link_planner.MAX_CONNECTORS} mated pairs, got {shown}\n")
+
+
+def test_plan_takes_connectors_up_to_the_cap(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"links": [{"media": "UTP", "length_m": 5,
+                                           "connectors": link_planner.MAX_CONNECTORS}]}))
+    code, out, err = run(["plan", "--ring", str(ring)], capsys)
+    assert (code, out, err) == (0, "link,rule,verdict,detail\n0,-,pass,UTP 5m\n"
+                                   "ring,-,pass,1 links\n", "")
 
 
 def test_simulate_compliance_false_skips_the_ring_limits(tmp_path, capsys):

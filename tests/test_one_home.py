@@ -2,7 +2,9 @@
 private (``_``-prefixed) names, or reads one as an attribute of an
 imported module (``scrambler._key``). What two modules share is public.
 The bit format's translate tables live in ``phy_codec``: ``cli`` makes
-none. Files are written in one place, ``cli._write``. And a record is a
+none. Files are written in one place, ``cli._write``. JSON is encoded by
+the encoders ``cli._json_encoder`` builds, never by ``json.dumps``, whose
+indented form is pure Python. And a record is a
 ``typing.NamedTuple``: no module imports ``dataclasses``, whose import
 alone costs more than most commands' work."""
 
@@ -123,6 +125,47 @@ def test_the_check_sees_a_file_write(tmp_path):
                       "    os.open(p, os.O_RDONLY)\n")
     assert _file_writes(module) == ["cli.py:8 opens to write", "cli.py:9 opens to write",
                                     "cli.py:10 opens to write", "cli.py:11 calls os.open"]
+
+
+def _json_encoding(path: Path) -> list[str]:
+    """``JSONEncoder`` built outside ``cli._json_encoder``, and ``json.dumps``
+    or ``json.dump`` called or imported."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "JSONEncoder" and (path.name, function) != ("cli.py", "_json_encoder"):
+                found.append(f"{path.name}:{node.lineno} builds a JSONEncoder")
+            elif name in ("dumps", "dump") and isinstance(func, ast.Attribute) and (
+                    isinstance(func.value, ast.Name) and func.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno} calls json.{name}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(f"{path.name}:{node.lineno} imports json.{alias.name}" for alias
+                         in node.names if alias.name in ("dumps", "dump"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text("utf-8")), None)
+    return found
+
+
+def test_only_cli_json_encoder_builds_an_encoder():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in _json_encoding(path)] == []
+
+
+def test_the_check_sees_json_encoding(tmp_path):
+    module = tmp_path / "cli.py"
+    module.write_text("import json\nfrom json import dumps, loads\n"
+                      "def _json_encoder():\n    return json.JSONEncoder()\n"
+                      "def other(x):\n    json.JSONEncoder(indent=2)\n    json.dumps(x)\n"
+                      "    json.dump(x, None)\n    json.loads(x)\n    dumps(x)\n")
+    assert _json_encoding(module) == ["cli.py:2 imports json.dumps",
+                                      "cli.py:6 builds a JSONEncoder",
+                                      "cli.py:7 calls json.dumps", "cli.py:8 calls json.dump"]
 
 
 def _imports_of(path: Path, module: str) -> list[str]:

@@ -6,7 +6,8 @@ timed-token invariants on random rings, the word-parallel line codes
 (NRZI, MLT-3, 4b/5b, the KMP period search) against per-bit and
 per-symbol references, the cyclic-chain match analyzer against the
 window-by-window search it replaced, the FDDI-II byte runs against the
-per-byte first-fit allocator, and the report renderer against
+per-byte first-fit allocator, the per-medium link checks against the
+per-link functions they replaced, and the report renderer against
 ``json.dumps(..., indent=2)`` and the per-cell CSV writer it replaced."""
 
 import io
@@ -23,8 +24,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fddilab import InputError, fddi2
+from fddilab import InputError, Violation, fddi2, number, whole
 from fddilab.cli import CSV, JSON, _manifest_text, _write, dispatch, emit_report
+from fddilab.link_planner import (
+    BAD_RING,
+    BudgetReport,
+    LinkSpec,
+    MediaSpec,
+    NotOpticalError,
+    RingReport,
+    UnknownMediaError,
+    connectors,
+    default_media_table,
+    load_ring_file,
+    ring_limits,
+    validate_ring,
+)
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -961,6 +976,143 @@ def test_allocation_at_full_capacity_and_with_zero_byte_requests():
         modes, [("x", 95), ("x", 16 * 96 - 95)])
 
 
+# --- link checks against the per-link functions they replaced -----------------
+
+def ref_resolve(media):
+    if isinstance(media, MediaSpec):
+        return media
+    spec = default_media_table().get(media)
+    if spec is None:
+        raise UnknownMediaError(f"unknown medium {media!r}")
+    return spec
+
+
+def ref_power_budget(media):
+    spec = ref_resolve(media)
+    if not spec.optical:
+        raise NotOpticalError(f"{spec.name} has no optical power ranges")
+    if spec.budget_db is not None:
+        return spec.budget_db
+    tx_min = spec.tx_power_dbm[0]
+    rx_min = spec.rx_power_dbm[0]
+    if tx_min is None or rx_min is None:
+        raise NotOpticalError(f"{spec.name} publishes no usable power ranges")
+    return tx_min - rx_min
+
+
+def ref_validate_link(link):
+    """Every limit of the medium looked up again for each link."""
+    spec = ref_resolve(link.media)
+    rules = []
+    warnings = []
+    if spec.status != "standard":
+        warnings.append(Violation("NonStandardMedia", f"{spec.name} is a rejected alternative"))
+    if spec.max_length_m is not None and link.length_m > spec.max_length_m:
+        rules.append(Violation("LengthExceeded", f"{link.length_m:g} m > {spec.max_length_m:g} m"))
+    allowed = computed = margin = None
+    if spec.optical:
+        try:
+            allowed = ref_power_budget(spec)
+        except NotOpticalError:
+            allowed = None
+        if allowed is not None and spec.attenuation_db_per_km is not None:
+            computed = (spec.attenuation_db_per_km * link.length_m / 1000.0
+                        + sum(link.connector_losses_db))
+            margin = allowed - computed
+            if margin < 0:
+                rules.append(Violation("BudgetExceeded", f"loss {computed:g} dB > {allowed:g} dB"))
+    return BudgetReport(link=link, allowed_loss_db=allowed, computed_loss_db=computed,
+                        margin_db=margin, verdict="fail" if rules else "pass",
+                        violated_rules=tuple(rules), warnings=tuple(warnings))
+
+
+def ref_validate_ring(links, n_stations):
+    reports = tuple(ref_validate_link(link) for link in links)
+    total_km = sum(link.length_m for link in links) / 1000.0
+    ring_rules = tuple(ring_limits(n_stations, total_km))
+    ok = not ring_rules and all(r.verdict == "pass" for r in reports)
+    return RingReport(links=reports, ring_rules=ring_rules, verdict="pass" if ok else "fail")
+
+
+def ref_load_ring_file(path):
+    """Every count and length through ``number``."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    out = []
+    for i, entry in enumerate(doc.get("links", [])):
+        losses = entry.get("connector_losses_db")
+        if losses is None:
+            losses = connectors(number(entry.get("connectors", 0), whole,
+                                       f"links[{i}].connectors", BAD_RING, path))
+        length = number(entry.get("length_m"), float, f"links[{i}].length_m", BAD_RING, path)
+        out.append(LinkSpec(entry["media"], length, tuple(losses)))
+    return out, number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
+
+
+def assert_same_ring_reports(got, want):
+    """Field by field; floats compare with ==."""
+    assert len(got.links) == len(want.links)
+    for i, (a, b) in enumerate(zip(got.links, want.links)):
+        for field in BudgetReport._fields:
+            assert getattr(a, field) == getattr(b, field), (i, field)
+    assert got.ring_rules == want.ring_rules
+    assert got.verdict == want.verdict
+
+
+lengths_m = (st.floats(0.5, 80_000, allow_nan=False) | st.integers(1, 80_000)
+             | st.sampled_from([50, 100, 500, 2000, 40000, 500.0, 2000.5]))
+losses_db = st.lists(st.floats(0, 4) | st.integers(0, 3), max_size=4)
+
+
+@st.composite
+def ring_plans(draw):
+    """A ring plan file's object over every shipped medium."""
+    links = []
+    for _ in range(draw(st.integers(0, 12))):
+        entry = {"media": draw(st.sampled_from(sorted(default_media_table()))),
+                 "length_m": draw(lengths_m)}
+        losses = draw(st.none() | st.just("count") | losses_db)
+        if losses == "count":
+            entry["connectors"] = draw(st.integers(0, 40) | st.sampled_from([1.0, 3.0]))
+        elif losses is not None:
+            entry["connector_losses_db"] = losses
+        links.append(entry)
+    return {"stations": draw(st.integers(0, 600)), "links": links}
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=ring_plans())
+def test_validate_ring_on_a_loaded_plan_matches_the_per_link_functions(plan):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/ring.json"
+        Path(path).write_text(json.dumps(plan), encoding="utf-8")
+        loaded = load_ring_file(path)
+        want_links, want_stations = ref_load_ring_file(path)
+    assert loaded == (want_links, want_stations)
+    assert_same_ring_reports(validate_ring(*loaded), ref_validate_ring(want_links, want_stations))
+
+
+maybe_db = st.none() | st.floats(-60, 60)
+media_specs = st.builds(
+    MediaSpec, name=st.sampled_from(["A", "B,c", "LCF"]),
+    kind=st.sampled_from(["optical", "copper", "carrier"]),
+    wavelength_nm=st.none() | st.sampled_from([850, 1300]),
+    tx_power_dbm=st.tuples(maybe_db, maybe_db), rx_power_dbm=st.tuples(maybe_db, maybe_db),
+    budget_db=maybe_db, max_length_m=st.none() | st.floats(1, 50_000),
+    attenuation_db_per_km=st.none() | st.floats(0, 20),
+    tx_rise_fall_ns=st.none(), rx_rise_fall_tol_ns=st.none(),
+    status=st.sampled_from(["standard", "rejected", "proposed"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(links=st.lists(st.tuples(media_specs | st.sampled_from(sorted(default_media_table())),
+                                lengths_m, losses_db), max_size=8),
+       stations=st.integers(0, 600))
+def test_validate_ring_on_media_records_matches_the_per_link_functions(links, stations):
+    links = [LinkSpec(media, length, tuple(losses)) for media, length, losses in links]
+    assert_same_ring_reports(validate_ring(links, stations), ref_validate_ring(links, stations))
+
+
 # --- the report renderer against the encoders it replaced ----------------------
 
 def ref_cell(value):
@@ -984,8 +1136,10 @@ def ref_emit_report(rows, columns, fmt):
     return "".join(",".join(line) + "\n" for line in lines)
 
 
-# report text: CSV and JSON specials, escapes, non-ASCII and astral characters
-report_text = (st.text(st.sampled_from(list(',"\n\r\t ab{}[]:\\é€ψ\u2028\x00😀')), max_size=8)
+# report text: CSV and JSON specials, % templates, escapes, non-ASCII and
+# astral characters
+report_text = (st.text(st.sampled_from(list(',"\n\r\t ab{}[]:\\%sé€ψ\u2028\x00😀')),
+                       max_size=8)
                | st.text(max_size=8))
 report_values = st.one_of(
     report_text, st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
@@ -996,7 +1150,10 @@ report_values = st.one_of(
 
 @st.composite
 def reports(draw):
-    columns = draw(st.lists(report_text, min_size=1, max_size=5))
+    # a few short names, so a name often repeats: as a dict key it keeps its
+    # first place and its last cell
+    columns = draw(st.lists(report_text | st.sampled_from(["a", "%", "%s", ""]),
+                            min_size=1, max_size=5))
     rows = draw(st.lists(st.lists(report_values, min_size=len(columns),
                                   max_size=len(columns)).map(tuple), max_size=6))
     return rows, columns
