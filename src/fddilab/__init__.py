@@ -62,6 +62,13 @@ def whole(value) -> int:
     return int(value)
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, its middle cut out past 40
+    characters: a 401-digit int shows its ends and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:16]}...{text[-8:]} ({len(text)} chars)"
+
+
 def number(value, to, field: str, tag: str, path: str | None = None):
     """``to(value)`` for one field of an input (``to`` is e.g. float, whole
     or exact); a boolean, text for float or whole (``"4"``; exact reads
@@ -72,4 +79,4 @@ def number(value, to, field: str, tag: str, path: str | None = None):
         return to(value)
     except (TypeError, ValueError, ArithmeticError):
         need = "a whole number" if to in (whole, int) else "a number"
-        raise InputError(f"{field}: need {need}, got {value!r}", tag, path) from None
+        raise InputError(f"{field}: need {need}, got {shown(value)}", tag, path) from None

@@ -247,7 +247,7 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
         ("frames", len(frames), "count", COMPUTED),
         ("capacity_per_frame", layout.capacity_bits, "bits", COMPUTED),
         ("payload_bits", len(bits), "bits", COMPUTED),
-        ("max_user_run", max(layout.byte_runs()), "bytes", COMPUTED),
+        ("max_user_run", max(layout.user_runs), "bytes", COMPUTED),
         ("spe_bandwidth_published", spm.spe_bandwidth(), "Mbps", GIVEN),
         ("spe_bandwidth_recomputed", float(spm.spe_bandwidth_recomputed()), "Mbps", COMPUTED),
         ("roundtrip", "ok", "", COMPUTED))

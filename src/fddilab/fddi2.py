@@ -15,10 +15,9 @@ in mac_sim.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from . import InputError, exact, read_input
+from . import InputError, read_input
 
 CYCLE_US = 125
 CYCLE_PREAMBLE_BYTES = 2
@@ -28,15 +27,12 @@ WBC_BYTES = 96
 CYCLE_HEADER_BYTES = CYCLE_BODY_BYTES - WBC_COUNT * WBC_BYTES   # 24
 CYCLE_TOTAL_BYTES = CYCLE_PREAMBLE_BYTES + CYCLE_BODY_BYTES     # 1562
 SLACK_BITS = 4   # 1562.5 bytes fit in 125 us at 100 Mbps; 0.5 byte spare
-VOICE_CHANNEL_KBPS = 64   # one PCM voice circuit
 
 ISOCHRONOUS = "isochronous"
 PACKET = "packet"
 
 FDDI = "fddi"
 FDDI2 = "fddi2"
-
-IDLE = None  # trace marker for an unused owned byte
 
 
 class CapacityExceededError(InputError):
@@ -52,11 +48,6 @@ def wbc_bandwidth_kbps() -> int:
 
 def wbc_bandwidth_mbps() -> float:
     return wbc_bandwidth_kbps() / 1000
-
-
-def voice_channels_per_wbc() -> int:
-    """How many VOICE_CHANNEL_KBPS circuits one WBC carries."""
-    return wbc_bandwidth_kbps() // VOICE_CHANNEL_KBPS
 
 
 def bytes_per_cycle_to_kbps(n_bytes: int) -> int:
@@ -147,43 +138,3 @@ def load_requests_file(path: str) -> list[tuple[str, int]]:
             raise InputError(f"line {lineno}: need 'channel bytes', got {raw.strip()!r}",
                              "bad-requests", path)
     return requests
-
-
-class AuditFinding(NamedTuple):
-    cycle_index: int
-    wbc: int
-    offset: int
-    owner: str | None
-    found: str | None
-    problem: str
-
-
-def reserved_byte_audit(allocation: Allocation,
-                        cycle_trace: Iterable[Mapping[tuple[int, int], str | None]],
-                        ) -> list[AuditFinding]:
-    """Check reservation discipline over a trace of cycle fills.
-
-    Each trace entry maps (wbc, offset) -> channel name carried there, or
-    IDLE. Owned bytes must carry their owner's payload or idle fill;
-    unowned isochronous bytes must never carry channel payload.
-    """
-    owners = {(wbc, offset): channel for channel, runs in allocation.grants
-              for wbc, first, count in runs for offset in range(first, first + count)}
-    return [AuditFinding(cycle_index, wbc, offset, owner, carried,
-                         "payload in unallocated byte" if owner is None
-                         else "byte carried another channel's payload")
-            for cycle_index, fill in enumerate(cycle_trace)
-            for (wbc, offset), carried in fill.items()
-            if carried is not IDLE and carried != (owner := owners.get((wbc, offset)))]
-
-
-def cycles_in_flight(ring_latency_us) -> tuple[int, Fraction]:
-    """Cycles wholly contained in the ring at a given latency.
-
-    Returns (full cycles, fractional remainder of a cycle).
-    """
-    latency = exact(ring_latency_us)
-    if latency < 0:
-        raise ValueError("latency must be non-negative")
-    full = int(latency // CYCLE_US)
-    return full, latency / CYCLE_US - full

@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from typing import NamedTuple, Sequence
 
-from . import InputError, Violation, number, read_input, whole
+from . import InputError, Violation, number, read_input, shown, whole
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
@@ -89,7 +90,7 @@ class LinkSpec(_LinkSpec):
 def connectors(count: int) -> tuple[float, ...]:
     """Losses for ``count`` mated pairs at CONNECTOR_LOSS_DB each."""
     if count < 0:
-        raise InputError(f"connector count must be >= 0, got {count}", BAD_RING)
+        raise InputError(f"connector count must be >= 0, got {shown(count)}", BAD_RING)
     return (CONNECTOR_LOSS_DB,) * count
 
 
@@ -310,10 +311,10 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
                 count = number(count, whole, f"links[{i}].connectors", BAD_RING, path)
             if count > MAX_CONNECTORS:
                 raise InputError(f"links[{i}].connectors: need at most {MAX_CONNECTORS} "
-                                 f"mated pairs, got {count}", BAD_RING, path)
+                                 f"mated pairs, got {shown(count)}", BAD_RING, path)
             losses = connectors(count)
-        elif not isinstance(losses, list) or not all(
-                type(x) in (int, float) for x in losses):  # a boolean is no loss
+        elif not isinstance(losses, list) or not all(   # no boolean, no int past the float range
+                type(x) is float or type(x) is int and x <= sys.float_info.max for x in losses):
             raise InputError(f"links[{i}].connector_losses_db: need a list of numbers",
                              BAD_RING, path)
         length = entry.get("length_m")
@@ -322,5 +323,5 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
         out.append(LinkSpec(entry["media"], length, tuple(losses)))
     stations = number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
     if stations < 0:
-        raise InputError(f"stations must be >= 0, got {stations}", BAD_RING, path)
+        raise InputError(f"stations must be >= 0, got {shown(stations)}", BAD_RING, path)
     return out, stations

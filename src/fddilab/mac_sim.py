@@ -40,16 +40,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import InputError, Violation, exact, number, read_input, whole
+from . import InputError, Violation, exact, number, read_input, shown, whole
 from .link_planner import MAX_RING_STATIONS, ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
-
-# Ring-latency estimation constants. Both are model choices, not
-# protocol constants: fiber propagation at 5.085 us/km and a nominal
-# 1 us of repeat latency per station.
-PROPAGATION_US_PER_KM = Fraction("5.085")
-STATION_DELAY_US = Fraction(1)
 
 SYNC = "sync"
 ASYNC = "async"
@@ -138,11 +132,6 @@ def theoretical_efficiency(n: int, ttrt_us, latency_us) -> float:
     if d == 0:
         return 1.0
     return float(Fraction(n) * (t - d) / (Fraction(n) * t + d))
-
-
-def estimate_ring_latency(total_cable_km, n_stations: int) -> Fraction:
-    """Model-based D: propagation over the cable plus per-station delay."""
-    return exact(total_cable_km) * PROPAGATION_US_PER_KM + n_stations * STATION_DELAY_US
 
 
 class TrafficSource(NamedTuple):
@@ -526,7 +515,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         raise InputError(f"total_cable_km: need a finite number >= 0, got {km!r}", BAD_CONFIG)
     compliance = doc.get("compliance", True)
     if not isinstance(compliance, bool):
-        raise InputError(f"compliance: need true or false, got {compliance!r}", BAD_CONFIG)
+        raise InputError(f"compliance: need true or false, got {shown(compliance)}", BAD_CONFIG)
     cfg = RingConfig.make(n, field(doc, "ring_latency_us", exact), field(doc, "ttrt_us", exact),
                           stripping=doc.get("stripping", "source"), total_cable_km=km,
                           compliance=compliance)
@@ -553,7 +542,15 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
             rate = field(entry, "rate_mbps", float, where=where)  # and text is no number
         frame_bytes = field(entry, "frame_bytes", whole, 100, where)
         if frame_bytes < 1:
-            raise InputError(f"frame_bytes must be >= 1, got {frame_bytes}", BAD_CONFIG)
+            raise InputError(f"frame_bytes must be >= 1, got {shown(frame_bytes)}", BAD_CONFIG)
+        try:   # a Poisson source's mean gap in us, as _arrival_ticks works it out
+            gap = frame_bytes * 8 / rate if rate else 0.0
+        except OverflowError:   # frame_bytes past the float range
+            gap = math.inf
+        if gap == math.inf:
+            raise InputError(f"{where}frame_bytes: need a mean gap frame_bytes * 8 / rate_mbps "
+                             f"in the float range, got {shown(frame_bytes)} at {rate!r} Mbps",
+                             BAD_CONFIG)
         sources.append(TrafficSource(
             station=field(entry, "station", whole, where=where),
             traffic_class=entry.get("class"),
@@ -564,7 +561,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         ))
     probes = field(doc, "probes", whole, 0)
     if probes < 0:
-        raise InputError(f"probes must be >= 0, got {probes}", BAD_CONFIG)
+        raise InputError(f"probes must be >= 0, got {shown(probes)}", BAD_CONFIG)
     if compliance and n > MAX_RING_STATIONS:  # StationCount: refused before any per-station list
         raise ConfigViolationsError(validate_config(cfg, given.items()))
     if given:

@@ -10,11 +10,10 @@ them as 0/1 bytes from ``read_bits`` on. Each code has one kernel from
 bytes to bytes, ``encode_bits``, ``decode_nibbles``, ``nrzi_levels`` and
 ``mlt3_phases``, and the CLI renders its text from them; ``encode_4b5b``,
 ``decode_4b5b``, ``nrzi_encode`` and ``mlt3_encode`` wrap them for their
-public types. Bits print as '0'/'1' digits (``bits_to_text``;
-``bits_from_text`` reads them back as a list) and pack 8 to a byte
-(``pack_bits``). Line signals run at FDDI_CODE_BIT_RATE_BPS: two-level
-ones use 0 = low, 1 = high; three-level (MLT-3) ones use -1/0/+1 and
-print as '-', '0', '+' (``phases_to_text``).
+public types. Bits print as '0'/'1' digits (``bits_to_text``) and pack
+8 to a byte (``pack_bits``). Line signals run at FDDI_CODE_BIT_RATE_BPS:
+two-level ones use 0 = low, 1 = high; three-level (MLT-3) ones use
+-1/0/+1 and print as '-', '0', '+' (``phases_to_text``).
 
 No code loops per bit: bits are read as one int x, first bit most
 significant. NRZI levels are the prefix XOR of x, ceil(log2 n) steps of
@@ -31,16 +30,14 @@ import functools
 import os
 import struct
 from itertools import repeat
-from operator import attrgetter, ne
+from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 from . import InputError, number, read_input
 
-FDDI_DATA_RATE_BPS = 100_000_000
 FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 
 SYMBOL_BITS = 5
-NIBBLE_BITS = 4
 
 BAD_TABLE = "bad-table"          # InputError tag of a malformed code table
 BAD_SYMBOL = "bad-input-symbol"  # InputError tag of a digit outside its alphabet
@@ -66,11 +63,6 @@ def _bytes(bits: Iterable[int]) -> bytearray:
 def bits_to_text(bits: Iterable[int]) -> str:
     """Bits as '0'/'1' text, one digit per bit (any non-zero bit reads as 1)."""
     return _bytes(bits).translate(_DIGITS).decode("ascii")
-
-
-def bits_from_text(text: str) -> list[int]:
-    """'0'/'1' text as a list of bits: the inverse of bits_to_text."""
-    return list(text.encode("ascii").translate(_VALUES))
 
 
 def _read_digits(path: str, alphabet: str, values: bytes) -> bytes:
@@ -210,14 +202,6 @@ class CodeTable:
         if self.by_nibble and len(self.by_nibble) != 16:
             raise InputError(f"expected 16 data symbols, got {len(self.by_nibble)}", BAD_TABLE)
 
-    @property
-    def data_symbols(self) -> tuple[Symbol4b5b, ...]:
-        return tuple(s for s in self.symbols if s.kind == "data")
-
-    @property
-    def control_symbols(self) -> tuple[Symbol4b5b, ...]:
-        return tuple(s for s in self.symbols if s.kind == "control")
-
 
 def parse_code_table(text: str) -> CodeTable:
     """Parse the code-table file format: '#' comments, one record per line."""
@@ -302,11 +286,6 @@ def decode_4b5b(stream: Iterable[str | Symbol4b5b],
     return list(_nibbles(codes, table or default_code_table(), patterns))
 
 
-def symbols_to_bits(symbols: Iterable[Symbol4b5b]) -> list[int]:
-    """Flatten symbols into their code bits in transmission order."""
-    return bits_from_text("".join(map(attrgetter("code"), symbols)))
-
-
 _PATTERNS = tuple(format(v, "05b") for v in range(1 << SYMBOL_BITS))   # value -> pattern
 _CODE_OF = dict(zip(_PATTERNS, range(1 << SYMBOL_BITS)))                # pattern -> value
 
@@ -328,11 +307,6 @@ def _symbol_values(bits: Iterable[int]) -> bytes:
 def bits_to_patterns(bits: Iterable[int]) -> list[str]:
     """Regroup a code-bit stream into 5-bit patterns (length must divide)."""
     return list(map(_PATTERNS.__getitem__, _symbol_values(bits)))
-
-
-def encoded_bit_rate(data_rate_bps: float) -> float:
-    """Code-bit rate after 4b/5b expansion: 5/4 of the data rate."""
-    return data_rate_bps * SYMBOL_BITS / NIBBLE_BITS
 
 
 def nrzi_levels(bits: Iterable[int], initial_level: str = "low") -> bytes:

@@ -28,7 +28,6 @@ SPE_BYTES = SPE_ROWS * SPE_COLS            # 2349
 FRAME_US = 125
 
 STS1_LINE_KBPS = 51_840
-STS1_PAYLOAD_KBPS = 50_112
 STS_LEVELS = (1, 3, 9, 12, 18, 24, 36, 48, 96, 192)
 
 # Published payload figures, kept verbatim. The STS-96 and STS-192 rows
@@ -49,7 +48,7 @@ PAYLOAD_KBPS = {
 
 # Published payload figure for the STM-1 SPE available to the FDDI mapping.
 # Note it does NOT equal 2349*8/125 = 150.336; it corresponds to 2176
-# bytes per frame. Both numbers are reported by spe_arithmetic_report().
+# bytes per frame. The sonet-map report gives both numbers.
 SPE_PUBLISHED_PAYLOAD_MBPS = 139.264
 
 # Byte classification tags
@@ -121,22 +120,6 @@ def spe_bandwidth_recomputed() -> Fraction:
     return Fraction(SPE_BYTES * 8, FRAME_US)
 
 
-def spe_arithmetic_report() -> dict:
-    """Cited vs recomputed SPE bandwidth, with the implied byte counts."""
-    recomputed = spe_bandwidth_recomputed()
-    published = Fraction(str(SPE_PUBLISHED_PAYLOAD_MBPS))
-    implied_bytes = published * FRAME_US / 8
-    return {
-        "published_mbps": float(published),
-        "recomputed_mbps": float(recomputed),
-        "spe_bytes": SPE_BYTES,
-        "published_implies_bytes": float(implied_bytes),
-        "byte_shortfall": float(SPE_BYTES - implied_bytes),
-        "consistent": published == recomputed,
-        "exceeds_fddi_code_rate": published > 125,
-    }
-
-
 class SpeLayout(NamedTuple):
     """Per-byte classification of one SPE, and its frame bits as one record.
 
@@ -145,7 +128,8 @@ class SpeLayout(NamedTuple):
     run of fixed bits (path overhead, fixed stuff, the stuff-control bit)
     is ``Nx`` padding, which packs as zero bytes, that is FIXED_STUFF_FILL.
     ``user`` holds the same ``Ns`` runs back to back: one frame's payload.
-    ``user_runs`` holds the lengths of the user-affectable byte runs.
+    ``user_runs`` holds the lengths of the maximal user-affectable byte
+    runs, in transmission order.
     """
 
     classification: tuple[str, ...]
@@ -156,10 +140,6 @@ class SpeLayout(NamedTuple):
     @property
     def capacity_bits(self) -> int:
         return self.user.size
-
-    def byte_runs(self) -> tuple[int, ...]:
-        """Lengths of maximal user-affectable byte runs, transmission order."""
-        return self.user_runs
 
 
 @functools.cache

@@ -162,7 +162,7 @@ def test_criterion_6_rate_table(capsys):
 def test_criterion_7_spe_constraints():
     layout = spm.build_spe_layout()
     tags = layout.classification
-    runs = layout.byte_runs()
+    runs = layout.user_runs
     assert max(runs) <= 17
     run = []
     for tag in tags + (spm.FIXED_STUFF,):
@@ -212,8 +212,17 @@ def test_criterion_9_link_budgets():
     for media, length, verdict in cases:
         report = link_planner.validate_link(link_planner.LinkSpec(media, length))
         assert report.verdict == verdict, (media, length)
+    # low-cost fiber: any LCF end caps a 1300 nm link at 500 m, MF to MF runs 2 km
+    pairings = [("LCF", "MF", 500, "pass"), ("MF", "LCF", 501, "fail"),
+                ("MF", "MF", 2000, "pass"), ("MF", "MF", 2001, "fail")]
+    for tx, rx, length, verdict in pairings:
+        assert link_planner.mixed_ends_check(tx, rx, length).verdict == verdict, (tx, rx, length)
+    assert link_planner.mixed_ends_check("LCF", "MF", 100).allowed_loss_db == 9.0
+    edges = list(itertools.product(("LCF", "MF"), repeat=2))
+    assert all(link_planner.rise_fall_check(tx, rx) for tx, rx in edges)
     passed(9, "LCF 7 dB / MF 11 dB; boundary verdicts LCF 500/501, MF 2000, "
-              "UTP 50/51, STP 100 all correct")
+              "UTP 50/51, STP 100 all correct; LCF/MF pairing 500/501 m, MF/MF "
+              f"2000/2001 m, LCF-MF loss 9 dB; rise/fall passes all {len(edges)} LCF/MF pairings")
 
 
 # -- 10. codec properties ----------------------------------------------------------------------

@@ -497,7 +497,7 @@ def test_simulate_refuses_booleans_and_out_of_range_counts(tmp_path, capsys, cha
 @pytest.mark.parametrize("km,reason", [
     *((km, f"need a finite number >= 0, got {km!r}")    # NaN and Infinity in the JSON
       for km in (-5, float("nan"), float("inf"), float("-inf"))),
-    (10 ** 400, f"need a number, got {10 ** 400!r}"),  # past float: was a traceback
+    (10 ** 400, "need a number, got 1000000000000000...00000000 (401 chars)"),  # past float
 ], ids=["-5", "nan", "inf", "-inf", "10**400"])
 def test_simulate_refuses_a_negative_or_non_finite_cable_length(tmp_path, capsys, km, reason):
     code, out, err = _simulate_config(tmp_path, capsys, {
@@ -604,6 +604,7 @@ def test_plan_refuses_numeric_text_in_number_fields(tmp_path, capsys, change, re
     (1e20, "100000000000000000000"),   # was an OverflowError traceback
     (100000000, "100000000"),          # was an 800 MB tuple of losses
     (1001, "1001"),
+    (10 ** 400, "1000000000000000...00000000 (401 chars)"),   # its 401 digits shortened
 ])
 def test_plan_refuses_more_connectors_than_the_cap(tmp_path, capsys, count, shown):
     ring = tmp_path / "ring.json"
@@ -622,6 +623,37 @@ def test_plan_takes_connectors_up_to_the_cap(tmp_path, capsys):
     code, out, err = run(["plan", "--ring", str(ring)], capsys)
     assert (code, out, err) == (0, "link,rule,verdict,detail\n0,-,pass,UTP 5m\n"
                                    "ring,-,pass,1 links\n", "")
+
+
+_HUGE = "1000000000000000...00000000 (401 chars)"   # 10 ** 400, shortened
+
+
+@pytest.mark.parametrize("link,reason", [
+    ({"connector_losses_db": [10 ** 400]}, "connector_losses_db: need a list of numbers"),
+    ({"length_m": 10 ** 400}, f"length_m: need a number, got {_HUGE}"),
+], ids=["losses", "length"])
+def test_plan_refuses_a_value_past_the_float_range_in_one_short_line(tmp_path, capsys,
+                                                                     link, reason):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"links": [{"media": "MF", "length_m": 5, **link}]}))
+    code, out, err = run(["plan", "--ring", str(ring)], capsys)
+    _one_error_line(code, err, "bad-ring")
+    assert (out, err) == ("", f"error: bad-ring: links[0].{reason}\n")
+    assert len(err) <= 200
+
+
+@pytest.mark.parametrize("source,shown", [
+    ({"frame_bytes": 10 ** 400}, f"{_HUGE} at 5.0 Mbps"),   # was an OverflowError
+    ({"frame_bytes": 100, "rate_mbps": 5e-324}, "100 at 5e-324 Mbps"),   # was a ZeroDivisionError
+], ids=["frame_bytes", "rate"])
+def test_simulate_refuses_a_poisson_gap_past_the_float_range(tmp_path, capsys, source, shown):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 4, "ring_latency_us": 100, "ttrt_us": 400,
+        "traffic": [{**_SOURCE, **source}]})
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == ("", "error: bad-config: traffic[0].frame_bytes: need a mean gap "
+                              f"frame_bytes * 8 / rate_mbps in the float range, got {shown}\n")
+    assert len(err) <= 200
 
 
 def test_simulate_compliance_false_skips_the_ring_limits(tmp_path, capsys):
@@ -818,7 +850,10 @@ def test_module_runs_as_a_script():
 
 # Short texts and small numbers keep every run brief: a 3-character text
 # reads as at most 999 or at least 0.01, and no value reaches the rates or
-# station counts whose runs would take long (see CHANGES.md).
+# station counts whose runs would take long (see CHANGES.md). Lengths,
+# losses, connector counts, frame sizes and rates also draw values at the
+# ends of the float range; probes and station counts do not, as no bound
+# keeps their runs short.
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40),
     st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]),
@@ -827,6 +862,9 @@ _scalars = st.one_of(
 _json = st.recursive(_scalars, lambda kids: st.lists(kids, max_size=3)
                      | st.dictionaries(st.text(max_size=3), kids, max_size=3),
                      max_leaves=6)
+
+
+_huge = st.sampled_from([10 ** 400, 1e308, 2 ** 53 + 1])   # past, at and in the float range
 
 
 def _doc(required, optional):
@@ -839,8 +877,8 @@ def _doc(required, optional):
 
 
 _traffic = _doc({"station": st.integers(0, 5), "class": st.sampled_from(["sync", "async"])},
-                {"rate_mbps": st.sampled_from(["saturated", None, 0, 5, 20.5]),
-                 "frame_bytes": st.integers(1, 200), "destination": st.integers(0, 5)})
+                {"rate_mbps": st.sampled_from(["saturated", None, 0, 5, 20.5]) | _huge,
+                 "frame_bytes": st.integers(1, 200) | _huge, "destination": st.integers(0, 5)})
 _sim_docs = st.one_of(_json, *[_doc(
     {"n_stations": st.integers(1, 6), "ring_latency_us": st.integers(1, 100),
      "ttrt_us": st.integers(100, 400)},
@@ -849,10 +887,11 @@ _sim_docs = st.one_of(_json, *[_doc(
      "stripping": st.sampled_from(["source", "destination"]),
      "total_cable_km": st.integers(0, 150), "compliance": st.booleans(),
      "traffic": st.lists(_traffic, max_size=4), "probes": st.integers(0, 20)})] * 3)
-_link = _doc({"media": st.sampled_from(["MF", "LCF", "UTP", "SMF", "XYZ"]),
-              "length_m": st.integers(1, 3000)},
-             {"connectors": st.integers(0, 3),
-              "connector_losses_db": st.lists(st.floats(0, 2), max_size=3)})
+_losses = {"connector_losses_db": st.lists(st.floats(0, 2) | _huge, max_size=3)}
+_link = st.one_of(*[_doc({"media": st.sampled_from(["MF", "LCF", "UTP", "SMF", "XYZ"]),
+                          "length_m": st.integers(1, 3000) | _huge, **losses},
+                         {"connectors": st.integers(0, 3) | _huge})
+                    for losses in ({}, _losses)])   # a count, or the losses it overrides
 _ring_docs = st.one_of(_json, _doc({"links": st.lists(_link, max_size=4)},
                                    {"stations": st.integers(0, 600)}))
 _request_lines = st.lists(st.text("ab 1-#x\t٣", max_size=8)

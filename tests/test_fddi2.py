@@ -1,7 +1,6 @@
 """Unit tests for FDDI-II cycle accounting and WBC allocation."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -9,7 +8,6 @@ from fddilab import fddi2
 from fddilab.fddi2 import (
     FDDI,
     FDDI2,
-    IDLE,
     ISOCHRONOUS,
     PACKET,
     CapacityExceededError,
@@ -17,9 +15,6 @@ from fddilab.fddi2 import (
     allocate,
     bytes_per_cycle_to_kbps,
     can_enter_hybrid,
-    cycles_in_flight,
-    reserved_byte_audit,
-    voice_channels_per_wbc,
     wbc_bandwidth_kbps,
     wbc_bandwidth_mbps,
 )
@@ -43,8 +38,9 @@ def test_wbc_bandwidth_exact():
     assert 16 * wbc_bandwidth_mbps() == 98.304
 
 
-def test_wbc_carries_96_voice_circuits():
-    assert voice_channels_per_wbc() == 96
+def test_wbc_carries_96_voice_circuits():   # one byte a cycle is one 64 kbps PCM circuit
+    assert bytes_per_cycle_to_kbps(1) == 64
+    assert wbc_bandwidth_kbps() == 96 * 64
 
 
 def test_cycle_byte_accounting():
@@ -155,46 +151,3 @@ def test_allocate_validates_modes():
     with pytest.raises(ValueError):
         allocate(modes(), [("neg", -1)])
 
-
-# --- reserved-byte audit ----------------------------------------------------------
-
-def test_audit_empty_trace():
-    alloc = allocate(modes(), [("a", 4)])
-    assert reserved_byte_audit(alloc, []) == []
-
-
-def test_audit_idle_owner_is_clean():
-    alloc = allocate(modes(), [("a", 4)])
-    slots = byte_slots(alloc, "a")
-    trace = [{slot: IDLE for slot in slots} for _ in range(3)]
-    assert reserved_byte_audit(alloc, trace) == []
-
-
-def test_audit_active_owner_is_clean():
-    alloc = allocate(modes(), [("a", 4)])
-    slots = byte_slots(alloc, "a")
-    trace = [{slot: "a" for slot in slots}]
-    assert reserved_byte_audit(alloc, trace) == []
-
-
-def test_audit_flags_theft_and_squatting():
-    alloc = allocate(modes(), [("a", 2), ("b", 2)])
-    a_slot = byte_slots(alloc, "a")[0]
-    free_slot = (15, 95)
-    trace = [{a_slot: "b", free_slot: "b"}]
-    findings = reserved_byte_audit(alloc, trace)
-    assert len(findings) == 2
-    problems = {f.problem for f in findings}
-    assert "byte carried another channel's payload" in problems
-    assert "payload in unallocated byte" in problems
-
-
-# --- cycles in flight ---------------------------------------------------------------
-
-def test_cycles_in_flight():
-    assert cycles_in_flight(500) == (4, Fraction(0))
-    assert cycles_in_flight(100) == (0, Fraction(4, 5))
-    assert cycles_in_flight(0) == (0, Fraction(0))
-    assert cycles_in_flight(337.5) == (2, Fraction(7, 10))
-    with pytest.raises(ValueError):
-        cycles_in_flight(-1)

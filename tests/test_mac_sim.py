@@ -16,7 +16,6 @@ from fddilab.mac_sim import (
     TrafficModel,
     TrafficSource,
     config_from_dict,
-    estimate_ring_latency,
     run_simulation,
     saturated_async_load,
     spatial_reuse_throughput,
@@ -242,11 +241,6 @@ def test_spatial_reuse_single_pair_policies_agree():
 
 
 # --- helpers -------------------------------------------------------------------
-
-def test_estimate_ring_latency():
-    d = estimate_ring_latency(10, 20)
-    assert d == Fraction("50.85") + 20
-
 
 def test_config_from_dict():
     cfg, load = config_from_dict({

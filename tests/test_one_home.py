@@ -6,7 +6,10 @@ none. Files are written in one place, ``cli._write``. JSON is encoded by
 the encoders ``cli._json_encoder`` builds, never by ``json.dumps``, whose
 indented form is pure Python. And a record is a
 ``typing.NamedTuple``: no module imports ``dataclasses``, whose import
-alone costs more than most commands' work."""
+alone costs more than most commands' work. And each public function,
+class, method and property has a caller: in the package, in the
+acceptance suite or in the benchmark, else it is on REFERENCES with its
+reason."""
 
 import ast
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import fddilab
 
 SRC = Path(fddilab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _private(name: str) -> bool:
@@ -192,3 +196,62 @@ def test_the_check_sees_a_dataclasses_import(tmp_path):
     assert _imports_of(module, "dataclasses") == [
         "mod.py:1 imports dataclasses", "mod.py:2 imports dataclasses",
         "mod.py:6 imports dataclasses"]
+
+
+# Public names with no caller, each kept for its reason.
+REFERENCES = {
+    "scrambler.next_bit": "the register stepped by hand: the keystream tests' reference",
+}
+
+
+def _public_definitions(path: Path) -> list[tuple[str, str]]:
+    """(qualified name, the name a caller reads) for each public top-level
+    function and class, and each public method and property of a class."""
+    found = []
+    for node in ast.parse(path.read_text("utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((f"{path.stem}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{path.stem}.{node.name}.{member.name}", "." + member.name)
+                      for member in node.body if isinstance(member, ast.FunctionDef)
+                      and not member.name.startswith("_")]
+    return found
+
+
+def _uncalled(modules: list[Path], callers: list[Path]) -> list[str]:
+    """The public names of ``modules`` that no caller reads, by name: a bare
+    or imported name, ``.name`` for any object, or a string that spells it
+    (the benchmark's spans name the functions they wrap)."""
+    read = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.update((node.attr, "." + node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [name for path in modules for name, spelled in _public_definitions(path)
+            if spelled not in read]
+
+
+def test_every_public_name_has_a_caller():
+    callers = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
+               *(ROOT / "bench").glob("*.py")]
+    uncalled = _uncalled(sorted(SRC.glob("*.py")), callers)
+    assert [name for name in uncalled if name not in REFERENCES] == []
+    assert set(REFERENCES) <= set(uncalled)   # no entry outlives its reason
+
+
+def test_the_check_sees_an_uncalled_public_name(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def used():\n    pass\ndef unused():\n    used()\n"
+                      "def _private():\n    pass\nclass Box:\n    def size(self):\n"
+                      "        return self.open()\n    def open(self):\n        pass\n"
+                      "    @property\n    def lid(self):\n        pass\n"
+                      "def wrapped():\n    pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mod import Box\nBox().size()\nLAYERS = ('wrapped',)\n")
+    assert _uncalled([module], [module, caller]) == ["mod.unused", "mod.Box.lid"]

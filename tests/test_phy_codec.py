@@ -13,12 +13,10 @@ from fddilab.phy_codec import (
     decode_4b5b,
     default_code_table,
     encode_4b5b,
-    encoded_bit_rate,
     fundamental_frequency,
     mlt3_encode,
     nrzi_encode,
     parse_code_table,
-    symbols_to_bits,
     transition_count,
 )
 
@@ -27,18 +25,19 @@ def test_table_structure():
     table = default_code_table()
     # 16 distinct data symbols; control entries come from the file, their
     # count is whatever the table ships (never hard-coded here)
-    assert len(table.data_symbols) == 16
+    kinds = [s.kind for s in table.symbols]
+    assert kinds.count("data") == 16
     assert len({s.code for s in table.symbols}) == len(table.symbols)
-    assert len(table.control_symbols) >= 1
-    assert len(table.symbols) == 16 + len(table.control_symbols)
+    assert kinds.count("control") >= 1
+    assert len(table.symbols) == 16 + kinds.count("control")
     assert table.version == "1"
-    assert sorted(s.value for s in table.data_symbols) == list(range(16))
+    assert sorted(s.value for s in table.by_nibble.values()) == list(range(16))
 
 
 def test_encode_expansion():
     symbols = encode_4b5b([1, 2, 3, 4, 5, 6, 7, 8])
     assert len(symbols) == 8
-    assert len(symbols_to_bits(symbols)) == 40
+    assert sum(len(s.code) for s in symbols) == 40
 
 
 def test_encode_empty():
@@ -78,7 +77,7 @@ def test_decode_invalid_pattern():
 
 def test_decode_control_symbol_reported_distinctly():
     table = default_code_table()
-    ctrl = table.control_symbols[0]
+    ctrl = next(s for s in table.symbols if s.kind == "control")
     with pytest.raises(ControlSymbolError) as err:
         decode_4b5b(["11110", "11110", ctrl.code])
     assert err.value.position == 2
@@ -170,13 +169,14 @@ def test_fundamental_frequency_aperiodic():
 
 
 def test_code_bit_rate_expansion():
-    assert encoded_bit_rate(100e6) == 125e6
-    assert phy_codec.FDDI_CODE_BIT_RATE_BPS == 1.25 * phy_codec.FDDI_DATA_RATE_BPS
+    # 4b/5b sends 5 code bits per 4 data bits: 125 Mbps for FDDI's 100
+    assert len(phy_codec.encode_bits(bytes(range(16)))) == 16 * 5
+    assert phy_codec.FDDI_CODE_BIT_RATE_BPS == 100_000_000 * 5 // 4
 
 
 def test_bits_to_patterns_regroups_symbol_stream():
     symbols = encode_4b5b([0xA, 0x5, 0x0])
-    bits = symbols_to_bits(symbols)
+    bits = [int(c) for s in symbols for c in s.code]
     patterns = list(phy_codec.bits_to_patterns(bits))
     assert patterns == [s.code for s in symbols]
     with pytest.raises(ValueError):

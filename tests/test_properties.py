@@ -675,8 +675,8 @@ def test_encode_names_the_first_nibble_out_of_range(nibbles, pos, wrong):
 
 
 def test_decode_reads_a_data_symbol_of_another_table_by_its_code():
-    foreign = [Symbol4b5b(code=s.code, kind="data", meaning="F") for s in TABLE.data_symbols]
-    assert decode_4b5b(foreign) == [s.value for s in TABLE.data_symbols]
+    foreign = [Symbol4b5b(code=s.code, kind="data", meaning="F") for s in TABLE.by_nibble.values()]
+    assert decode_4b5b(foreign) == list(TABLE.by_nibble)
 
 
 def run_codec(argv, text):

@@ -23,7 +23,6 @@ def _examples():
         fddilab.Violation("SyncOversubscribed", "detail"),
         fddi2.StationKind(1, fddi2.FDDI2),
         fddi2.allocate([fddi2.ISOCHRONOUS] * 16, [("voice", 100), ("video", 20)]),
-        fddi2.AuditFinding(0, 1, 2, "voice", None, "payload in unallocated byte"),
         link_planner.default_media_table()["MF"],
         link,
         link_planner.validate_link(link),

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from fddilab import scrambler
-from fddilab.phy_codec import default_code_table, symbols_to_bits
+from fddilab.phy_codec import default_code_table
 from fddilab.spm import (
     FIXED_STUFF,
+    FRAME_US,
     PATH_OVERHEAD,
+    SPE_BYTES,
     STUFF_CONTROL,
     USER_DATA,
     UnknownLevelError,
@@ -20,7 +22,6 @@ from fddilab.spm import (
     kbps_to_mbps_str,
     map_fddi,
     rate_table,
-    spe_arithmetic_report,
     spe_bandwidth,
     spe_bandwidth_recomputed,
     sts_rates,
@@ -74,11 +75,11 @@ def test_spe_bandwidth_figures():
 
 
 def test_spe_arithmetic_discrepancy_is_flagged():
-    report = spe_arithmetic_report()
-    assert report["consistent"] is False
-    assert report["published_implies_bytes"] == 2176.0
-    assert report["byte_shortfall"] == 173.0
-    assert report["exceeds_fddi_code_rate"] is True
+    # the published 139.264 Mbps is 2176 bytes a frame, 173 short of the SPE
+    published_bytes = Fraction(str(spe_bandwidth())) * FRAME_US / 8
+    assert published_bytes == 2176
+    assert SPE_BYTES - published_bytes == 173
+    assert spe_bandwidth() != spe_bandwidth_recomputed()
 
 
 def test_layout_overhead_and_runs():
@@ -86,7 +87,7 @@ def test_layout_overhead_and_runs():
     tags = layout.classification
     assert len(tags) == 2349
     assert sum(1 for t in tags if t == PATH_OVERHEAD) == 9
-    runs = layout.byte_runs()
+    runs = layout.user_runs
     assert max(runs) == 17
     # every maximal 17-byte run carries a stuff-control byte
     idx = 0
@@ -102,8 +103,7 @@ def test_layout_overhead_and_runs():
 
 def test_byte_runs_are_worked_out_once_per_layout():
     layout = build_spe_layout()
-    runs = layout.byte_runs()
-    assert layout.byte_runs() is runs
+    runs = layout.user_runs
     marks = "".join("u" if t in (USER_DATA, STUFF_CONTROL) else "-" for t in layout.classification)
     assert list(runs) == [len(r) for r in re.findall("u+", marks)]
 
@@ -154,7 +154,7 @@ def test_post_scramble_run_safety():
     rng = random.Random(23)
     symbols = [table.symbols[rng.randrange(len(table.symbols))]
                for _ in range(4000)]
-    frames = map_fddi(symbols_to_bits(symbols), layout)
+    frames = map_fddi([int(c) for s in symbols for c in s.code], layout)
     worst = 0
     for frame in frames:
         out = scrambler.scramble(frame_bits(frame))

@@ -88,3 +88,11 @@ def test_simulate_runs_in_a_fresh_process(tmp_path):
     assert (startup, code) == ([], 0)
     assert {"fddilab.mac_sim", "fractions", "json"} <= set(run)
     assert out.read_bytes() == (GOLDEN / "simulate" / "readme.out.csv").read_bytes()
+
+
+def test_fddi2_plan_loads_no_fractions():
+    """The cycle planner counts whole bytes: it loads only ``fddi2``."""
+    stdout, result = _fresh_process("fddi2", "plan", "--modes", "piiipipiiiiiiiii",
+                                    "--requests", str(GOLDEN / "cli" / "requests.txt"))
+    assert result == ([], ["fddilab.fddi2"], 0)
+    assert stdout == (GOLDEN / "cli" / "fddi2_csv.stdout").read_text()
