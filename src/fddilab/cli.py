@@ -10,18 +10,22 @@ handler returns its report and, for a failing verdict, the InputError
 that explains it; ``dispatch`` alone writes the report to --out or
 stdout, writes the manifest and the error line, and picks the exit code.
 A call is a fresh process, so a handler imports its own module when it
-runs, and json loads with the first JSON report or manifest.
+runs, and json loads with the first JSON report or manifest. A command
+line is read from one table of subcommands, COMMANDS: ``_match`` reads a
+plainly spelled one, and argparse, loaded only then, everything else,
+which includes writing help, usage and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import re
 import stat
 import sys
+import types
+from typing import Callable, NamedTuple
 
 from . import InputError, __version__, link_planner, phy_codec, read_input
 from .phy_codec import bits_to_text
@@ -118,17 +122,25 @@ def _write(text: str, path: str | None, stream=None):
 def _count(text: str) -> int:
     """argparse type: a non-negative integer."""
     if not text.isdecimal():
+        import argparse   # loaded already: only argparse reads a refusal
         raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
     return int(text)
 
 
-def _duration(text: str) -> float:
-    """argparse type: a finite positive number (microseconds)."""
+def _positive(text: str) -> float | None:
+    """float(text) if that is finite and positive, else None."""
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
+        return None
+    return value if 0 < value < math.inf else None
+
+
+def _duration(text: str) -> float:
+    """argparse type: a finite positive number (microseconds)."""
+    value = _positive(text)
+    if value is None:
+        import argparse   # loaded already: only argparse reads a refusal
         raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
     return value
 
@@ -324,69 +336,157 @@ def cmd_plan(args) -> tuple[str, InputError | None]:
     return emit_report(rows, ["link", "rule", "verdict", "detail"], args.format), failed
 
 
-# --- argument parsing -----------------------------------------------------
+# --- command lines --------------------------------------------------------
+
+class _Option(NamedTuple):
+    """One option of a subcommand. ``kind`` is str, a tuple of choices, int,
+    _count, _duration or bool (a flag, False unless given)."""
+
+    name: str
+    dest: str
+    kind: object = str
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    positionals: tuple = ()   # (dest, choices) in order
+    options: tuple = ()       # _Option each, after _COMMON's
+
+
+_COMMON = (
+    _Option("--format", "format", (CSV, JSON), CSV),
+    _Option("--out", "out", help="output file (default stdout)"),
+    _Option("--manifest", "manifest", help="write a run manifest to this file"),
+    # the one source of randomness; subcommands without randomness
+    # accept and ignore it so manifests stay uniform
+    _Option("--seed", "seed", int, 0),
+)
+
+# Every subcommand, declared once: build_parser and _match both read it.
+COMMANDS = {
+    "rates": _Command(cmd_rates, "SONET/SDH signal hierarchy table", (), (
+        _Option("--level", "level", int, help="single STS level"),)),
+    "codec": _Command(cmd_codec, "4b/5b, NRZI and MLT-3 line codes",
+                      (("scheme", ("4b5b", "nrzi", "mlt3")),), (
+        _Option("--in", "infile", required=True),
+        _Option("--decode", "decode", bool),
+        _Option("--initial-level", "initial_level", ("low", "high"), "low"))),
+    "scrambler": _Command(cmd_scrambler, "keystream dump / 4b5b match analysis",
+                          (("action", ("dump", "analyze")),), (
+        _Option("--bits", "bits", _count, 127),   # scrambler.PERIOD, held by a test
+        _Option("--table", "table", help="alternate 4b/5b code table file"))),
+    "sonet-map": _Command(cmd_sonet_map, "round-trip code bits through SPE frames", (), (
+        _Option("--in", "infile", required=True),
+        _Option("--report", "report", help="write the mapping report to this file"))),
+    "simulate": _Command(cmd_simulate, "timed-token ring simulation", (), (
+        _Option("--config", "config", required=True),
+        _Option("--duration", "duration", _duration, required=True, help="microseconds"))),
+    "fddi2": _Command(cmd_fddi2_plan, "FDDI-II wideband channel planning",
+                      (("action", ("plan",)),), (
+        _Option("--modes", "modes", required=True,
+                help="16 chars, i=isochronous p=packet (WBC 1..16)"),
+        _Option("--requests", "requests", required=True,
+                help="file of 'channel bytes' lines"))),
+    "plan": _Command(cmd_plan, "validate a mixed-media ring plan", (), (
+        _Option("--ring", "ring", required=True, help="ring description JSON"),)),
+}
+
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The fddilab argument parser, built on the first call and then reused."""
+def build_parser():
+    """The argparse parser of COMMANDS, built on the first call and then
+    reused. It reads the command lines that _match leaves, and writes
+    help, usage and usage errors."""
+    import argparse   # not at start-up: a plainly spelled command line needs none
     parser = argparse.ArgumentParser(
         prog="fddilab",
         description="FDDI protocol laboratory: MAC simulation, line codes, "
                     "SONET mapping, FDDI-II cycles, link budgets.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=[CSV, JSON], default=CSV)
-    common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--manifest", help="write a run manifest to this file")
-    # the one source of randomness; subcommands without randomness
-    # accept and ignore it so manifests stay uniform
-    common.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("rates", parents=[common],
-                       help="SONET/SDH signal hierarchy table")
-    p.add_argument("--level", type=int, help="single STS level")
-    p.set_defaults(handler=cmd_rates)
-
-    p = sub.add_parser("codec", parents=[common], help="4b/5b, NRZI and MLT-3 line codes")
-    p.add_argument("scheme", choices=["4b5b", "nrzi", "mlt3"])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--decode", action="store_true")
-    p.add_argument("--initial-level", choices=["low", "high"], default="low")
-    p.set_defaults(handler=cmd_codec)
-
-    p = sub.add_parser("scrambler", parents=[common],
-                       help="keystream dump / 4b5b match analysis")
-    p.add_argument("action", choices=["dump", "analyze"])
-    p.add_argument("--bits", type=_count, default=127)   # scrambler.PERIOD, held by a test
-    p.add_argument("--table", help="alternate 4b/5b code table file")
-    p.set_defaults(handler=cmd_scrambler)
-
-    p = sub.add_parser("sonet-map", parents=[common],
-                       help="round-trip code bits through SPE frames")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--report", help="write the mapping report to this file")
-    p.set_defaults(handler=cmd_sonet_map)
-
-    p = sub.add_parser("simulate", parents=[common], help="timed-token ring simulation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--duration", type=_duration, required=True, help="microseconds")
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("fddi2", parents=[common], help="FDDI-II wideband channel planning")
-    p.add_argument("action", choices=["plan"])
-    p.add_argument("--modes", required=True,
-                   help="16 chars, i=isochronous p=packet (WBC 1..16)")
-    p.add_argument("--requests", required=True,
-                   help="file of 'channel bytes' lines")
-    p.set_defaults(handler=cmd_fddi2_plan)
-
-    p = sub.add_parser("plan", parents=[common], help="validate a mixed-media ring plan")
-    p.add_argument("--ring", required=True, help="ring description JSON")
-    p.set_defaults(handler=cmd_plan)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, choices in command.positionals:
+            p.add_argument(dest, choices=choices)
+        for o in (*_COMMON, *command.options):
+            if o.kind is bool:
+                p.add_argument(o.name, dest=o.dest, action="store_true")
+            else:
+                kind = {"choices": o.kind} if isinstance(o.kind, tuple) else (
+                    {} if o.kind is str else {"type": o.kind})
+                p.add_argument(o.name, dest=o.dest, default=o.default,
+                               required=o.required, help=o.help, **kind)
+        p.set_defaults(handler=command.handler)
     return parser
+
+
+@functools.cache
+def _reader(name: str) -> tuple[dict, dict, frozenset]:
+    """A subcommand's options by name, its namespace before any is read, and
+    the names it requires."""
+    command = COMMANDS[name]
+    options = {o.name: o for o in (*_COMMON, *command.options)}
+    empty = {"command": name, "handler": command.handler,
+             **{o.dest: False if o.kind is bool else o.default for o in options.values()}}
+    return options, empty, frozenset(o.name for o in options.values() if o.required)
+
+
+def _value(kind, text: str):
+    """The value argparse reads from text for an option of this kind, or
+    None where argparse may read it otherwise or refuse it."""
+    if kind is str:
+        return text
+    if kind is _duration:
+        return _positive(text)
+    if isinstance(kind, tuple):
+        return text if text in kind else None
+    if text.isascii() and text.isdecimal():   # int or _count
+        try:
+            return int(text)
+        except ValueError:   # past the interpreter's digit limit
+            return None
+    return None
+
+
+def _match(argv: list[str]):
+    """The namespace argparse gives a plainly spelled command line, read
+    from COMMANDS: a subcommand, then its positionals and options in any
+    order, each option by its exact name at most once with its value as the
+    next token, and no value starting with "-". Any other argv gives None,
+    and argparse decides: -h, --version, a prefix such as --dur,
+    --opt=value, --, a repeat, a value that reads otherwise, an error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options, empty, required = _reader(argv[0])
+    values, seen = dict(empty), set()
+    positionals = iter(COMMANDS[argv[0]].positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            dest, choices = next(positionals, (None, ()))
+            if token not in choices:
+                return None
+            values[dest] = token
+            continue
+        option = options.get(token)
+        if option is None or token in seen:
+            return None
+        seen.add(token)
+        if option.kind is bool:
+            values[option.dest] = True
+            continue
+        text = next(tokens, None)
+        value = None if text is None or text[:1] == "-" else _value(option.kind, text)
+        if value is None:
+            return None
+        values[option.dest] = value
+    if next(positionals, None) is not None or not required <= seen:
+        return None
+    return types.SimpleNamespace(**values)
 
 
 def dispatch(argv: list[str]) -> int:
@@ -394,10 +494,12 @@ def dispatch(argv: list[str]) -> int:
     to --out or stdout, then the manifest; a failing verdict, an
     InputError, or a file that cannot be read or written, exits 1 with
     one line on stderr, ``error: <tag>[: <reason>]``."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _match(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         digests = _input_digests(args) if args.manifest else None
         report, error = args.handler(args)

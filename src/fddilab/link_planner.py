@@ -309,6 +309,9 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
             count = entry.get("connectors", 0)
             if count.__class__ is not int:
                 count = number(count, whole, f"links[{i}].connectors", BAD_RING, path)
+            if count < 0:
+                raise InputError(f"links[{i}].connectors: need a whole number >= 0, "
+                                 f"got {shown(count)}", BAD_RING, path)
             if count > MAX_CONNECTORS:
                 raise InputError(f"links[{i}].connectors: need at most {MAX_CONNECTORS} "
                                  f"mated pairs, got {shown(count)}", BAD_RING, path)

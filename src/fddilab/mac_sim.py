@@ -49,6 +49,9 @@ SYNC = "sync"
 ASYNC = "async"
 
 BAD_CONFIG = "bad-config"   # InputError tag of a malformed config
+# caps that keep a run's work and its per-station lists small, compliance or not
+MAX_STATIONS = 1_000_000
+MAX_PROBES = 1_000_000      # about 0.3 s of probes at ~325 ns each
 
 
 class DomainError(ValueError):
@@ -538,11 +541,13 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
             except (TypeError, ValueError, ArithmeticError):
                 value = None
             if value is not None and not 0 <= value < math.inf:
-                raise InputError(f"rate_mbps must be finite and >= 0, got {value}", BAD_CONFIG)
+                raise InputError(f"{where}rate_mbps: need a finite number >= 0, "
+                                 f"got {shown(rate)}", BAD_CONFIG)
             rate = field(entry, "rate_mbps", float, where=where)  # and text is no number
         frame_bytes = field(entry, "frame_bytes", whole, 100, where)
         if frame_bytes < 1:
-            raise InputError(f"frame_bytes must be >= 1, got {shown(frame_bytes)}", BAD_CONFIG)
+            raise InputError(f"{where}frame_bytes: need a whole number >= 1, "
+                             f"got {shown(frame_bytes)}", BAD_CONFIG)
         try:   # a Poisson source's mean gap in us, as _arrival_ticks works it out
             gap = frame_bytes * 8 / rate if rate else 0.0
         except OverflowError:   # frame_bytes past the float range
@@ -561,9 +566,17 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         ))
     probes = field(doc, "probes", whole, 0)
     if probes < 0:
-        raise InputError(f"probes must be >= 0, got {shown(probes)}", BAD_CONFIG)
-    if compliance and n > MAX_RING_STATIONS:  # StationCount: refused before any per-station list
+        raise InputError(f"probes: need a whole number >= 0, got {shown(probes)}", BAD_CONFIG)
+    if probes > MAX_PROBES:
+        raise InputError(f"probes: need at most {MAX_PROBES} probes, got {shown(probes)}",
+                         BAD_CONFIG)
+    # refused before any per-station list: past the ring limit as StationCount,
+    # and with compliance off past the cap
+    if compliance and n > MAX_RING_STATIONS:
         raise ConfigViolationsError(validate_config(cfg, given.items()))
+    if n > MAX_STATIONS:
+        raise InputError(f"n_stations: need at most {MAX_STATIONS} stations, got {shown(n)}",
+                         BAD_CONFIG)
     if given:
         zero = Fraction(0)
         cfg = cfg._replace(sync_allocation_us=tuple(

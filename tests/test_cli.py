@@ -3,18 +3,21 @@
 import contextlib
 import errno
 import io
+import itertools
 import json
 import math
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddilab import link_planner
-from fddilab.cli import dispatch, emit_report
+from fddilab import link_planner, shown
+from fddilab.cli import (_COMMON, COMMANDS, _count, _duration, _match, build_parser, dispatch,
+                         emit_report)
 
 GOLDEN_RATES = """\
 sts,oc,stm,line_mbps,payload_mbps
@@ -380,7 +383,7 @@ def test_simulate_negative_or_non_finite_rate_is_bad_config(tmp_path, capsys):
             "traffic": [{"station": 1, "class": "async", "rate_mbps": rate}]})
         assert code == 1
         assert out == ""
-        assert err.startswith("error: bad-config: rate_mbps must be finite and >= 0")
+        assert err.startswith("error: bad-config: traffic[0].rate_mbps: need a finite number >= 0")
         assert err.count("\n") == 1
 
 
@@ -390,7 +393,7 @@ def test_simulate_zero_frame_bytes_is_bad_config(tmp_path, capsys):
         "traffic": [{"station": 1, "class": "async", "rate_mbps": 5,
                      "frame_bytes": 0}]})
     assert code == 1
-    assert err == "error: bad-config: frame_bytes must be >= 1, got 0\n"
+    assert err == "error: bad-config: traffic[0].frame_bytes: need a whole number >= 1, got 0\n"
 
 
 def test_scrambler_analyze_malformed_table_is_bad_table(tmp_path, capsys):
@@ -466,7 +469,7 @@ def test_plan_field_errors_name_the_field(tmp_path, capsys):
     ring.write_text(json.dumps({"links": [{"media": "MF", "length_m": 5,
                                            "connectors": -1}]}))
     _, _, err = run(["plan", "--ring", str(ring)], capsys)
-    assert err == "error: bad-ring: connector count must be >= 0, got -1\n"
+    assert err == "error: bad-ring: links[0].connectors: need a whole number >= 0, got -1\n"
 
 
 _SOURCE = {"station": 0, "class": "async", "rate_mbps": 5}
@@ -480,7 +483,8 @@ _SOURCE = {"station": 0, "class": "async", "rate_mbps": 5}
     ({"compliance": "false"}, "compliance: need true or false, got 'false'"),
     ({"compliance": 0}, "compliance: need true or false, got 0"),
     ({"compliance": None}, "compliance: need true or false, got None"),
-    ({"probes": -5}, "probes must be >= 0, got -5"),
+    pytest.param({"probes": -5}, "probes: need a whole number >= 0, got -5",
+                 id="change6-probes must be >= 0, got -5"),
     ({"traffic": [{**_SOURCE, "destination": 99}]},
      "traffic source destination 99 out of range"),
     ({"traffic": [{**_SOURCE, "destination": -3}]},
@@ -682,6 +686,27 @@ def test_simulate_refuses_a_ring_over_the_station_limit_before_listing_stations(
         "violation,StationCount,200000000 stations > 500"]
 
 
+@pytest.mark.parametrize("n", [10 ** 400, 1_000_001])
+def test_simulate_refuses_more_stations_than_the_cap_with_compliance_off(tmp_path, capsys, n):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": n, "ring_latency_us": 100, "ttrt_us": 400, "compliance": False,
+        "sync_allocation_us": {"3": 2}})
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == ("", f"error: bad-config: n_stations: need at most 1000000 stations, "
+                              f"got {shown(n)}\n")
+
+
+@pytest.mark.parametrize("probes", [10 ** 400, 1_000_001])
+def test_simulate_refuses_more_probes_than_the_cap_at_once(tmp_path, capsys, probes):
+    start = time.perf_counter()
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400, "probes": probes})
+    assert time.perf_counter() - start < 1
+    _one_error_line(code, err, "bad-config")
+    assert (out, err) == ("", "error: bad-config: probes: need at most 1000000 probes, "
+                              f"got {shown(probes)}\n")
+
+
 def test_simulate_walks_a_ring_that_never_sends_in_one_step(tmp_path, capsys):
     # 1e-4 us hops over 1000 us: 10,000,001 visits, seconds if walked one by one
     config = tmp_path / "idle.json"
@@ -851,9 +876,9 @@ def test_module_runs_as_a_script():
 # Short texts and small numbers keep every run brief: a 3-character text
 # reads as at most 999 or at least 0.01, and no value reaches the rates or
 # station counts whose runs would take long (see CHANGES.md). Lengths,
-# losses, connector counts, frame sizes and rates also draw values at the
-# ends of the float range; probes and station counts do not, as no bound
-# keeps their runs short.
+# losses, connector counts, frame sizes, rates, probes and station counts
+# also draw values at the ends of the float range, which a cap refuses
+# where a run would take long.
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40),
     st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]),
@@ -880,13 +905,13 @@ _traffic = _doc({"station": st.integers(0, 5), "class": st.sampled_from(["sync",
                 {"rate_mbps": st.sampled_from(["saturated", None, 0, 5, 20.5]) | _huge,
                  "frame_bytes": st.integers(1, 200) | _huge, "destination": st.integers(0, 5)})
 _sim_docs = st.one_of(_json, *[_doc(
-    {"n_stations": st.integers(1, 6), "ring_latency_us": st.integers(1, 100),
+    {"n_stations": st.integers(1, 6) | _huge, "ring_latency_us": st.integers(1, 100),
      "ttrt_us": st.integers(100, 400)},
     {"sync_allocation_us": st.lists(st.integers(0, 20), max_size=6)
      | st.dictionaries(st.sampled_from("0123456"), st.integers(0, 20)),
      "stripping": st.sampled_from(["source", "destination"]),
      "total_cable_km": st.integers(0, 150), "compliance": st.booleans(),
-     "traffic": st.lists(_traffic, max_size=4), "probes": st.integers(0, 20)})] * 3)
+     "traffic": st.lists(_traffic, max_size=4), "probes": st.integers(0, 20) | _huge})] * 3)
 _losses = {"connector_losses_db": st.lists(st.floats(0, 2) | _huge, max_size=3)}
 _link = st.one_of(*[_doc({"media": st.sampled_from(["MF", "LCF", "UTP", "SMF", "XYZ"]),
                           "length_m": st.integers(1, 3000) | _huge, **losses},
@@ -955,3 +980,110 @@ def test_fddi2_plan_never_raises_on_random_requests(lines, modes):
 def test_scrambler_analyze_never_raises_on_random_tables(lines):
     _dispatch_file(["scrambler", "analyze", "--table", "{}"], "table.txt",
                    "\n".join(lines) + "\n")
+
+
+# --- the command-line matcher against argparse ------------------------------
+
+_OPTIONS = [o for command in COMMANDS.values() for o in (*_COMMON, *command.options)]
+_CHOICES = [*(c for o in _OPTIONS if isinstance(o.kind, tuple) for c in o.kind),
+            *(c for command in COMMANDS.values() for _, cs in command.positionals for c in cs)]
+# option values: plain ones by kind, and ones argparse reads otherwise or refuses
+_PLAIN = {str: ["F", "a b", ""], int: ["0", "7", "007"], _count: ["0", "127"],
+          _duration: ["2.5", "1e3", "7", " 3"]}
+_VALUES = [*itertools.chain(*_PLAIN.values()), "nan", "inf", "0.0", "٣", "²", "+3", "1_0",
+           "-5", "-", "-x", "--seed", "csv"]
+_JUNK = ["-", "--", "-5", "--dur", "--out=x", "--in=F", "--se", "-h", "--help", "--version",
+         "٣", ""]
+_VOCAB = sorted({*COMMANDS, *(o.name for o in _OPTIONS), *_CHOICES, *_VALUES, *_JUNK})
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand, then each positional and a draw of its options, each
+    with a value where it takes one, in a drawn order."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    parts = [[draw(st.sampled_from(choices))] for _, choices in command.positionals]
+    for o in (*_COMMON, *command.options):
+        if not draw(st.integers(0, 7) if o.required else st.booleans()):
+            continue
+        if o.kind is bool:
+            parts.append([o.name])
+            continue
+        plain = o.kind if isinstance(o.kind, tuple) else _PLAIN[o.kind]
+        parts.append([o.name, draw(st.sampled_from(plain if draw(st.integers(0, 5)) else _VALUES))])
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(parts)))]
+
+
+def _edited(argv_and_edits):
+    argv, edits = argv_and_edits
+    for at, token in edits:
+        argv.insert(at % (len(argv) + 1), token)
+    return argv
+
+
+_argvs = st.one_of(
+    _command_lines(), _command_lines(),
+    st.tuples(_command_lines(), st.lists(st.tuples(st.integers(0, 20), st.sampled_from(_VOCAB)),
+                                         min_size=1, max_size=2)).map(_edited),
+    st.lists(st.sampled_from(_VOCAB), max_size=8))
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _typed(namespace: dict) -> dict:
+    return {k: (type(v), v) for k, v in namespace.items()}
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argvs)
+def test_the_matcher_reads_what_argparse_reads_or_leaves_it_to_argparse(argv):
+    got, want = _match(argv), _argparse_vars(argv)
+    assert got is None or want is not None and _typed(vars(got)) == _typed(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["codec", "nrzi", "--in", "F", "--out", "G"],
+    ["codec", "--decode", "--in", "F", "--seed", "007", "4b5b"],
+    ["plan", "--ring", "F", "--format", "json", "--manifest", "M"],
+    ["simulate", "--duration", "1e3", "--config", "a b", "--seed", "3"],
+    ["scrambler", "dump", "--bits", "0"],
+    ["fddi2", "plan", "--modes", "i" * 16, "--requests", ""],
+    ["rates"],
+])
+def test_the_matcher_reads_a_plainly_spelled_command_line(argv):
+    assert _typed(vars(_match(argv))) == _typed(_argparse_vars(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["codec", "-h"], ["simulate", "--dur", "1", "--config", "F"],
+    ["codec", "nrzi", "--in=F"], ["codec", "nrzi", "--", "--in", "F"],
+    ["codec", "nrzi", "--in", "F", "--in", "G"], ["rates", "--seed", "-1"],
+    ["rates", "--seed", "٣"], ["scrambler", "dump", "--bits", "٣"], ["rates", "--level", "1" * 5000],
+    ["simulate", "--config", "F", "--duration", "nan"], ["codec", "xyz", "--in", "F"],
+    ["codec", "--in", "F"], ["plan"], ["plan", "--ring"], ["plan", "--ring", "--out", "G"],
+    ["plan", "--ring", "-x"], ["rates", "extra"],
+])
+def test_the_matcher_leaves_other_command_lines_to_argparse(argv):
+    assert _match(argv) is None
+
+
+def test_every_bench_command_line_is_read_without_argparse(monkeypatch):
+    """The 1,200 command lines of the benchmark's four workloads (seed 1)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    argvs = [step.argv for workload in workloads.WORKLOADS.values()
+             for request in workloads.generate(workload, 1) for step in request.steps
+             if step.argv is not None]
+    assert len(argvs) == 1200
+    for argv in argvs:
+        got = _match(argv)
+        assert got is not None, argv
+        assert _typed(vars(got)) == _typed(_argparse_vars(argv))

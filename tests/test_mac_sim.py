@@ -266,7 +266,7 @@ def test_config_from_dict():
 
 def test_config_from_dict_rejects_negative_or_non_finite_rate():
     for rate in (-3, "-0.5", "nan", float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="rate_mbps must be finite and >= 0"):
+        with pytest.raises(ValueError, match=r"traffic\[0\]\.rate_mbps: need a finite number >= 0"):
             config_from_dict({
                 "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 400,
                 "traffic": [{"station": 0, "class": "async", "rate_mbps": rate}]})

@@ -7,12 +7,15 @@ manifest needs. Nor does it load a handler's module before that handler
 runs: ``mac_sim``, ``fddi2``, ``spm`` and ``scrambler`` load with their
 subcommand, ``fractions`` (with ``decimal``) with the modules that
 compute exactly, and ``json`` with a JSON report, a manifest or an input
-file in JSON. The interpreter runs without ``site``, whose start-up
-hooks may import any of these first."""
+file in JSON. ``argparse`` (with ``gettext``) loads only for a command
+line that is not plainly spelled: help, usage and usage errors. The
+interpreter runs without ``site``, whose start-up hooks may import any
+of these first."""
 
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +26,8 @@ SRC = Path(fddilab.__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 CODE_BITS = GOLDEN / "cli" / "code.bits"
 WATCHED = {"dataclasses", "inspect", "hashlib", "importlib.resources", "fractions", "decimal",
-           "json", "fddilab.mac_sim", "fddilab.fddi2", "fddilab.spm", "fddilab.scrambler"}
+           "json", "argparse", "gettext",
+           "fddilab.mac_sim", "fddilab.fddi2", "fddilab.spm", "fddilab.scrambler"}
 
 # a fresh interpreter: the watched modules the import and the tables
 # load, then those one run of the CLI in the same process adds
@@ -42,19 +46,19 @@ print(repr((startup, sorted(watched & (set(sys.modules) - before)), code)))
 """
 
 
-def _fresh_process(*argv) -> tuple[str, tuple[list[str], list[str], int]]:
-    """The run's stdout and (watched modules loaded at start-up, those
-    loaded by the end of the run, the exit code) of one fresh
-    ``python -I -S`` process."""
+def _fresh_process(*argv) -> tuple[str, str, tuple[list[str], list[str], int]]:
+    """The run's stdout, its stderr and (watched modules loaded at start-up,
+    those loaded by the end of the run, the exit code) of one fresh
+    ``python -I -S`` process, whose help and usage text is 80 columns wide."""
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", STARTUP, str(SRC),
-                           ",".join(sorted(WATCHED)), *argv],
+                           ",".join(sorted(WATCHED)), *argv], env={**os.environ, "COLUMNS": "80"},
                           capture_output=True, text=True, timeout=60, check=True)
     *out, last = proc.stdout.splitlines(keepends=True)
-    return "".join(out), ast.literal_eval(last)
+    return "".join(out), proc.stderr, ast.literal_eval(last)
 
 
 def _fresh_run(*argv) -> tuple[list[str], list[str], int]:
-    return _fresh_process(*argv)[1]
+    return _fresh_process(*argv)[2]
 
 
 def test_the_cli_and_its_tables_load_no_dataclasses_inspect_or_hashlib(tmp_path):
@@ -75,7 +79,7 @@ def test_scrambler_dump_loads_only_the_scrambler(tmp_path):
 def test_scrambler_analyze_loads_only_the_scrambler():
     """The analyzer's walk windows are built as the scrambler loads, from
     nothing heavier than the scrambler itself."""
-    stdout, result = _fresh_process("scrambler", "analyze")
+    stdout, _, result = _fresh_process("scrambler", "analyze")
     assert result == ([], ["fddilab.scrambler"], 0)
     assert stdout == (GOLDEN / "cli" / "analyze.stdout").read_text()
 
@@ -92,7 +96,28 @@ def test_simulate_runs_in_a_fresh_process(tmp_path):
 
 def test_fddi2_plan_loads_no_fractions():
     """The cycle planner counts whole bytes: it loads only ``fddi2``."""
-    stdout, result = _fresh_process("fddi2", "plan", "--modes", "piiipipiiiiiiiii",
+    stdout, _, result = _fresh_process("fddi2", "plan", "--modes", "piiipipiiiiiiiii",
                                     "--requests", str(GOLDEN / "cli" / "requests.txt"))
     assert result == ([], ["fddilab.fddi2"], 0)
     assert stdout == (GOLDEN / "cli" / "fddi2_csv.stdout").read_text()
+
+
+def test_plainly_spelled_command_lines_load_no_argparse(tmp_path):
+    out = tmp_path / "out"
+    assert _fresh_run("codec", "nrzi", "--in", str(CODE_BITS), "--out", str(out)) == ([], [], 0)
+    assert out.read_bytes() == (GOLDEN / "cli" / "nrzi_low.stdout").read_bytes()
+    stdout, _, result = _fresh_process("plan", "--ring", str(GOLDEN / "cli" / "ring_pass.json"),
+                                       "--format", "json")
+    assert result == ([], ["json"], 0)
+    assert stdout == (GOLDEN / "cli" / "plan_pass_json.out").read_text()
+
+
+def test_help_and_usage_errors_load_argparse():
+    """argparse reads what the table's matcher leaves, and writes the same
+    usage and help text as ever."""
+    for name, argv in [("usage_unknown_option", ["codec", "--dur", "1"]), ("help", ["--help"])]:
+        stdout, stderr, (startup, run, code) = _fresh_process(*argv)
+        assert (startup, run) == ([], ["argparse", "gettext"])
+        assert (stdout, stderr, f"{code}\n") == tuple(
+            (GOLDEN / "cli" / f"{name}.{suffix}").read_text() for suffix in
+            ("stdout", "stderr", "exit"))
