@@ -9,6 +9,8 @@ hierarchy and payload mapping (spm), and mixed-media link budgets
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import NamedTuple
 
 __version__ = "0.1.0"
@@ -69,14 +71,96 @@ def shown(value) -> str:
     return text if len(text) <= 40 else f"{text[:16]}...{text[-8:]} ({len(text)} chars)"
 
 
-def number(value, to, field: str, tag: str, path: str | None = None):
-    """``to(value)`` for one field of an input (``to`` is e.g. float, whole
-    or exact); a boolean, text for float or whole (``"4"``; exact reads
-    ``"1000/7"``), or a value ``to`` rejects is an InputError naming it."""
+# --- the field reader of the input files ----------------------------------
+# A field's kind is the function that reads it: whole (a count), float (a
+# finite number: a length, loss or rate), exact (microseconds, "1000/7"
+# too), bool (a flag), str (a name), or a function of text such as int. A
+# value of the kind's own class is taken as it is; no boolean reads as any
+# other kind, and no text as a count or a number.
+_PLAIN = {whole: int, float: float, bool: bool, str: str}
+_NEED = {whole: "need a whole number", int: "need a whole number", bool: "need true or false",
+         str: "need a name"}   # else "need a number"
+
+
+class Field:
+    """One field of an input file, declared once. ``path`` names it in a
+    refusal, ``{}`` standing for its entry, and ends in its JSON key; a
+    missing key reads as ``default``, a value in ``nulls`` as None. ``low``
+    (excluded where ``above``) and ``high`` bound a number, ``unit`` names
+    what ``high`` counts, and with ``many`` it is a list of numbers."""
+
+    __slots__ = ("path", "key", "kind", "plain", "default", "nulls", "low", "high", "unit",
+                 "above", "many", "lo", "hi")
+
+    def __init__(self, path: str, kind, default=None, *, low=None, high=None, unit="",
+                 above=False, nulls=(), many=False):
+        self.path, self.kind, self.default, self.nulls = path, kind, default, nulls
+        self.key, self.plain = path.rpartition(".")[2], _PLAIN.get(kind)
+        self.low, self.high, self.unit, self.above, self.many = low, high, unit, above, many
+        # lo <= value <= hi for a value taken as it is: a name, a flag, or a
+        # number in bounds, finite where it is no count
+        self.lo, self.hi = {str: ("", "\U0010ffff"), bool: (False, True)}.get(kind, (
+            -math.inf if low is None else math.nextafter(low, math.inf) if above else low,
+            min(math.inf if high is None else high,
+                math.inf if kind is whole else sys.float_info.max)))
+
+
+def read(doc: dict, declared: tuple, tag: str, at=None, path: str | None = None) -> list:
+    """The value of each ``declared`` field of one JSON object, in order: a
+    value taken as it is, a null as None, and any other as ``read_one``."""
+    out = []
+    for f in declared:
+        value = doc.get(f.key, f.default)
+        if value.__class__ is not f.plain or not f.lo <= value <= f.hi:
+            value = None if value in f.nulls else read_one(value, f, tag, at, path)
+        out.append(value)
+    return out
+
+
+def read_one(value, field: Field, tag: str, at=None, path: str | None = None):
+    """``value`` as ``field`` reads it, else an InputError tagged ``tag``
+    that names the field (``at`` fills its ``{}``): ``traffic[2].frame_bytes:
+    need a whole number >= 1, got 0``. Text that reads as a number out of
+    bounds (``"nan"``, ``"-0.5"``) is refused by the bound it breaks."""
+    # the value, or each item of a list; what is no list is no list of numbers
+    for item in (value if value.__class__ is list else [None]) if field.many else [value]:
+        number = _read(item, field)
+        if number is None and field.many:
+            raise InputError(f"{field.path.format(at)}: need a list of numbers", tag, path)
+        if number is None:
+            words = _NEED.get(field.kind, "need a number")
+            if item.__class__ is str:
+                try:
+                    words = _outside(field, float(item)) or words
+                except ValueError:   # no number
+                    pass
+        elif words := _outside(field, number):   # a count shows as its int
+            item = number if field.kind is whole else item
+        if words:
+            raise InputError(f"{field.path.format(at)}: {words}, got {shown(item)}", tag, path)
+    return value if field.many else number
+
+
+def _read(value, field: Field):
+    """``value`` as the field's kind reads it, or None where it cannot."""
+    kind = field.kind
+    if value.__class__ is field.plain:
+        return value
+    if kind in (bool, str) or value.__class__ is bool or (
+            value.__class__ is str and kind in (whole, float)):
+        return None
     try:
-        if isinstance(value, bool) or isinstance(value, str) and to in (float, whole):
-            raise TypeError("not a number")
-        return to(value)
+        return kind(value)
     except (TypeError, ValueError, ArithmeticError):
-        need = "a whole number" if to in (whole, int) else "a number"
-        raise InputError(f"{field}: need {need}, got {shown(value)}", tag, path) from None
+        return None
+
+
+def _outside(field: Field, number) -> str:
+    """The words of the bound a count or number breaks, or "" if it breaks none."""
+    if field.kind is float and not field.lo <= number <= field.hi:   # NaN breaks them too
+        return f"need a finite number {'>' if field.above else '>='} {field.low}"
+    if field.kind is whole and number < field.lo:
+        return f"need a whole number >= {field.low}"
+    if field.kind is whole and number > field.hi:
+        return f"need at most {field.high} {field.unit}"
+    return ""

@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from typing import NamedTuple, Sequence
 
-from . import InputError, Violation, number, read_input, shown, whole
+from . import Field, InputError, Violation, read, read_input, whole
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
@@ -28,6 +27,15 @@ MAX_RING_CABLE_KM = 100
 OPTICAL_WAVELENGTH_NM = 1300
 
 BAD_RING = "bad-ring"   # InputError tag of a malformed ring plan
+
+# The fields of a ring plan file (README "Ring plan file"), read by fddilab.read
+RING_PLAN = (Field("stations", whole, 0, low=0),)
+_MEDIA = Field("links[{}].media", str)
+_LENGTH = Field("links[{}].length_m", float, low=0, above=True)
+LINK = (_MEDIA, _LENGTH,   # with a count of mated pairs, or with the losses that override it
+        Field("links[{}].connectors", whole, 0, low=0, high=MAX_CONNECTORS, unit="mated pairs"))
+LINK_LOSSES = (_MEDIA, _LENGTH, Field("links[{}].connector_losses_db", float, low=0,
+                                      nulls=(None,), many=True))
 
 # Distance rule for mixed transmitter/receiver families on one link.
 LCF_PAIRING_MAX_M = 500.0
@@ -85,13 +93,6 @@ class LinkSpec(_LinkSpec):
         if connector_losses_db and not all(0 <= loss < math.inf for loss in connector_losses_db):
             raise InputError("connector losses must be finite and >= 0", BAD_RING)
         return super().__new__(cls, media, length_m, connector_losses_db)
-
-
-def connectors(count: int) -> tuple[float, ...]:
-    """Losses for ``count`` mated pairs at CONNECTOR_LOSS_DB each."""
-    if count < 0:
-        raise InputError(f"connector count must be >= 0, got {shown(count)}", BAD_RING)
-    return (CONNECTOR_LOSS_DB,) * count
 
 
 class BudgetReport(NamedTuple):
@@ -298,33 +299,18 @@ def load_ring_file(path: str) -> tuple[list[LinkSpec], int]:
     station count. Malformed input raises InputError tagged bad-ring."""
     import json   # only a ring plan needs it: not loaded at start-up
     doc = read_input(path, BAD_RING, json.loads)
-    links = doc.get("links", []) if isinstance(doc, dict) else None
-    if not isinstance(links, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("media"), str) for e in links):
-        raise InputError("need an object whose links each name a media", BAD_RING, path)
+    if not isinstance(doc, dict):
+        raise InputError(f"need a JSON object, got {type(doc).__name__}", BAD_RING, path)
+    links = doc.get("links", [])
+    if not isinstance(links, list) or not all(isinstance(e, dict) for e in links):
+        raise InputError("links: need a list of objects", BAD_RING, path)
     out = []
-    for i, entry in enumerate(links):   # a JSON int count or float length as it is
-        losses = entry.get("connector_losses_db")
-        if losses is None:
-            count = entry.get("connectors", 0)
-            if count.__class__ is not int:
-                count = number(count, whole, f"links[{i}].connectors", BAD_RING, path)
-            if count < 0:
-                raise InputError(f"links[{i}].connectors: need a whole number >= 0, "
-                                 f"got {shown(count)}", BAD_RING, path)
-            if count > MAX_CONNECTORS:
-                raise InputError(f"links[{i}].connectors: need at most {MAX_CONNECTORS} "
-                                 f"mated pairs, got {shown(count)}", BAD_RING, path)
-            losses = connectors(count)
-        elif not isinstance(losses, list) or not all(   # no boolean, no int past the float range
-                type(x) is float or type(x) is int and x <= sys.float_info.max for x in losses):
-            raise InputError(f"links[{i}].connector_losses_db: need a list of numbers",
-                             BAD_RING, path)
-        length = entry.get("length_m")
-        if length.__class__ is not float:
-            length = number(length, float, f"links[{i}].length_m", BAD_RING, path)
-        out.append(LinkSpec(entry["media"], length, tuple(losses)))
-    stations = number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
-    if stations < 0:
-        raise InputError(f"stations must be >= 0, got {shown(stations)}", BAD_RING, path)
+    for i, entry in enumerate(links):   # read in bounds, so not checked again
+        if entry.get("connector_losses_db") is None:
+            media, length, count = read(entry, LINK, BAD_RING, i, path)
+            out.append(LinkSpec._make((media, length, (CONNECTOR_LOSS_DB,) * count)))
+        else:
+            media, length, losses = read(entry, LINK_LOSSES, BAD_RING, i, path)
+            out.append(LinkSpec._make((media, length, tuple(losses))))
+    stations, = read(doc, RING_PLAN, BAD_RING, path=path)
     return out, stations

@@ -40,7 +40,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import InputError, Violation, exact, number, read_input, shown, whole
+from . import Field, InputError, Violation, exact, read, read_input, read_one, shown, whole
 from .link_planner import MAX_RING_STATIONS, ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
@@ -49,9 +49,33 @@ SYNC = "sync"
 ASYNC = "async"
 
 BAD_CONFIG = "bad-config"   # InputError tag of a malformed config
+TOO_LONG = "too-long"       # InputError tag of a run whose duration asks too much work
 # caps that keep a run's work and its per-station lists small, compliance or not
 MAX_STATIONS = 1_000_000
 MAX_PROBES = 1_000_000      # about 0.3 s of probes at ~325 ns each
+MAX_VISITS = 5_000_000      # token visits a walk may make: about 5-7 s at 1-1.4 us each
+MAX_FRAMES = 10_000_000     # Poisson frames a run may send: about 6-8 s at 0.6-0.8 us each
+
+# The fields of a config file (README "Simulation config"), read by fddilab.read
+CONFIG = (
+    Field("n_stations", whole),
+    Field("ring_latency_us", exact),
+    Field("ttrt_us", exact),
+    Field("stripping", str, "source"),
+    Field("total_cable_km", float, low=0, nulls=(None,)),
+    Field("compliance", bool, True),
+    Field("probes", whole, 0, low=0, high=MAX_PROBES, unit="probes"),
+)
+ALLOCATION = Field("sync_allocation_us[{}]", exact)
+ALLOCATION_KEY = Field("sync_allocation_us station", int)
+TRAFFIC = (   # in TrafficSource's order
+    Field("traffic[{}].station", whole),
+    Field("traffic[{}].class", str),
+    Field("traffic[{}].rate_mbps", float, low=0, nulls=(None, "saturated")),
+    Field("traffic[{}].frame_bytes", whole, 100, low=1),
+    Field("traffic[{}].destination", whole, nulls=(None,)),
+)
+STATION_CAP = Field("n_stations", whole, high=MAX_STATIONS, unit="stations")  # compliance off
 
 
 class DomainError(ValueError):
@@ -282,7 +306,9 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     counters cover the whole run. Probe access delays sample the wait
     from a uniformly random instant until the token next arrives at a
     uniformly random station, found by a float bisect with an exact
-    integer fallback at a rounded tie (_probe_delays).
+    integer fallback at a rounded tie (_probe_delays). A duration whose
+    walk would pass MAX_VISITS token visits, or whose Poisson queues could
+    send more than MAX_FRAMES frames, is refused before the walk.
     """
     violations = validate_config(cfg)
     if violations:
@@ -311,17 +337,21 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     frame_t = {b: ticks(f) for b, f in frame_us.items()}
     alloc = [ticks(a) if a else 0 for a in cfg.sync_allocation_us] or [0] * n
     queues: dict[str, list[_Queue | None]] = {SYNC: [None] * n, ASYNC: [None] * n}
+    frames = 0      # the most Poisson frames the line rate lets the queues send
     for idx, src in enumerate(load.sources):
         dst = src.destination if src.destination is not None else (src.station + 1) % n
         for name, at in (("station", src.station), ("destination", dst)):
             if not 0 <= at < n:
-                raise InputError(f"traffic source {name} {at} out of range", BAD_CONFIG)
+                raise InputError(f"traffic[{idx}].{name}: station {at} out of range", BAD_CONFIG)
         if src.traffic_class not in (SYNC, ASYNC):
-            raise InputError(f"unknown traffic class {src.traffic_class!r}", BAD_CONFIG)
+            raise InputError(f"traffic[{idx}].class: unknown traffic class "
+                             f"{src.traffic_class!r}", BAD_CONFIG)
         row = queues[src.traffic_class]
         if row[src.station] is not None:
-            raise InputError("duplicate traffic source for "
+            raise InputError(f"traffic[{idx}].station: duplicate traffic source for "
                              f"{(src.station, src.traffic_class)}", BAD_CONFIG)
+        if src.rate_mbps:
+            frames += dur // frame_t[src.frame_bytes]
         row[src.station] = _Queue(
             src, frame_t[src.frame_bytes], ((dst - src.station) % n or n) * hop_t,
             horizon, seed * 1_000_003 + idx, L)
@@ -378,6 +408,12 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
         tau = dur // d_t * d_t
         visits = tau // d_t * n
         last = [tau - d_t] * n
+    else:   # the walk's work, bounded before it starts
+        for work, cap, what in ((n * (dur // d_t + 1), MAX_VISITS, "token visits"),
+                                (frames, MAX_FRAMES, "Poisson frames")):
+            if work > cap:
+                raise InputError(f"--duration {horizon:g} asks for more than {cap} {what}",
+                                 TOO_LONG)
 
     while True:
         if station == n:
@@ -493,37 +529,16 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     missing or malformed field raises InputError tagged bad-config."""
     if not isinstance(doc, dict):
         raise InputError(f"need a JSON object, got {type(doc).__name__}", BAD_CONFIG)
-
-    def field(entry: dict, key: str, to, default=None, where: str = ""):
-        value = entry.get(key, default)
-        if value.__class__ is int and to is whole:  # whole as it is: no checks
-            return value
-        return number(value, to, where + key, BAD_CONFIG)
-
-    n = field(doc, "n_stations", whole)
-    alloc_in = doc.get("sync_allocation_us", [])
-    if isinstance(alloc_in, dict):  # station -> us, the rest 0
-        given = {}
-        for key, val in alloc_in.items():
-            station = number(key, int, "sync_allocation_us station", BAD_CONFIG)  # key is text
-            if not 0 <= station < n:
-                raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
-            given[station] = val
-    elif isinstance(alloc_in, list):
-        given = dict(enumerate(alloc_in))
-    else:
+    n, latency, ttrt, stripping, km, compliance, probes = read(doc, CONFIG, BAD_CONFIG)
+    alloc = doc.get("sync_allocation_us", [])
+    if not isinstance(alloc, (dict, list)):
         raise InputError("sync_allocation_us: need a list or an object", BAD_CONFIG)
-    km = doc.get("total_cable_km")  # kept as given: TotalCable quotes it
-    if km is not None and not 0 <= number(km, float, "total_cable_km", BAD_CONFIG) < math.inf:
-        raise InputError(f"total_cable_km: need a finite number >= 0, got {km!r}", BAD_CONFIG)
-    compliance = doc.get("compliance", True)
-    if not isinstance(compliance, bool):
-        raise InputError(f"compliance: need true or false, got {shown(compliance)}", BAD_CONFIG)
-    cfg = RingConfig.make(n, field(doc, "ring_latency_us", exact), field(doc, "ttrt_us", exact),
-                          stripping=doc.get("stripping", "source"), total_cable_km=km,
-                          compliance=compliance)
-    given = {i: number(a, exact, f"sync_allocation_us[{i}]", BAD_CONFIG)
-             for i, a in sorted(given.items())}
+    given = {}   # station -> us, the rest 0
+    for key, us in alloc.items() if isinstance(alloc, dict) else enumerate(alloc):
+        station = read_one(key, ALLOCATION_KEY, BAD_CONFIG)   # a list index reads as itself
+        if isinstance(alloc, dict) and not 0 <= station < n:
+            raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
+        given[station] = read_one(us, ALLOCATION, BAD_CONFIG, station)
     if 0 < n < len(given):
         raise InputError(f"need one sync allocation per station ({n})", BAD_CONFIG)
     traffic = doc.get("traffic", [])
@@ -531,52 +546,21 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         raise InputError("traffic: need a list of objects", BAD_CONFIG)
     sources = []
     for i, entry in enumerate(traffic):
-        where = f"traffic[{i}]."
-        rate = entry.get("rate_mbps")
-        if rate in ("saturated", None):
-            rate = None
-        elif rate.__class__ is not float or not 0 <= rate < math.inf:  # else as it is
-            try:  # text that reads as a rate ("nan", "-0.5") may be out of range
-                value = float(rate)
-            except (TypeError, ValueError, ArithmeticError):
-                value = None
-            if value is not None and not 0 <= value < math.inf:
-                raise InputError(f"{where}rate_mbps: need a finite number >= 0, "
-                                 f"got {shown(rate)}", BAD_CONFIG)
-            rate = field(entry, "rate_mbps", float, where=where)  # and text is no number
-        frame_bytes = field(entry, "frame_bytes", whole, 100, where)
-        if frame_bytes < 1:
-            raise InputError(f"{where}frame_bytes: need a whole number >= 1, "
-                             f"got {shown(frame_bytes)}", BAD_CONFIG)
+        sources.append(src := TrafficSource._make(read(entry, TRAFFIC, BAD_CONFIG, i)))
         try:   # a Poisson source's mean gap in us, as _arrival_ticks works it out
-            gap = frame_bytes * 8 / rate if rate else 0.0
+            gap = src.frame_bytes * 8 / src.rate_mbps if src.rate_mbps else 0.0
         except OverflowError:   # frame_bytes past the float range
             gap = math.inf
         if gap == math.inf:
-            raise InputError(f"{where}frame_bytes: need a mean gap frame_bytes * 8 / rate_mbps "
-                             f"in the float range, got {shown(frame_bytes)} at {rate!r} Mbps",
-                             BAD_CONFIG)
-        sources.append(TrafficSource(
-            station=field(entry, "station", whole, where=where),
-            traffic_class=entry.get("class"),
-            rate_mbps=rate,
-            frame_bytes=frame_bytes,
-            destination=(field(entry, "destination", whole, where=where)
-                         if entry.get("destination") is not None else None),
-        ))
-    probes = field(doc, "probes", whole, 0)
-    if probes < 0:
-        raise InputError(f"probes: need a whole number >= 0, got {shown(probes)}", BAD_CONFIG)
-    if probes > MAX_PROBES:
-        raise InputError(f"probes: need at most {MAX_PROBES} probes, got {shown(probes)}",
-                         BAD_CONFIG)
+            raise InputError(f"traffic[{i}].frame_bytes: need a mean gap frame_bytes * 8 / "
+                             f"rate_mbps in the float range, got {shown(src.frame_bytes)} "
+                             f"at {src.rate_mbps!r} Mbps", BAD_CONFIG)
+    cfg = RingConfig(n, latency, ttrt, (), stripping, km, compliance)
     # refused before any per-station list: past the ring limit as StationCount,
     # and with compliance off past the cap
     if compliance and n > MAX_RING_STATIONS:
-        raise ConfigViolationsError(validate_config(cfg, given.items()))
-    if n > MAX_STATIONS:
-        raise InputError(f"n_stations: need at most {MAX_STATIONS} stations, got {shown(n)}",
-                         BAD_CONFIG)
+        raise ConfigViolationsError(validate_config(cfg, sorted(given.items())))
+    read_one(n, STATION_CAP, BAD_CONFIG)
     if given:
         zero = Fraction(0)
         cfg = cfg._replace(sync_allocation_us=tuple(

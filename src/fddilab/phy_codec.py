@@ -33,7 +33,7 @@ from itertools import repeat
 from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
-from . import InputError, number, read_input
+from . import Field, InputError, read_input, read_one
 
 FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 
@@ -41,6 +41,7 @@ SYMBOL_BITS = 5
 
 BAD_TABLE = "bad-table"          # InputError tag of a malformed code table
 BAD_SYMBOL = "bad-input-symbol"  # InputError tag of a digit outside its alphabet
+DATA_VALUE = Field("data symbol {}", lambda text: int(text, 16))   # its hex digit
 
 _DIGITS = b"0" + b"1" * 255                        # bit value -> digit; non-zero is 1
 _ONES = b"\0" + b"\1" * 255                        # bit value -> 0/1; non-zero is 1
@@ -190,8 +191,7 @@ class CodeTable:
                 raise InputError(f"pattern {sym.code} mapped twice", BAD_TABLE)
             self.by_code[sym.code] = sym
             if sym.kind == "data":
-                value = number(sym.meaning, lambda m: int(m, 16),
-                               f"data symbol {sym.code}", BAD_TABLE)
+                value = read_one(sym.meaning, DATA_VALUE, BAD_TABLE, sym.code)
                 if not 0 <= value <= 15:
                     raise InputError(f"data value {sym.meaning} not one hex digit", BAD_TABLE)
                 if value in self.by_nibble:

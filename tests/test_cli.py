@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddilab import link_planner, shown
+from fddilab import link_planner, mac_sim, shown
 from fddilab.cli import (_COMMON, COMMANDS, _count, _duration, _match, build_parser, dispatch,
                          emit_report)
 
@@ -373,7 +374,7 @@ def test_simulate_out_of_range_source_is_bad_config(tmp_path, capsys):
         "traffic": [{"station": 7, "class": "async", "rate_mbps": 5}]})
     assert code == 1
     assert out == ""
-    assert err == "error: bad-config: traffic source station 7 out of range\n"
+    assert err == "error: bad-config: traffic[0].station: station 7 out of range\n"
 
 
 def test_simulate_negative_or_non_finite_rate_is_bad_config(tmp_path, capsys):
@@ -485,10 +486,12 @@ _SOURCE = {"station": 0, "class": "async", "rate_mbps": 5}
     ({"compliance": None}, "compliance: need true or false, got None"),
     pytest.param({"probes": -5}, "probes: need a whole number >= 0, got -5",
                  id="change6-probes must be >= 0, got -5"),
-    ({"traffic": [{**_SOURCE, "destination": 99}]},
-     "traffic source destination 99 out of range"),
-    ({"traffic": [{**_SOURCE, "destination": -3}]},
-     "traffic source destination -3 out of range"),
+    pytest.param({"traffic": [{**_SOURCE, "destination": 99}]},
+                 "traffic[0].destination: station 99 out of range",
+                 id="change7-traffic source destination 99 out of range"),
+    pytest.param({"traffic": [{**_SOURCE, "destination": -3}]},
+                 "traffic[0].destination: station -3 out of range",
+                 id="change8-traffic source destination -3 out of range"),
 ])
 def test_simulate_refuses_booleans_and_out_of_range_counts(tmp_path, capsys, change, reason):
     code, out, err = _simulate_config(tmp_path, capsys, {
@@ -578,7 +581,8 @@ def test_simulate_reports_too_few_stations_as_no_stations(tmp_path, capsys, n):
     ({"links": [{"media": "MF", "length_m": 5, "connector_losses_db": [True]}]},
      "links[0].connector_losses_db: need a list of numbers"),
     ({"stations": True}, "stations: need a whole number, got True"),
-    ({"stations": -4}, "stations must be >= 0, got -4"),
+    pytest.param({"stations": -4}, "stations: need a whole number >= 0, got -4",
+                 id="change4-stations must be >= 0, got -4"),
 ])
 def test_plan_refuses_booleans_and_negative_stations(tmp_path, capsys, change, reason):
     ring = tmp_path / "ring.json"
@@ -686,6 +690,16 @@ def test_simulate_refuses_a_ring_over_the_station_limit_before_listing_stations(
         "violation,StationCount,200000000 stations > 500"]
 
 
+def test_simulate_lists_the_early_allocation_violations_in_station_order(tmp_path, capsys):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 600, "ring_latency_us": 100, "ttrt_us": 400,
+        "sync_allocation_us": {"9": -1, "3": -2}})
+    assert (code, err) == (1, "error: config-violations: "
+                              "NegativeSyncAllocation,NegativeSyncAllocation,StationCount\n")
+    assert out.splitlines()[1:3] == ["violation,NegativeSyncAllocation,station 3: -2 us < 0",
+                                     "violation,NegativeSyncAllocation,station 9: -1 us < 0"]
+
+
 @pytest.mark.parametrize("n", [10 ** 400, 1_000_001])
 def test_simulate_refuses_more_stations_than_the_cap_with_compliance_off(tmp_path, capsys, n):
     code, out, err = _simulate_config(tmp_path, capsys, {
@@ -705,6 +719,29 @@ def test_simulate_refuses_more_probes_than_the_cap_at_once(tmp_path, capsys, pro
     _one_error_line(code, err, "bad-config")
     assert (out, err) == ("", "error: bad-config: probes: need at most 1000000 probes, "
                               f"got {shown(probes)}\n")
+
+
+@pytest.mark.parametrize("ring,duration,reason", [
+    ({"n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+      "traffic": [{**_SOURCE, "rate_mbps": 5}]}, "1e300", "1e+300 asks for more than "
+     f"{mac_sim.MAX_VISITS} token visits"),
+    ({"n_stations": 2, "ring_latency_us": 100, "ttrt_us": 400,
+      "traffic": [{**_SOURCE, "rate_mbps": "saturated"}]}, "1e300", "1e+300 asks for more "
+     f"than {mac_sim.MAX_VISITS} token visits"),
+    # 1,001 visits, but the line rate lets 1-byte frames number 1.25e10
+    ({"n_stations": 1, "ring_latency_us": 1e6, "ttrt_us": 4e6,
+      "traffic": [{**_SOURCE, "frame_bytes": 1}]}, "1e9", "1e+09 asks for more than "
+     f"{mac_sim.MAX_FRAMES} Poisson frames"),
+], ids=["poisson", "saturated", "frames"])
+def test_simulate_refuses_a_duration_past_the_work_caps_at_once(tmp_path, capsys, ring,
+                                                                  duration, reason):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(ring))
+    start = time.perf_counter()
+    code, out, err = run(["simulate", "--config", str(config), "--duration", duration], capsys)
+    assert time.perf_counter() - start < 1
+    _one_error_line(code, err, "too-long")
+    assert (out, err) == ("", f"error: too-long: --duration {reason}\n")
 
 
 def test_simulate_walks_a_ring_that_never_sends_in_one_step(tmp_path, capsys):
@@ -875,10 +912,7 @@ def test_module_runs_as_a_script():
 
 # Short texts and small numbers keep every run brief: a 3-character text
 # reads as at most 999 or at least 0.01, and no value reaches the rates or
-# station counts whose runs would take long (see CHANGES.md). Lengths,
-# losses, connector counts, frame sizes, rates, probes and station counts
-# also draw values at the ends of the float range, which a cap refuses
-# where a run would take long.
+# station counts whose runs would take long (see CHANGES.md).
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40),
     st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]),
@@ -889,36 +923,61 @@ _json = st.recursive(_scalars, lambda kids: st.lists(kids, max_size=3)
                      max_leaves=6)
 
 
-_huge = st.sampled_from([10 ** 400, 1e308, 2 ** 53 + 1])   # past, at and in the float range
+# Each declared field of the config and ring plan files, drawn from its
+# declaration: mostly a small well-formed value, else a boundary value of
+# any kind (past, at and in the float range, a negative zero, booleans,
+# numeric text, NaN) or one of its declared bounds and their neighbours,
+# else any JSON. Small good values keep every run brief.
+_EDGES = [10 ** 400, 1e308, -0.0, 2 ** 53 + 1, True, False, "nan", "-0.5", "4", math.inf]
+_GOOD = {
+    "n_stations": st.integers(1, 6), "ring_latency_us": st.integers(1, 100),
+    "ttrt_us": st.integers(100, 400), "stripping": st.sampled_from(["source", "destination"]),
+    "total_cable_km": st.integers(0, 150), "compliance": st.booleans(),
+    "probes": st.integers(0, 20), "station": st.integers(0, 5),
+    "class": st.sampled_from(["sync", "async", "asink"]),
+    "rate_mbps": st.sampled_from(["saturated", None, 0, 5, 20.5]),
+    "frame_bytes": st.integers(1, 200), "destination": st.integers(0, 5),
+    "media": st.sampled_from(["MF", "LCF", "UTP", "SMF", "XYZ"]),
+    "length_m": st.integers(1, 3000), "connectors": st.integers(0, 3),
+    "connector_losses_db": st.floats(0, 2), "stations": st.integers(0, 600)}
 
 
-def _doc(required, optional):
-    """A JSON object whose fields are mostly well formed: each value is
-    drawn from its own strategy, or one time in eight from _json."""
-    def field(good):
-        return st.integers(0, 7).flatmap(lambda k: _json if k == 3 else good)
-    return st.fixed_dictionaries({k: field(v) for k, v in required.items()},
-                                 optional={k: field(v) for k, v in optional.items()})
+def _drawn(field, good):
+    bounds = [b + d for b in (field.low, field.high) if b is not None for d in (-1, 0, 1)]
+    value = st.integers(0, 7).flatmap(lambda k: _json if k == 3 else good if k != 2
+                                      else st.sampled_from(_EDGES + bounds))
+    return st.lists(value, max_size=3) if field.many else value
 
 
-_traffic = _doc({"station": st.integers(0, 5), "class": st.sampled_from(["sync", "async"])},
-                {"rate_mbps": st.sampled_from(["saturated", None, 0, 5, 20.5]) | _huge,
-                 "frame_bytes": st.integers(1, 200) | _huge, "destination": st.integers(0, 5)})
+def _doc(declared, **more):
+    """A JSON object of the declared fields and of ``more``: a declared field
+    with a default, or one that may be null, is there only sometimes."""
+    fields = {f.key: (f, _drawn(f, _GOOD[f.key])) for f in declared}
+    return st.fixed_dictionaries(
+        {**{key: value for key, (f, value) in fields.items()
+            if f.default is None and not f.nulls}, **more},
+        optional={key: value for key, (f, value) in fields.items()
+                  if f.default is not None or f.nulls})
+
+
 _sim_docs = st.one_of(_json, *[_doc(
-    {"n_stations": st.integers(1, 6) | _huge, "ring_latency_us": st.integers(1, 100),
-     "ttrt_us": st.integers(100, 400)},
-    {"sync_allocation_us": st.lists(st.integers(0, 20), max_size=6)
-     | st.dictionaries(st.sampled_from("0123456"), st.integers(0, 20)),
-     "stripping": st.sampled_from(["source", "destination"]),
-     "total_cable_km": st.integers(0, 150), "compliance": st.booleans(),
-     "traffic": st.lists(_traffic, max_size=4), "probes": st.integers(0, 20) | _huge})] * 3)
-_losses = {"connector_losses_db": st.lists(st.floats(0, 2) | _huge, max_size=3)}
-_link = st.one_of(*[_doc({"media": st.sampled_from(["MF", "LCF", "UTP", "SMF", "XYZ"]),
-                          "length_m": st.integers(1, 3000) | _huge, **losses},
-                         {"connectors": st.integers(0, 3) | _huge})
-                    for losses in ({}, _losses)])   # a count, or the losses it overrides
-_ring_docs = st.one_of(_json, _doc({"links": st.lists(_link, max_size=4)},
-                                   {"stations": st.integers(0, 600)}))
+    mac_sim.CONFIG, traffic=st.lists(_doc(mac_sim.TRAFFIC), max_size=4),
+    sync_allocation_us=st.lists(st.integers(0, 20) | _json, max_size=6)
+    | st.dictionaries(st.sampled_from("0123456x"), st.integers(0, 20)))] * 3)
+_ring_docs = st.one_of(_json, _doc(link_planner.RING_PLAN, links=st.lists(
+    _doc((*link_planner.LINK, *link_planner.LINK_LOSSES)), max_size=4)))
+# the whole-document and cross-field refusals, which name no one declared field
+_DOCUMENT_REASONS = ("need a JSON object, got ", "traffic: need a list of objects",
+                     "links: need a list of objects", "sync_allocation_us: ",
+                     "need one sync allocation per station (")
+
+
+def _names_a_field(reason: str, *declared) -> bool:
+    paths = [f.path for fields in declared for f in fields]
+    return any(re.fullmatch(re.escape(p).replace(r"\{\}", r"\d+") + r": .+", reason)
+               for p in paths) or reason.startswith(_DOCUMENT_REASONS)
+
+
 _request_lines = st.lists(st.text("ab 1-#x\t٣", max_size=8)
                           | st.builds("{} {}".format, st.sampled_from(["tv", "v"]),
                                       st.integers(-2, 200)), max_size=4)
@@ -952,20 +1011,26 @@ def _dispatch_file(argv, name, text):
     if code == 1:
         assert err.getvalue().count("\n") == 1
         assert err.getvalue().startswith("error: ")
-    return code
+    return code, err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
 @given(doc=_sim_docs)
 def test_simulate_never_raises_on_random_configs(doc):
-    _dispatch_file(["simulate", "--config", "{}", "--duration", "50"], "cfg.json",
-                   json.dumps(doc))
+    _, err = _dispatch_file(["simulate", "--config", "{}", "--duration", "50"], "cfg.json",
+                            json.dumps(doc))
+    if err.startswith("error: bad-config: "):
+        assert _names_a_field(err[19:-1], mac_sim.CONFIG, mac_sim.TRAFFIC, [
+            mac_sim.ALLOCATION, mac_sim.ALLOCATION_KEY, mac_sim.STATION_CAP]), err
 
 
 @settings(max_examples=150, deadline=None)
 @given(doc=_ring_docs)
 def test_plan_never_raises_on_random_ring_files(doc):
-    _dispatch_file(["plan", "--ring", "{}"], "ring.json", json.dumps(doc))
+    _, err = _dispatch_file(["plan", "--ring", "{}"], "ring.json", json.dumps(doc))
+    if err.startswith("error: bad-ring: "):
+        assert _names_a_field(err[17:-1], link_planner.RING_PLAN, link_planner.LINK,
+                              link_planner.LINK_LOSSES), err
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,12 +4,12 @@ import pytest
 
 from fddilab import Violation
 from fddilab.link_planner import (
+    CONNECTOR_LOSS_DB,
     LinkSpec,
     MediaSpec,
     NotOpticalError,
     UnknownMediaError,
     WavelengthMismatchError,
-    connectors,
     default_media_table,
     mixed_ends_check,
     parse_media_table,
@@ -80,8 +80,8 @@ def test_lcf_500m_loss_within_budget():
 
 def test_connector_losses_count_against_budget():
     # 0.3 dB per mated pair by default
-    assert connectors(2) == (0.3, 0.3)
-    heavy = LinkSpec("LCF", 400, connector_losses_db=connectors(22))
+    assert CONNECTOR_LOSS_DB == 0.3
+    heavy = LinkSpec("LCF", 400, connector_losses_db=(CONNECTOR_LOSS_DB,) * 22)
     report = validate_link(heavy)
     assert report.verdict == "fail"
     assert report.violated_rules == (Violation("BudgetExceeded", "loss 7.4 dB > 7 dB"),)

@@ -9,7 +9,8 @@ indented form is pure Python. And a record is a
 alone costs more than most commands' work. And each public function,
 class, method and property has a caller: in the package, in the
 acceptance suite or in the benchmark, else it is on REFERENCES with its
-reason."""
+reason. A field of an input file is refused in the words of one reader,
+``fddilab.read_one``: no other module words one."""
 
 import ast
 from pathlib import Path
@@ -196,6 +197,35 @@ def test_the_check_sees_a_dataclasses_import(tmp_path):
     assert _imports_of(module, "dataclasses") == [
         "mod.py:1 imports dataclasses", "mod.py:2 imports dataclasses",
         "mod.py:6 imports dataclasses"]
+
+
+FIELD_REFUSALS = ("need a whole number", "need a number", "need a finite number")
+
+
+def _field_refusals(path: Path) -> list[str]:
+    """Strings, the text of f-strings among them, that word a field refusal."""
+    return [f"{path.name}:{node.lineno} words {wording!r}"
+            for node in sorted((node for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                                if isinstance(node, ast.Constant) and isinstance(node.value, str)),
+                               key=lambda node: node.lineno)
+            for wording in FIELD_REFUSALS if wording in node.value]
+
+
+def test_only_the_reader_words_a_field_refusal():
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+            for hit in _field_refusals(path)] == []
+
+
+def test_the_check_sees_a_field_refusal(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text('"""Read a number."""\n'
+                      'raise InputError(f"{where}: need a whole number >= 1, got {x}")\n'
+                      'NAME = "need a name"\n'
+                      'def f(low):\n    """need a number"""\n'
+                      '    return f"need a finite number > {low}"\n')
+    assert _field_refusals(module) == ["mod.py:2 words 'need a whole number'",
+                                       "mod.py:5 words 'need a number'",
+                                       "mod.py:6 words 'need a finite number'"]
 
 
 # Public names with no caller, each kept for its reason.

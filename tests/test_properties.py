@@ -24,17 +24,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fddilab import InputError, Violation, fddi2, number, whole
+from fddilab import InputError, Violation, fddi2, whole
 from fddilab.cli import CSV, JSON, _manifest_text, _write, dispatch, emit_report
 from fddilab.link_planner import (
-    BAD_RING,
+    CONNECTOR_LOSS_DB,
     BudgetReport,
     LinkSpec,
     MediaSpec,
     NotOpticalError,
     RingReport,
     UnknownMediaError,
-    connectors,
     default_media_table,
     load_ring_file,
     ring_limits,
@@ -1035,18 +1034,16 @@ def ref_validate_ring(links, n_stations):
 
 
 def ref_load_ring_file(path):
-    """Every count and length through ``number``."""
+    """Every count through ``whole`` and every length through ``float``."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     out = []
-    for i, entry in enumerate(doc.get("links", [])):
+    for entry in doc.get("links", []):
         losses = entry.get("connector_losses_db")
         if losses is None:
-            losses = connectors(number(entry.get("connectors", 0), whole,
-                                       f"links[{i}].connectors", BAD_RING, path))
-        length = number(entry.get("length_m"), float, f"links[{i}].length_m", BAD_RING, path)
-        out.append(LinkSpec(entry["media"], length, tuple(losses)))
-    return out, number(doc.get("stations", 0), whole, "stations", BAD_RING, path)
+            losses = (CONNECTOR_LOSS_DB,) * whole(entry.get("connectors", 0))
+        out.append(LinkSpec(entry["media"], float(entry["length_m"]), tuple(losses)))
+    return out, whole(doc.get("stations", 0))
 
 
 def assert_same_ring_reports(got, want):
