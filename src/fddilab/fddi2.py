@@ -133,8 +133,12 @@ def load_requests_file(path: str) -> list[tuple[str, int]]:
     for lineno, raw in enumerate(read_input(path, "bad-requests").split("\n"), 1):
         fields = raw.split("#", 1)[0].split()
         if len(fields) == 2 and fields[1].isdecimal():
-            requests.append((fields[0], int(fields[1])))
-        elif fields:
+            try:
+                requests.append((fields[0], int(fields[1])))
+                continue
+            except ValueError:   # more digits than int() reads (4300 by default)
+                pass
+        if fields:
             raise InputError(f"line {lineno}: need 'channel bytes', got {raw.strip()!r}",
                              "bad-requests", path)
     return requests

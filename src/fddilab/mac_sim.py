@@ -107,8 +107,7 @@ class RingConfig(NamedTuple):
     def make(n_stations, ring_latency_us, ttrt_us, sync_allocation_us=None,
              stripping="source", total_cable_km=None, compliance=True) -> "RingConfig":
         alloc = tuple(map(exact, sync_allocation_us or ()))
-        if alloc and 0 < n_stations != len(alloc):  # fewer is NoStations
-            raise InputError(f"need one sync allocation per station ({n_stations})", BAD_CONFIG)
+        _check_allocation_count(n_stations, len(alloc))
         return RingConfig(
             n_stations=n_stations,
             ring_latency_us=exact(ring_latency_us),
@@ -118,6 +117,12 @@ class RingConfig(NamedTuple):
             total_cable_km=total_cable_km,
             compliance=compliance,
         )
+
+
+def _check_allocation_count(n: int, count: int) -> None:
+    """A ring has no sync allocations (all 0) or one per station (n < 1 is NoStations)."""
+    if count and 0 < n != count:
+        raise InputError(f"need one sync allocation per station ({n})", BAD_CONFIG)
 
 
 def validate_config(cfg: RingConfig, allocations=None) -> list[Violation]:
@@ -310,6 +315,7 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
     walk would pass MAX_VISITS token visits, or whose Poisson queues could
     send more than MAX_FRAMES frames, is refused before the walk.
     """
+    _check_allocation_count(cfg.n_stations, len(cfg.sync_allocation_us))
     violations = validate_config(cfg)
     if violations:
         raise ConfigViolationsError(violations)
@@ -539,8 +545,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
         if isinstance(alloc, dict) and not 0 <= station < n:
             raise InputError(f"sync_allocation_us: station {key} out of range", BAD_CONFIG)
         given[station] = read_one(us, ALLOCATION, BAD_CONFIG, station)
-    if 0 < n < len(given):
-        raise InputError(f"need one sync allocation per station ({n})", BAD_CONFIG)
+    _check_allocation_count(n, max(n, len(given)))   # the stations not given get 0
     traffic = doc.get("traffic", [])
     if not isinstance(traffic, list) or not all(isinstance(e, dict) for e in traffic):
         raise InputError("traffic: need a list of objects", BAD_CONFIG)

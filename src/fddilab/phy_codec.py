@@ -270,10 +270,10 @@ def _nibbles(codes: bytes, table: CodeTable, patterns: Sequence[str] = ()) -> by
     return nibbles
 
 
-def decode_nibbles(bits: Iterable[int], table: CodeTable | None = None) -> bytes:
+def decode_nibbles(bits: Iterable[int]) -> bytes:
     """Nibble values, one byte each, of code bits (length must divide by 5);
     errors as decode_4b5b."""
-    return _nibbles(_symbol_values(bits), table or default_code_table())
+    return _nibbles(_symbol_values(bits), default_code_table())
 
 
 def decode_4b5b(stream: Iterable[str | Symbol4b5b],
@@ -317,9 +317,9 @@ def nrzi_levels(bits: Iterable[int], initial_level: str = "low") -> bytes:
     return _unword(_prefix_parity(word, n) ^ ((1 << n) - 1 if initial_level == "high" else 0), n)
 
 
-def nrzi_encode(bits: Iterable[int], initial_level: str = "low") -> LineSignal:
-    """NRZI: a 1 bit toggles the line level, a 0 bit holds it."""
-    levels = nrzi_levels(bits, initial_level)
+def nrzi_encode(bits: Iterable[int]) -> LineSignal:
+    """NRZI from the low level: a 1 bit toggles the line level, a 0 bit holds it."""
+    levels = nrzi_levels(bits)
     return LineSignal(levels=struct.unpack(f"{len(levels)}B", levels))
 
 

@@ -42,66 +42,37 @@ SEED_BITS = (1, 1, 1, 1, 1, 1, 1)
 MAX_KEYSTREAM_BITS = 192 * 6480
 
 
-class _ScramblerState(NamedTuple):
-    registers: tuple[int, ...]
-    position: int
+def next_bit(registers: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Emit stage 7, shift, feed x^6 XOR x^7 back into stage 1: the register
+    (stages 1..7) stepped by hand, the reference for the keystream."""
+    return registers[6], (registers[5] ^ registers[6],) + registers[:6]
 
 
-class ScramblerState(_ScramblerState):
-    """Register contents (stage 1..7) plus bit offset since frame start."""
-
-    __slots__ = ()
-
-    def __new__(cls, registers: tuple[int, ...] = SEED_BITS, position: int = 0):
-        if len(registers) != STAGES or not set(registers) <= {0, 1}:
-            raise ValueError(f"need {STAGES} register bits of 0 or 1")
-        if not any(registers):
-            raise ValueError("all-zero scrambler state is degenerate")
-        return super().__new__(cls, registers, position)
-
-
-def seed() -> ScramblerState:
-    """Frame-start state: all seven registers loaded with 1."""
-    return ScramblerState(SEED_BITS, 0)
-
-
-def next_bit(state: ScramblerState) -> tuple[int, ScramblerState]:
-    """Emit stage 7, shift, feed x^6 XOR x^7 back into stage 1."""
-    r = state.registers
-    out = r[6]
-    feedback = r[5] ^ r[6]
-    return out, ScramblerState((feedback,) + r[:6], state.position + 1)
-
-
-def _walk_period() -> tuple[bytes, list[tuple[int, ...]]]:
-    """One period of output bits and the registers at each phase p: bits p+6..p,
-    as stage k outputs its bit 7 - k steps on. Bit n + 7 is bit n XOR bit n + 1."""
+def _walk_period() -> bytes:
+    """One period of output bits from the seed. Stage k outputs its bit 7 - k
+    steps on, so the seed gives the first 7 bits; bit n + 7 is bit n XOR bit n + 1."""
     bits = bytearray(SEED_BITS[::-1])
     for n in range(PERIOD - STAGES):
         bits.append(bits[n] ^ bits[n + 1])
-    cycle = bits * 2
-    return bytes(bits), [tuple(cycle[p:p + STAGES][::-1]) for p in range(PERIOD)]
+    return bytes(bits)
 
 
-# Phase = bits emitted since the all-ones seed, modulo the period. The
-# polynomial is primitive, so every non-zero register state has a phase.
-_PERIOD_BYTES, _REGISTERS = _walk_period()
-_PHASE = {regs: phase for phase, regs in enumerate(_REGISTERS)}
+_PERIOD_BYTES = _walk_period()
 
 
-def _key(phase: int, n: int) -> bytes:
-    """The n output bits from ``phase``, one byte each, cut from repeated periods."""
-    return (_PERIOD_BYTES * ((phase + n) // PERIOD + 1))[phase:phase + n]
+def _key(n: int) -> bytes:
+    """The first n output bits of a frame, one byte each, cut from repeated periods."""
+    return (_PERIOD_BYTES * (n // PERIOD + 1))[:n]
 
 
-def keystream(n: int, state: ScramblerState | None = None) -> list[int]:
-    """The next n scrambler output bits (from seed if no state given)."""
+def keystream(n: int) -> list[int]:
+    """The first n scrambler output bits of a frame, from the all-ones seed."""
     if n < 0:
         raise ValueError(f"keystream length {n} is negative")
     if n > MAX_KEYSTREAM_BITS:
         raise InputError(f"keystream length {n} is over {MAX_KEYSTREAM_BITS} bits, "
                          "one STS-192 frame", "too-many-bits")
-    return list(_key(_PHASE[tuple((state or seed()).registers)], n))
+    return list(_key(n))
 
 
 def sequence_127() -> list[int]:
@@ -109,39 +80,19 @@ def sequence_127() -> list[int]:
     return keystream(PERIOD)
 
 
-def scramble(data: Iterable[int], state: ScramblerState | None = None,
-             exempt: Iterable[int] = ()) -> list[int]:
-    """XOR the frame-synchronous keystream onto data bits.
+def scramble(data: Iterable[int]) -> list[int]:
+    """XOR the frame-synchronous keystream, from the seed at frame start,
+    onto a frame's data bits.
 
-    The keystream starts from ``state``, carried over from the previous
-    call, or from the seed at frame start when ``state`` is None.
-    ``exempt`` lists bit positions passed through unscrambled (the
-    keystream still advances over them, keeping frame alignment). The
+    The keystream is cut from the precomputed period and XORed onto the data
+    bytes as one int (an element outside [0, 255] is a ValueError). The
     operation is an involution: scrambling twice restores the input.
-    """
-    return scramble_with_state(data, state or seed(), exempt)[0]
-
-
-def scramble_with_state(data: Iterable[int], state: ScramblerState,
-                        exempt: Iterable[int] = ()) -> tuple[list[int], ScramblerState]:
-    """Scramble continuing from ``state``; returns the end state as well.
-
-    The keystream is read from the precomputed period at the state's phase
-    and XORed onto the data bytes as one int (an element outside [0, 255] is
-    a ValueError); ``next_bit`` stays the bit-by-bit reference.
     """
     if isinstance(data, int):   # bytearray(n) would read it as n zero bits
         raise TypeError(f"need an iterable of bits, got the int {data!r}")
     data = bytearray(data)
     n = len(data)
-    phase = _PHASE[tuple(state.registers)]
-    word = int.from_bytes(data, "big") ^ int.from_bytes(_key(phase, n), "big")
-    out = list(word.to_bytes(n, "big"))
-    for i in exempt:
-        if 0 <= i < n:
-            out[i] = data[i]
-    end = (phase + n) % PERIOD
-    return out, ScramblerState(_REGISTERS[end], state.position + n)
+    return list((int.from_bytes(data, "big") ^ int.from_bytes(_key(n), "big")).to_bytes(n, "big"))
 
 
 class MatchResult(NamedTuple):

@@ -37,7 +37,7 @@ BIT_FUNCTIONS = {
     "bit_bytes": phy_codec.bit_bytes,
     "pack_bits": phy_codec.pack_bits,
     "nrzi_low": phy_codec.nrzi_encode,
-    "nrzi_high": lambda bits: phy_codec.nrzi_encode(bits, initial_level="high"),
+    "nrzi_high": lambda bits: phy_codec.nrzi_levels(bits, "high"),
     "mlt3": phy_codec.mlt3_encode,
     "map_fddi": spm.map_fddi,
     "scramble": scrambler.scramble,

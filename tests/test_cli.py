@@ -792,7 +792,7 @@ def test_a_failed_write_to_out_names_the_file(capsys):
 
 
 def test_fddi2_malformed_request_lines_exit_1_with_one_line(tmp_path, capsys):
-    for i, line in enumerate(["a 2 3", "a x", "a -4", "a"]):
+    for i, line in enumerate(["a 2 3", "a x", "a -4", "a", "a " + "9" * 5000]):
         requests = tmp_path / f"req{i}.txt"
         requests.write_text(f"tv 96\n{line}  # comment\n")
         code, out, err = run(["fddi2", "plan", "--modes", "piiipipiiiiiiiii",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fddilab import Violation
+from fddilab import InputError, Violation
 from fddilab.mac_sim import (
     ASYNC,
     SYNC,
@@ -67,6 +67,14 @@ def test_total_cable_compliance():
 def test_sync_oversubscription():
     cfg = RingConfig.make(2, 100, 200, sync_allocation_us=[80, 30])
     assert "SyncOversubscribed" in [v.rule for v in validate_config(cfg)]
+
+
+def test_allocations_are_none_or_one_per_station():
+    with pytest.raises(InputError, match=r"need one sync allocation per station \(3\)"):
+        RingConfig.make(3, 100, 400, [10, 0])
+    short = RingConfig(3, Fraction(100), Fraction(400), (Fraction(10),))   # built directly
+    with pytest.raises(InputError, match=r"need one sync allocation per station \(3\)"):
+        run_simulation(short, TrafficModel(), 1000, seed=0)
 
 
 def test_run_simulation_rejects_invalid_config():

@@ -9,10 +9,13 @@ indented form is pure Python. And a record is a
 alone costs more than most commands' work. And each public function,
 class, method and property has a caller: in the package, in the
 acceptance suite or in the benchmark, else it is on REFERENCES with its
-reason. A field of an input file is refused in the words of one reader,
-``fddilab.read_one``: no other module words one."""
+reason; and each defaulted parameter of one is passed by some call there,
+else it is on OPTIONS with its reason. A field of an input file is
+refused in the words of one reader, ``fddilab.read_one``: no other module
+words one."""
 
 import ast
+import math
 from pathlib import Path
 
 import fddilab
@@ -65,7 +68,7 @@ def test_the_check_sees_a_private_attribute_of_a_module(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("from . import scrambler\nfrom fddilab import spm as s\n"
                       "import fddilab.mac_sim\nimport os\n"
-                      "scrambler._key(0, 5)\nx = s._frame\nfddilab.mac_sim._us(1)\n"
+                      "scrambler._key(5)\nx = s._frame\nfddilab.mac_sim._us(1)\n"
                       "self._own\nos._exit\nscrambler.__name__\nscrambler.keystream\n")
     assert _private_imports(module) == ["mod.py:5 reads scrambler._key",
                                         "mod.py:6 reads s._frame",
@@ -234,15 +237,16 @@ REFERENCES = {
 }
 
 
-def _public_definitions(path: Path) -> list[tuple[str, str]]:
-    """(qualified name, the name a caller reads) for each public top-level
-    function and class, and each public method and property of a class."""
+def _public_definitions(path: Path) -> list[tuple[str, str, ast.AST]]:
+    """(qualified name, the name a caller reads, the definition) for each
+    public top-level function and class, and each public method and property
+    of a class."""
     found = []
     for node in ast.parse(path.read_text("utf-8")).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            found.append((f"{path.stem}.{node.name}", node.name))
+            found.append((f"{path.stem}.{node.name}", node.name, node))
         if isinstance(node, ast.ClassDef):
-            found += [(f"{path.stem}.{node.name}.{member.name}", "." + member.name)
+            found += [(f"{path.stem}.{node.name}.{member.name}", "." + member.name, member)
                       for member in node.body if isinstance(member, ast.FunctionDef)
                       and not member.name.startswith("_")]
     return found
@@ -263,14 +267,15 @@ def _uncalled(modules: list[Path], callers: list[Path]) -> list[str]:
                 read.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
-    return [name for path in modules for name, spelled in _public_definitions(path)
+    return [name for path in modules for name, spelled, _ in _public_definitions(path)
             if spelled not in read]
 
 
+CALLERS = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *(ROOT / "bench").glob("*.py")]
+
+
 def test_every_public_name_has_a_caller():
-    callers = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
-               *(ROOT / "bench").glob("*.py")]
-    uncalled = _uncalled(sorted(SRC.glob("*.py")), callers)
+    uncalled = _uncalled(sorted(SRC.glob("*.py")), CALLERS)
     assert [name for name in uncalled if name not in REFERENCES] == []
     assert set(REFERENCES) <= set(uncalled)   # no entry outlives its reason
 
@@ -285,3 +290,72 @@ def test_the_check_sees_an_uncalled_public_name(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("from mod import Box\nBox().size()\nLAYERS = ('wrapped',)\n")
     assert _uncalled([module], [module, caller]) == ["mod.unused", "mod.Box.lid"]
+
+
+# Defaulted parameters that no caller passes, each kept for its reason.
+OPTIONS = {
+    "mac_sim.run_simulation(collect_trace)": "the per-visit trace: the trace tests read it, "
+                                             "and `simulate --trace` (ROADMAP item 5) will pass it",
+    "mac_sim.RingConfig.make(total_cable_km)": "the cable length's limit, which the ring-limit "
+                                               "tests check on rings they build",
+    "mac_sim.RingConfig.make(compliance)": "rings past the standard's limits, which the property "
+                                           "tests build",
+}
+
+
+def _parameters(node: ast.FunctionDef, method: bool) -> list[tuple[str, float]]:
+    """(name, position in a call) of each defaulted parameter of a definition:
+    a call on an object or a class binds a method's ``self`` (or ``cls``)
+    before its first argument, and a keyword-only one has no position (inf)."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    skip = int(method and not static)
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, math.inf) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _unpassed(modules: list[Path], callers: list[Path]) -> list[str]:
+    """The defaulted parameters of the public functions and methods of
+    ``modules`` that no call in ``callers`` passes: a call names the function
+    (bare or as ``.name`` of any object) and passes the parameter by keyword
+    or fills its position (a ``*`` argument fills every position, a ``**``
+    argument passes every keyword)."""
+    keywords, reach = {}, {}   # function name -> keywords passed / positions filled
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+                filled = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                          else len(node.args))
+                reach[name] = max(reach.get(name, 0), filled)
+    return [f"{name}({param})" for path in modules
+            for name, spelled, node in _public_definitions(path)
+            if isinstance(node, ast.FunctionDef)
+            for param, at in _parameters(node, spelled.startswith("."))
+            if not keywords.get(node.name, set()) & {param, None}
+            and reach.get(node.name, 0) <= at]
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = _unpassed(sorted(SRC.glob("*.py")), CALLERS)
+    assert [name for name in unpassed if name not in OPTIONS] == []
+    assert set(OPTIONS) <= set(unpassed)   # no entry outlives its reason
+
+
+def test_the_check_sees_an_unpassed_parameter(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                      "def g(a=0, b=0):\n    pass\n"
+                      "def _private(a=0):\n    pass\n"
+                      "class Box:\n    def open(self, wide=False, slow=False):\n        pass\n"
+                      "    @staticmethod\n    def make(size=1, lid=None):\n        pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mod import Box, f, g\nf(1, 2)\nf(1, d=4)\nBox().open(True)\n"
+                      "Box.make(2)\ng(*[1, 2])\n")
+    assert _unpassed([module], [module, caller]) == [
+        "mod.f(c)", "mod.Box.open(slow)", "mod.Box.make(lid)"]

@@ -16,6 +16,7 @@ from fddilab.phy_codec import (
     fundamental_frequency,
     mlt3_encode,
     nrzi_encode,
+    nrzi_levels,
     parse_code_table,
     transition_count,
 )
@@ -110,7 +111,7 @@ def test_byte_kernels_name_the_first_bad_item():
 
 def test_nrzi_all_zeros_holds_level():
     assert nrzi_encode([0] * 6).levels == (0,) * 6
-    assert nrzi_encode([0] * 6, initial_level="high").levels == (1,) * 6
+    assert nrzi_levels([0] * 6, "high") == b"\1" * 6
 
 
 def test_nrzi_toggle_rule():

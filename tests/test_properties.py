@@ -67,19 +67,18 @@ from fddilab.phy_codec import (
     fundamental_frequency,
     mlt3_encode,
     nrzi_encode,
+    nrzi_levels,
     transition_count,
 )
 from fddilab.scrambler import (
     PERIOD,
+    SEED_BITS,
     MatchReport,
     MatchResult,
-    ScramblerState,
     keystream,
     longest_valid_match,
     next_bit,
     scramble,
-    scramble_with_state,
-    seed,
 )
 from fddilab.spm import (
     SPE_BYTES,
@@ -95,23 +94,29 @@ from fddilab.spm import (
 
 
 def _reachable_states():
-    states, st_ = [], seed()
+    states, registers = [], SEED_BITS
     for _ in range(PERIOD):
-        states.append(st_)
-        _, st_ = next_bit(st_)
+        states.append(registers)
+        _, registers = next_bit(registers)
     return states
 
 
 STATES = _reachable_states()
 
 
-def ref_keystream(n, state):
-    """Hand-stepped reference: n bits and the end state."""
-    bits = []
+def ref_keystream(n):
+    """Hand-stepped reference: a frame's first n bits, from the seed."""
+    bits, registers = [], SEED_BITS
     for _ in range(n):
-        bit, state = next_bit(state)
+        bit, registers = next_bit(registers)
         bits.append(bit)
-    return bits, state
+    return bits
+
+
+def check_scramble(data):
+    key = ref_keystream(len(data))
+    assert keystream(len(data)) == key
+    assert scramble(data) == [d ^ k for d, k in zip(data, key)]
 
 
 def random_bits(rng_seed, n):
@@ -120,49 +125,25 @@ def random_bits(rng_seed, n):
 
 
 lengths = st.integers(min_value=0, max_value=3 * PERIOD + 40)
-phases = st.integers(min_value=0, max_value=PERIOD - 1)
-positions = st.integers(min_value=0, max_value=10 ** 6)
 seeds = st.integers(min_value=0, max_value=2 ** 32)
 
 
 def test_the_127_states_are_distinct_and_close_the_cycle():
-    assert len({s.registers for s in STATES}) == PERIOD
-    assert next_bit(STATES[-1])[1].registers == seed().registers
+    assert len(set(STATES)) == PERIOD
+    assert next_bit(STATES[-1])[1] == SEED_BITS
 
 
 @settings(max_examples=300, deadline=None)
-@given(phase=phases, position=positions, n=lengths, rng_seed=seeds)
-def test_keystream_and_scramble_with_state_match_next_bit(phase, position, n, rng_seed):
-    state = ScramblerState(STATES[phase].registers, position)
-    key, end = ref_keystream(n, state)
-    assert keystream(n, state) == key
-    data = random_bits(rng_seed, n)
-    out, got_end = scramble_with_state(data, state)
-    assert out == [d ^ k for d, k in zip(data, key)]
-    assert got_end == end
+@given(n=lengths, rng_seed=seeds)
+def test_keystream_and_scramble_match_next_bit(n, rng_seed):
+    check_scramble(random_bits(rng_seed, n))
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=lengths, rng_seed=seeds,
-       exempt=st.lists(st.integers(min_value=-PERIOD, max_value=4 * PERIOD + 50),
-                       max_size=40))
-def test_scramble_exempt_positions_match_reference(n, rng_seed, exempt):
+@given(n=lengths, rng_seed=seeds)
+def test_scramble_is_an_involution(n, rng_seed):
     data = random_bits(rng_seed, n)
-    key, _ = ref_keystream(n, seed())
-    skip = set(exempt)
-    want = [d if i in skip else d ^ k for i, (d, k) in enumerate(zip(data, key))]
-    assert scramble(data, exempt=exempt) == want
-    assert scramble(want, exempt=iter(exempt)) == data
-
-
-@settings(max_examples=200, deadline=None)
-@given(phase=phases, n=lengths, rng_seed=seeds)
-def test_scramble_is_an_involution_from_any_state(phase, n, rng_seed):
-    data = random_bits(rng_seed, n)
-    state = STATES[phase]
-    once = scramble(data, state=state)
-    assert once == scramble_with_state(data, state)[0]
-    assert scramble(once, state=state) == data
+    assert scramble(scramble(data)) == data
 
 
 def ref_positions(layout):
@@ -614,7 +595,7 @@ def ref_transitions(levels, prev):
 def test_nrzi_and_mlt3_match_per_bit_references(n, density, rng_seed):
     bits = dense_bits(rng_seed, n, density)
     assert nrzi_encode(bits).levels == ref_nrzi(bits, 0)
-    assert nrzi_encode(bits, initial_level="high").levels == ref_nrzi(bits, 1)
+    assert tuple(nrzi_levels(bits, "high")) == ref_nrzi(bits, 1)
     assert nrzi_encode(iter(bits)).levels == ref_nrzi(bits, 0)
     levels = mlt3_encode(bits).levels
     assert levels == ref_mlt3(bits)
@@ -725,38 +706,25 @@ def test_codec_runs_match_the_public_api(nibbles, bad, width, upper):
         lambda: "".join(f"{v:X}" for v in decode_4b5b(bits_to_patterns(bits))))
     for level in ("low", "high"):
         assert run_codec(["nrzi", "--initial-level", level], text) == rendered(
-            lambda: "".join(map(str, nrzi_encode(bits, initial_level=level).levels)))
+            lambda: "".join(map(str, nrzi_levels(bits, level))))
     assert run_codec(["mlt3"], text) == rendered(
         lambda: "".join("-0+"[v + 1] for v in mlt3_encode(bits).levels))
 
 
-REF_PERIOD = ref_keystream(PERIOD, seed())[0]
-
-
-def check_scramble(data, phase, exempt):
-    state = STATES[phase]
-    out, end = scramble_with_state(data, state, exempt)
-    assert out == [d if i in exempt else d ^ REF_PERIOD[(phase + i) % PERIOD]
-                   for i, d in enumerate(data)]
-    assert end.registers == STATES[(phase + len(data)) % PERIOD].registers
-    assert end.position == state.position + len(data)
+REF_PERIOD = ref_keystream(PERIOD)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from(EDGE_LENGTHS[:-2]) | st.integers(min_value=0, max_value=700),
-       density=densities, rng_seed=seeds,
-       exempt=st.sets(st.integers(min_value=-3, max_value=800), max_size=30))
-def test_scramble_with_state_from_all_127_states(n, density, rng_seed, exempt):
-    data = dense_bits(rng_seed, n, density)
-    for phase in range(PERIOD):
-        check_scramble(data, phase, exempt)
+       density=densities, rng_seed=seeds)
+def test_scramble_from_the_seed_at_edge_lengths(n, density, rng_seed):
+    check_scramble(dense_bits(rng_seed, n, density))
 
 
 @settings(max_examples=10, deadline=None)
-@given(n=st.sampled_from(EDGE_LENGTHS[-2:]), phase=phases, rng_seed=seeds,
-       exempt=st.sets(st.integers(min_value=0, max_value=100_010), max_size=30))
-def test_scramble_with_state_on_long_frames(n, phase, rng_seed, exempt):
-    check_scramble(dense_bits(rng_seed, n, 0.5), phase, exempt)
+@given(n=st.sampled_from(EDGE_LENGTHS[-2:]), density=densities, rng_seed=seeds)
+def test_scramble_on_long_frames(n, density, rng_seed):
+    check_scramble(dense_bits(rng_seed, n, density))
 
 
 @settings(max_examples=25, deadline=None)

@@ -34,7 +34,6 @@ def _examples():
         metrics,
         table.symbols[0],
         phy_codec.nrzi_encode([1, 0, 1, 1]),
-        scrambler.next_bit(scrambler.seed())[1],
         report.with_fragments,
         report,
         spm.sts_rates(3),

@@ -6,13 +6,11 @@ import pytest
 
 from fddilab.phy_codec import CodeTable, Symbol4b5b, default_code_table
 from fddilab.scrambler import (
-    ScramblerState,
+    SEED_BITS,
     keystream,
     longest_valid_match,
     next_bit,
     scramble,
-    scramble_with_state,
-    seed,
     sequence_127,
 )
 
@@ -43,16 +41,17 @@ def test_oracle_matches_frozen_literal():
 
 
 def test_seed_state():
-    st = seed()
-    assert st.registers == (1,) * 7
-    assert st.position == 0
-    assert seed() == seed()
+    # every frame starts from all ones, which its first 7 bits read out;
+    # each call is a new frame
+    assert SEED_BITS == (1,) * 7
+    assert keystream(7) == [1] * 7
+    assert scramble([0] * 7) == scramble([0] * 7) == [1] * 7
 
 
 def test_first_bit_is_one():
-    bit, st = next_bit(seed())
+    bit, registers = next_bit(SEED_BITS)
     assert bit == 1
-    assert st.position == 1
+    assert registers == (0, 1, 1, 1, 1, 1, 1)
 
 
 def test_sequence_matches_oracle_bit_for_bit():
@@ -71,23 +70,16 @@ def test_period_is_exactly_127():
 
 
 def test_state_never_all_zero():
-    st = seed()
+    registers = SEED_BITS
     for _ in range(300):
-        _, st = next_bit(st)
-        assert any(st.registers)
-    with pytest.raises(ValueError):
-        ScramblerState((0,) * 7, 0)
+        _, registers = next_bit(registers)
+        assert any(registers)
 
 
 def test_keystream_rejects_negative_length():
     assert keystream(0) == []
     with pytest.raises(ValueError):
         keystream(-1)
-
-
-def test_state_registers_must_be_bits():
-    with pytest.raises(ValueError):
-        ScramblerState((2, 1, 1, 1, 1, 1, 1), 0)
 
 
 def test_run_lengths_bounded():
@@ -114,31 +106,6 @@ def test_scramble_of_zeros_is_keystream():
 
 def test_scramble_of_keystream_is_zeros():
     assert scramble(sequence_127()) == [0] * 127
-
-
-def test_scramble_continues_from_a_given_state():
-    _, state = scramble_with_state([0] * 10, seed())
-    assert scramble([0] * 5, state=state) == [0, 0, 0, 1, 0]
-    for n in (1, 10, 126, 300):
-        _, state = scramble_with_state([0] * n, seed())
-        data = [1, 0, 0, 1, 1, 0, 1] * 20
-        assert scramble(data, state=state) == scramble_with_state(data, state)[0]
-
-
-def test_scramble_exemption_mask():
-    data = [1, 0, 1, 1, 0, 0, 1, 0]
-    out = scramble(data, exempt=(0, 3))
-    ref = scramble(data)
-    assert out[0] == data[0] and out[3] == data[3]
-    # keystream still advances over exempt positions
-    assert [out[i] for i in (1, 2, 4, 5, 6, 7)] == [ref[i] for i in (1, 2, 4, 5, 6, 7)]
-    assert scramble(out, exempt=(0, 3)) == data
-
-
-def test_scramble_with_state_continues_frame():
-    first, st = scramble_with_state([0] * 60, seed())
-    second, _ = scramble_with_state([0] * 67, st)
-    assert first + second == sequence_127()
 
 
 # --- longest_valid_match ---------------------------------------------------
