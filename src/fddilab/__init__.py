@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,32 @@ class InputError(ValueError):
         self.path = path
 
 
-class Violation(NamedTuple):
+# what a record's class body holds that its namedtuple keeps of its own
+_NOT_COPIED = frozenset({"__dict__", "__weakref__", "__annotations__", "__module__"})
+
+
+def record(cls):
+    """The namedtuple of ``cls``'s annotated fields, in order, with the
+    rest of its class body (docstring, methods, properties) copied on; a
+    field given a value has it as its default. That is the class
+    ``typing.NamedTuple`` makes, but the annotations, strings here, are
+    never read: no ``typing``, and no ``compile()`` per field."""
+    body = vars(cls)
+    names = tuple(body.get("__annotations__", ()))
+    given = [name for name in names if name in body]
+    if names[len(names) - len(given):] != tuple(given):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    made = namedtuple(cls.__name__, names, defaults=[body[name] for name in given],
+                      module=cls.__module__)
+    made.__qualname__ = cls.__qualname__
+    for key, value in body.items():   # no docstring keeps namedtuple's "Name(field, ...)"
+        if key not in _NOT_COPIED and key not in names and (key != "__doc__" or value):
+            setattr(made, key, value)
+    return made
+
+
+@record
+class Violation:
     """A broken rule and the values that break it: one report row."""
 
     rule: str

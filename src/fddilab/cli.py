@@ -21,13 +21,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 import stat
 import sys
 import types
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
-from . import InputError, __version__, link_planner, phy_codec, read_input
+from . import InputError, __version__, link_planner, phy_codec, read_input, record
 from .phy_codec import bits_to_text
 
 CSV = "csv"
@@ -35,9 +34,6 @@ JSON = "json"
 
 GIVEN = "given"       # constant carried from the published figures
 COMPUTED = "computed"  # value recomputed by this tool
-
-
-_NEEDS_QUOTES = re.compile('[,"\n]').search
 
 
 @functools.cache
@@ -57,7 +53,8 @@ def _csv_quoted(row) -> str:
     """A CSV row with each cell that holds a comma, quote or newline quoted."""
     parts = _csv_template(tuple(map(type, row))).split(",")
     cells = [part % (cell,) for part, cell in zip(parts, row)]
-    return ",".join(['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES(c) else c for c in cells])
+    return ",".join(['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c
+                     else c for c in cells])
 
 
 def emit_report(rows, columns: list[str], fmt: str) -> str:
@@ -338,7 +335,8 @@ def cmd_plan(args) -> tuple[str, InputError | None]:
 
 # --- command lines --------------------------------------------------------
 
-class _Option(NamedTuple):
+@record
+class _Option:
     """One option of a subcommand. ``kind`` is str, a tuple of choices, int,
     _count, _duration or bool (a flag, False unless given)."""
 
@@ -350,7 +348,8 @@ class _Option(NamedTuple):
     help: str | None = None
 
 
-class _Command(NamedTuple):
+@record
+class _Command:
     handler: Callable
     help: str
     positionals: tuple = ()   # (dest, choices) in order

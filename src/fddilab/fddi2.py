@@ -15,9 +15,9 @@ in mac_sim.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
-from . import InputError, read_input
+from . import InputError, read_input, record, shown
 
 CYCLE_US = 125
 CYCLE_PREAMBLE_BYTES = 2
@@ -55,7 +55,8 @@ def bytes_per_cycle_to_kbps(n_bytes: int) -> int:
     return n_bytes * 8 * 1000 // CYCLE_US
 
 
-class StationKind(NamedTuple):
+@record
+class StationKind:
     station_id: int
     kind: str  # FDDI | FDDI2
 
@@ -77,7 +78,8 @@ def _check_modes(wbc_modes: Sequence[str]) -> tuple[str, ...]:
     return modes
 
 
-class Allocation(NamedTuple):
+@record
+class Allocation:
     """Granted isochronous byte runs plus the packet-mode pool."""
 
     wbc_modes: tuple[str, ...]
@@ -139,6 +141,6 @@ def load_requests_file(path: str) -> list[tuple[str, int]]:
             except ValueError:   # more digits than int() reads (4300 by default)
                 pass
         if fields:
-            raise InputError(f"line {lineno}: need 'channel bytes', got {raw.strip()!r}",
+            raise InputError(f"line {lineno}: need 'channel bytes', got {shown(raw.strip())}",
                              "bad-requests", path)
     return requests

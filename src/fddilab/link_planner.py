@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
-from . import Field, InputError, Violation, read, read_input, whole
+from . import Field, InputError, Violation, read, read_input, record, whole
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
@@ -56,7 +56,8 @@ class WavelengthMismatchError(ValueError):
     """A non-1300 nm device cannot pair with the 1300 nm PMDs."""
 
 
-class MediaSpec(NamedTuple):
+@record
+class MediaSpec:
     """One physical-medium record. None marks unpublished values."""
 
     name: str
@@ -76,7 +77,8 @@ class MediaSpec(NamedTuple):
         return self.kind == "optical"
 
 
-class _LinkSpec(NamedTuple):
+@record
+class _LinkSpec:
     media: str
     length_m: float
     connector_losses_db: tuple[float, ...]
@@ -95,7 +97,8 @@ class LinkSpec(_LinkSpec):
         return super().__new__(cls, media, length_m, connector_losses_db)
 
 
-class BudgetReport(NamedTuple):
+@record
+class BudgetReport:
     """Verdict for one link."""
 
     link: LinkSpec
@@ -107,7 +110,8 @@ class BudgetReport(NamedTuple):
     warnings: tuple[Violation, ...] = ()
 
 
-class RingReport(NamedTuple):
+@record
+class RingReport:
     links: tuple[BudgetReport, ...]
     ring_rules: tuple[Violation, ...]  # violated global rules
     verdict: str

@@ -37,10 +37,10 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import Field, InputError, Violation, exact, read, read_input, read_one, shown, whole
+from . import Field, InputError, Violation, exact, read, read_input, read_one, record, shown, whole
 from .link_planner import MAX_RING_STATIONS, ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
@@ -92,7 +92,8 @@ class ConfigViolationsError(InputError):
         super().__init__(",".join(v.rule for v in violations))
 
 
-class RingConfig(NamedTuple):
+@record
+class RingConfig:
     """Ring topology and timed-token parameters."""
 
     n_stations: int
@@ -166,7 +167,8 @@ def theoretical_efficiency(n: int, ttrt_us, latency_us) -> float:
     return float(Fraction(n) * (t - d) / (Fraction(n) * t + d))
 
 
-class TrafficSource(NamedTuple):
+@record
+class TrafficSource:
     """Offered load at one station. rate_mbps=None means saturated."""
 
     station: int
@@ -176,7 +178,8 @@ class TrafficSource(NamedTuple):
     destination: int | None = None  # default: downstream neighbour
 
 
-class TrafficModel(NamedTuple):
+@record
+class TrafficModel:
     sources: tuple[TrafficSource, ...] = ()
     probe_count: int = 0
 
@@ -185,7 +188,8 @@ class TrafficModel(NamedTuple):
         return TrafficModel(sources=tuple(sources), probe_count=probe_count)
 
 
-class VisitRecord(NamedTuple):
+@record
+class VisitRecord:
     """One token visit: timing and what was transmitted."""
 
     station: int
@@ -196,7 +200,8 @@ class VisitRecord(NamedTuple):
     depart_us: Fraction
 
 
-class SimMetrics(NamedTuple):
+@record
+class SimMetrics:
     """Aggregate results of one simulation run."""
 
     duration_us: float

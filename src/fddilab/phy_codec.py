@@ -29,11 +29,11 @@ from __future__ import annotations
 import functools
 import os
 import struct
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import ne
-from typing import Iterable, NamedTuple, Sequence
 
-from . import Field, InputError, read_input, read_one
+from . import Field, InputError, read_input, read_one, record
 
 FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 
@@ -154,7 +154,8 @@ class AperiodicSignalError(ValueError):
     """The line signal shows no exact repetition over its length."""
 
 
-class Symbol4b5b(NamedTuple):
+@record
+class Symbol4b5b:
     """One 4b/5b symbol: a 5-bit pattern plus its interpretation."""
 
     code: str            # 5 chars of '0'/'1', transmission order
@@ -168,7 +169,8 @@ class Symbol4b5b(NamedTuple):
         return int(self.meaning, 16)
 
 
-class LineSignal(NamedTuple):
+@record
+class LineSignal:
     """A line-coded signal: one level per code bit."""
 
     levels: tuple[int, ...]

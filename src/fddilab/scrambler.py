@@ -28,10 +28,10 @@ sequences here are plain 0/1 bit streams in transmission order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import add
-from typing import Iterable, NamedTuple
 
-from . import InputError
+from . import InputError, record
 from .phy_codec import BAD_TABLE, CodeTable, bits_to_text
 
 STAGES = 7
@@ -95,7 +95,8 @@ def scramble(data: Iterable[int]) -> list[int]:
     return list((int.from_bytes(data, "big") ^ int.from_bytes(_key(n), "big")).to_bytes(n, "big"))
 
 
-class MatchResult(NamedTuple):
+@record
+class MatchResult:
     """Longest reproducible window for one matching model."""
 
     model: str               # "whole_symbol" | "with_fragments"
@@ -109,7 +110,8 @@ class MatchResult(NamedTuple):
     trailing_fragment: str   # head of a symbol consumed after the last full one
 
 
-class MatchReport(NamedTuple):
+@record
+class MatchReport:
     """Both matching models plus the table the analysis ran against."""
 
     with_fragments: MatchResult

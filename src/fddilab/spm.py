@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import re
 import struct
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple
 
-from . import InputError
+from . import InputError, record
 from .phy_codec import bit_bytes, pack_bits, unpack_bits
 
 SPE_ROWS = 9
@@ -76,7 +76,8 @@ class UnknownLevelError(InputError):
     tag = "unknown-level"
 
 
-class RateEntry(NamedTuple):
+@record
+class RateEntry:
     """One row of the SONET/SDH signal hierarchy."""
 
     sts_level: int
@@ -120,7 +121,8 @@ def spe_bandwidth_recomputed() -> Fraction:
     return Fraction(SPE_BYTES * 8, FRAME_US)
 
 
-class SpeLayout(NamedTuple):
+@record
+class SpeLayout:
     """Per-byte classification of one SPE, and its frame bits as one record.
 
     ``frame`` holds the 2349 x 8 frame bits, one byte per bit, in
@@ -169,7 +171,8 @@ def build_spe_layout() -> SpeLayout:
                      tuple(len(run) for run in re.findall("u+", marks)))
 
 
-class SpeFrame(NamedTuple):
+@record
+class SpeFrame:
     """One mapped SPE: raw bytes plus how many payload bits are meaningful."""
 
     data: bytes

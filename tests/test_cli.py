@@ -792,14 +792,15 @@ def test_a_failed_write_to_out_names_the_file(capsys):
 
 
 def test_fddi2_malformed_request_lines_exit_1_with_one_line(tmp_path, capsys):
-    for i, line in enumerate(["a 2 3", "a x", "a -4", "a", "a " + "9" * 5000]):
+    cases = {line: repr(line + "  # comment") for line in ["a 2 3", "a x", "a -4", "a"]}
+    cases["a " + "9" * 5000] = "'a 9999999999999...comment' (5015 chars)"   # its ends and length
+    for i, (line, shown_line) in enumerate(cases.items()):
         requests = tmp_path / f"req{i}.txt"
         requests.write_text(f"tv 96\n{line}  # comment\n")
         code, out, err = run(["fddi2", "plan", "--modes", "piiipipiiiiiiiii",
                               "--requests", str(requests)], capsys)
         _one_error_line(code, err, "bad-requests")
-        assert err == ("error: bad-requests: line 2: need 'channel bytes', "
-                       f"got {line + '  # comment'!r}\n")
+        assert err == f"error: bad-requests: line 2: need 'channel bytes', got {shown_line}\n"
         assert out == ""
 
 

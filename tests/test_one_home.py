@@ -4,13 +4,13 @@ imported module (``scrambler._key``). What two modules share is public.
 The bit format's translate tables live in ``phy_codec``: ``cli`` makes
 none. Files are written in one place, ``cli._write``. JSON is encoded by
 the encoders ``cli._json_encoder`` builds, never by ``json.dumps``, whose
-indented form is pure Python. And a record is a
-``typing.NamedTuple``: no module imports ``dataclasses``, whose import
-alone costs more than most commands' work. And each public function,
-class, method and property has a caller: in the package, in the
-acceptance suite or in the benchmark, else it is on REFERENCES with its
-reason; and each defaulted parameter of one is passed by some call there,
-else it is on OPTIONS with its reason. A field of an input file is
+indented form is pure Python. And a record is a ``fddilab.record``: no
+module imports ``dataclasses`` or ``typing``, whose import alone costs
+more than most commands' work. And each public function, class,
+method and property has a caller: in the package, in the acceptance
+suite or in the benchmark, else it is on REFERENCES with its reason;
+and each defaulted parameter of one is passed by some call there, else
+it is on OPTIONS with its reason. A field of an input file is
 refused in the words of one reader, ``fddilab.read_one``: no other module
 words one."""
 
@@ -190,6 +190,10 @@ def _imports_of(path: Path, module: str) -> list[str]:
 def test_no_module_imports_dataclasses():
     assert [hit for path in sorted(SRC.glob("*.py"))
             for hit in _imports_of(path, "dataclasses")] == []
+
+
+def test_no_module_imports_typing():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in _imports_of(path, "typing")] == []
 
 
 def test_the_check_sees_a_dataclasses_import(tmp_path):

@@ -1,15 +1,21 @@
-"""Every public record is an immutable value: a ``typing.NamedTuple``
-whose fields cannot be set, and which, rebuilt from its own fields, is
-equal to itself and hashes the same."""
+"""Every public record is an immutable value: a namedtuple made by
+``fddilab.record``, whose fields cannot be set, and which, rebuilt from
+its own fields, is equal to itself and hashes the same. Every record
+class keeps a docstring, and ``record`` refuses a field without a
+default after one with a default, as ``typing.NamedTuple`` does."""
 
 import inspect
 
 import pytest
 
 import fddilab
-from fddilab import fddi2, link_planner, mac_sim, phy_codec, scrambler, spm
+from fddilab import cli, fddi2, link_planner, mac_sim, phy_codec, scrambler, spm
 
 MODULES = (fddilab, fddi2, link_planner, mac_sim, phy_codec, scrambler, spm)
+RECORDS = {f"{module.__name__}.{name}": cls for module in (*MODULES, cli)
+           for name, cls in vars(module).items()
+           if inspect.isclass(cls) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+           and cls.__module__ == module.__name__}
 
 
 def _examples():
@@ -46,10 +52,21 @@ EXAMPLES = _examples()
 
 
 def test_every_public_record_class_has_an_example():
-    records = {cls for module in MODULES for name, cls in vars(module).items()
-               if inspect.isclass(cls) and issubclass(cls, tuple) and hasattr(cls, "_fields")
-               and cls.__module__ == module.__name__ and not name.startswith("_")}
-    assert records == {type(record) for record in EXAMPLES}
+    public = {cls for cls in RECORDS.values() if not cls.__name__.startswith("_")}
+    assert public == {type(record) for record in EXAMPLES}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_every_record_class_has_a_docstring(name):
+    assert RECORDS[name].__doc__
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="Planted: a field without a default follows"):
+        @fddilab.record
+        class Planted:
+            first: int = 0
+            second: int
 
 
 @pytest.mark.parametrize("record", EXAMPLES, ids=lambda r: type(r).__name__)

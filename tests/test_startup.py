@@ -3,12 +3,14 @@ importing the package costs more than most commands' work, so the CLI
 with both default tables loaded pulls in neither ``dataclasses`` (with
 ``inspect``, ``ast`` and ``dis`` behind it), nor ``importlib.resources``
 (with ``tempfile`` and ``shutil``), nor ``hashlib``, which only a
-manifest needs. Nor does it load a handler's module before that handler
-runs: ``mac_sim``, ``fddi2``, ``spm`` and ``scrambler`` load with their
-subcommand, ``fractions`` (with ``decimal``) with the modules that
-compute exactly, and ``json`` with a JSON report, a manifest or an input
-file in JSON. ``argparse`` (with ``gettext``) loads only for a command
-line that is not plainly spelled: help, usage and usage errors. The
+manifest needs, nor ``typing``, as a record is a ``fddilab.record``,
+which never reads its string annotations. Nor does it load a handler's
+module before that handler runs: ``mac_sim``, ``fddi2``, ``spm`` and
+``scrambler`` load with their subcommand, ``fractions`` (with
+``decimal``) with the modules that compute exactly, and ``json`` (with
+``re``) with a JSON report, a manifest or an input file in JSON.
+``argparse`` (with ``gettext`` and ``re``) loads only for a command line
+that is not plainly spelled: help, usage and usage errors. The
 interpreter runs without ``site``, whose start-up hooks may import any
 of these first."""
 
@@ -26,7 +28,7 @@ SRC = Path(fddilab.__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 CODE_BITS = GOLDEN / "cli" / "code.bits"
 WATCHED = {"dataclasses", "inspect", "hashlib", "importlib.resources", "fractions", "decimal",
-           "json", "argparse", "gettext",
+           "json", "argparse", "gettext", "typing", "re",
            "fddilab.mac_sim", "fddilab.fddi2", "fddilab.spm", "fddilab.scrambler"}
 
 # a fresh interpreter: the watched modules the import and the tables
@@ -65,7 +67,7 @@ def test_the_cli_and_its_tables_load_no_dataclasses_inspect_or_hashlib(tmp_path)
     manifest = tmp_path / "m.json"
     startup, run, code = _fresh_run("codec", "nrzi", "--in", str(CODE_BITS),
                                     "--out", str(tmp_path / "out"), "--manifest", str(manifest))
-    assert (startup, run, code) == ([], ["hashlib", "json"], 0)
+    assert (startup, run, code) == ([], ["hashlib", "json", "re"], 0)
     digest = hashlib.sha256(CODE_BITS.read_bytes()).hexdigest()
     assert json.loads(manifest.read_text())["inputs"] == {str(CODE_BITS): digest}
 
@@ -108,7 +110,7 @@ def test_plainly_spelled_command_lines_load_no_argparse(tmp_path):
     assert out.read_bytes() == (GOLDEN / "cli" / "nrzi_low.stdout").read_bytes()
     stdout, _, result = _fresh_process("plan", "--ring", str(GOLDEN / "cli" / "ring_pass.json"),
                                        "--format", "json")
-    assert result == ([], ["json"], 0)
+    assert result == ([], ["json", "re"], 0)
     assert stdout == (GOLDEN / "cli" / "plan_pass_json.out").read_text()
 
 
@@ -117,7 +119,7 @@ def test_help_and_usage_errors_load_argparse():
     usage and help text as ever."""
     for name, argv in [("usage_unknown_option", ["codec", "--dur", "1"]), ("help", ["--help"])]:
         stdout, stderr, (startup, run, code) = _fresh_process(*argv)
-        assert (startup, run) == ([], ["argparse", "gettext"])
+        assert (startup, run) == ([], ["argparse", "gettext", "re"])
         assert (stdout, stderr, f"{code}\n") == tuple(
             (GOLDEN / "cli" / f"{name}.{suffix}").read_text() for suffix in
             ("stdout", "stderr", "exit"))
