@@ -116,30 +116,24 @@ def _write(text: str, path: str | None, stream=None):
         raise
 
 
+def _refuse(need: str, text: str):
+    """Raise argparse's refusal of an option value: ``need ..., got 'text'``."""
+    import argparse   # only a refusal needs it, and argparse then reads the line
+    raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+
+
 def _count(text: str) -> int:
     """argparse type: a non-negative integer."""
-    if not text.isdecimal():
-        import argparse   # loaded already: only argparse reads a refusal
-        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _positive(text: str) -> float | None:
-    """float(text) if that is finite and positive, else None."""
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if 0 < value < math.inf else None
+    return int(text) if text.isdecimal() else _refuse("a non-negative integer", text)
 
 
 def _duration(text: str) -> float:
     """argparse type: a finite positive number (microseconds)."""
-    value = _positive(text)
-    if value is None:
-        import argparse   # loaded already: only argparse reads a refusal
-        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
-    return value
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    return value if 0 < value < math.inf else _refuse("a finite positive number", text)
 
 
 INPUT_OPTIONS = ("infile", "config", "ring", "requests", "table")
@@ -210,10 +204,7 @@ def cmd_codec(args) -> tuple[str, InputError | None]:
     if args.decode and args.scheme != "4b5b":
         raise InputError(f"{args.scheme} decode", "unsupported")
     if args.scheme == "4b5b" and args.decode:
-        bits = phy_codec.read_bits(args.infile)
-        if len(bits) % 5:
-            raise InputError(f"{len(bits)} bits not a multiple of 5", "bad-length")
-        text = phy_codec.nibbles_to_text(phy_codec.decode_nibbles(bits))
+        text = phy_codec.nibbles_to_text(phy_codec.decode_nibbles(phy_codec.read_bits(args.infile)))
     elif args.scheme == "4b5b":
         text = bits_to_text(phy_codec.encode_bits(phy_codec.read_nibbles(args.infile)))
     elif args.scheme == "nrzi":
@@ -436,19 +427,14 @@ def _reader(name: str) -> tuple[dict, dict, frozenset]:
 
 def _value(kind, text: str):
     """The value argparse reads from text for an option of this kind, or
-    None where argparse may read it otherwise or refuse it."""
-    if kind is str:
-        return text
-    if kind is _duration:
-        return _positive(text)
+    None where it may read it otherwise or refuse it: the kind's own
+    reading, as argparse calls it, of text in ASCII (not ``٣``)."""
     if isinstance(kind, tuple):
         return text if text in kind else None
-    if text.isascii() and text.isdecimal():   # int or _count
-        try:
-            return int(text)
-        except ValueError:   # past the interpreter's digit limit
-            return None
-    return None
+    try:
+        return kind(text) if text.isascii() else None
+    except Exception:   # argparse reads it again and words the refusal
+        return None
 
 
 def _match(argv: list[str]):

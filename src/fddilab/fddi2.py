@@ -43,7 +43,7 @@ class CapacityExceededError(InputError):
 
 def wbc_bandwidth_kbps() -> int:
     """One WBC: 96 bytes per 125 us, exactly 6144 kbps."""
-    return WBC_BYTES * 8 * 1000 // CYCLE_US
+    return bytes_per_cycle_to_kbps(WBC_BYTES)
 
 
 def wbc_bandwidth_mbps() -> float:

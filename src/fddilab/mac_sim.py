@@ -41,7 +41,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from . import Field, InputError, Violation, exact, read, read_input, read_one, record, shown, whole
-from .link_planner import MAX_RING_STATIONS, ring_limits
+from .link_planner import ring_limits
 
 LINE_RATE_BITS_PER_US = Fraction(100)  # 100 Mbps
 
@@ -568,7 +568,7 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
     cfg = RingConfig(n, latency, ttrt, (), stripping, km, compliance)
     # refused before any per-station list: past the ring limit as StationCount,
     # and with compliance off past the cap
-    if compliance and n > MAX_RING_STATIONS:
+    if compliance and ring_limits(n, None):
         raise ConfigViolationsError(validate_config(cfg, sorted(given.items())))
     read_one(n, STATION_CAP, BAD_CONFIG)
     if given:

@@ -40,6 +40,7 @@ FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 SYMBOL_BITS = 5
 
 BAD_TABLE = "bad-table"          # InputError tag of a malformed code table
+BAD_LENGTH = "bad-length"        # InputError tag of code bits that are no whole symbols
 BAD_SYMBOL = "bad-input-symbol"  # InputError tag of a digit outside its alphabet
 DATA_VALUE = Field("data symbol {}", lambda text: int(text, 16))   # its hex digit
 
@@ -162,12 +163,6 @@ class Symbol4b5b:
     kind: str            # "data" | "control"
     meaning: str         # hex digit for data, symbol name for control
 
-    @property
-    def value(self) -> int:
-        if self.kind != "data":
-            raise ValueError(f"{self.meaning} is not a data symbol")
-        return int(self.meaning, 16)
-
 
 @record
 class LineSignal:
@@ -177,13 +172,13 @@ class LineSignal:
 
 
 class CodeTable:
-    """4b/5b symbol table with lookups by nibble value and by bit pattern."""
+    """4b/5b symbol table: the symbols by bit pattern, and translate tables
+    between nibble and code value."""
 
     def __init__(self, symbols: Iterable[Symbol4b5b], version: str = ""):
         self.symbols: tuple[Symbol4b5b, ...] = tuple(symbols)
         self.version = version
         self.by_code: dict[str, Symbol4b5b] = {}
-        self.by_nibble: dict[int, Symbol4b5b] = {}
         # translate tables: nibble -> code value, code value -> nibble; _NONE: no such symbol
         self.code_values, self.nibble_values = bytearray([_NONE] * 256), bytearray([_NONE] * 256)
         for sym in self.symbols:
@@ -196,13 +191,13 @@ class CodeTable:
                 value = read_one(sym.meaning, DATA_VALUE, BAD_TABLE, sym.code)
                 if not 0 <= value <= 15:
                     raise InputError(f"data value {sym.meaning} not one hex digit", BAD_TABLE)
-                if value in self.by_nibble:
+                if self.code_values[value] != _NONE:
                     raise InputError(f"data value {value:x} mapped twice", BAD_TABLE)
-                self.by_nibble[value] = sym
                 self.code_values[value] = code = int(sym.code, 2)
                 self.nibble_values[code] = value
-        if self.by_nibble and len(self.by_nibble) != 16:
-            raise InputError(f"expected 16 data symbols, got {len(self.by_nibble)}", BAD_TABLE)
+        data = 16 - self.code_values[:16].count(_NONE)
+        if data and data != 16:
+            raise InputError(f"expected 16 data symbols, got {data}", BAD_TABLE)
 
 
 def parse_code_table(text: str) -> CodeTable:
@@ -293,13 +288,14 @@ _CODE_OF = dict(zip(_PATTERNS, range(1 << SYMBOL_BITS)))                # patter
 
 
 def _symbol_values(bits: Iterable[int]) -> bytes:
-    """The 5-bit value of each symbol of a code-bit stream (length must
-    divide), one byte each. Bit i of every symbol is the strided slice
-    ``ones[i::5]``, so five shift-ORs give every value in its own byte."""
+    """The 5-bit value of each symbol of a code-bit stream, one byte each;
+    a length that 5 does not divide is an InputError. Bit i of every symbol
+    is the strided slice ``ones[i::5]``, so five shift-ORs give every value
+    in its own byte."""
     ones = _bytes(bits).translate(_ONES)
     count, extra = divmod(len(ones), SYMBOL_BITS)
     if extra:
-        raise ValueError(f"bit count {len(ones)} not a multiple of {SYMBOL_BITS}")
+        raise InputError(f"{len(ones)} bits not a multiple of {SYMBOL_BITS}", BAD_LENGTH)
     values = 0
     for i in range(SYMBOL_BITS):   # each byte stays below 32: no carry between them
         values = values << 1 | int.from_bytes(ones[i::SYMBOL_BITS], "big")

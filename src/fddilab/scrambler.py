@@ -65,19 +65,20 @@ def _key(n: int) -> bytes:
     return (_PERIOD_BYTES * (n // PERIOD + 1))[:n]
 
 
-def keystream(n: int) -> list[int]:
-    """The first n scrambler output bits of a frame, from the all-ones seed."""
+def keystream(n: int) -> bytes:
+    """The first n scrambler output bits of a frame, from the all-ones seed,
+    one 0/1 byte each."""
     if n < 0:
         raise ValueError(f"keystream length {n} is negative")
     if n > MAX_KEYSTREAM_BITS:
         raise InputError(f"keystream length {n} is over {MAX_KEYSTREAM_BITS} bits, "
                          "one STS-192 frame", "too-many-bits")
-    return list(_key(n))
+    return _key(n)
 
 
 def sequence_127() -> list[int]:
     """One full period of the scrambler sequence, from the all-ones seed."""
-    return keystream(PERIOD)
+    return list(keystream(PERIOD))
 
 
 def scramble(data: Iterable[int]) -> list[int]:
@@ -154,7 +155,6 @@ def longest_valid_match(table: CodeTable) -> MatchReport:
         fronts += map(ends.__getitem__, walk[-1:] + walk[:-1])
         frag += map(add, fronts[-PERIOD:], reach)
         whole += [n - n % 5 for n in reach]
-    names = {s.code: s.meaning for s in table.symbols}
     best = []
     for model, lengths, front in (("with_fragments", frag, fronts),
                                   ("whole_symbol", whole, [0] * len(whole))):
@@ -173,6 +173,6 @@ def longest_valid_match(table: CodeTable) -> MatchReport:
         best.append(MatchResult(
             model=model, length_bits=length, offset=start, polarity=polarity,
             alignment=align, bits=text[start:end], leading_fragment=text[start:i],
-            symbols=tuple(names[text[k:k + 5]] for k in range(i, j, 5)),
+            symbols=tuple(table.by_code[text[k:k + 5]].meaning for k in range(i, j, 5)),
             trailing_fragment=text[j:end]))
     return MatchReport(*best, table_version=table.version, symbol_count=len(table.symbols))

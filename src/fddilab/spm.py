@@ -14,10 +14,9 @@ stretch contains one stuff-control bit that the user cannot drive.
 from __future__ import annotations
 
 import functools
-import re
 import struct
 from collections.abc import Iterable
-from fractions import Fraction
+from itertools import groupby
 
 from . import InputError, record
 from .phy_codec import bit_bytes, pack_bits, unpack_bits
@@ -116,8 +115,9 @@ def spe_bandwidth() -> float:
     return SPE_PUBLISHED_PAYLOAD_MBPS
 
 
-def spe_bandwidth_recomputed() -> Fraction:
-    """2349 bytes x 8 bits / 125 us, recomputed exactly, in Mbps."""
+def spe_bandwidth_recomputed():
+    """2349 bytes x 8 bits / 125 us, recomputed as an exact Fraction, in Mbps."""
+    from fractions import Fraction   # not at load time: only this figure needs it
     return Fraction(SPE_BYTES * 8, FRAME_US)
 
 
@@ -163,12 +163,12 @@ def build_spe_layout() -> SpeLayout:
         row += run + [FIXED_STUFF]
     tags = tuple(row[:SPE_COLS] * SPE_ROWS)
     mask = "".join(_USER_MASK.get(tag, "--------") for tag in tags)
-    runs = re.findall("u+|-+", mask)
-    frame = "".join(f"{len(run)}{'s' if run[0] == 'u' else 'x'}" for run in runs)
-    user = "".join(f"{len(run)}s" for run in runs if run[0] == "u")
-    marks = "".join("u" if tag in _USER_MASK else "-" for tag in tags)
-    return SpeLayout(tags, struct.Struct(frame), struct.Struct(user),
-                     tuple(len(run) for run in re.findall("u+", marks)))
+    runs = [(bit, len(list(run))) for bit, run in groupby(mask)]   # ("u" or "-", length)
+    frame = "".join(f"{n}{'s' if bit == 'u' else 'x'}" for bit, n in runs)
+    user = "".join(f"{n}s" for bit, n in runs if bit == "u")
+    user_runs = [len(list(run)) for affected, run in groupby(tags, _USER_MASK.__contains__)
+                 if affected]
+    return SpeLayout(tags, struct.Struct(frame), struct.Struct(user), tuple(user_runs))
 
 
 @record

@@ -83,5 +83,5 @@ def test_symbol_bits_and_patterns_match_per_character_reference():
 def test_packaged_tables_are_read_once():
     assert phy_codec.default_code_table() is phy_codec.default_code_table()
     assert link_planner.default_media_table() is link_planner.default_media_table()
-    assert len(phy_codec.default_code_table().by_nibble) == 16
+    assert [s.kind for s in phy_codec.default_code_table().symbols].count("data") == 16
     assert "MF" in link_planner.default_media_table()

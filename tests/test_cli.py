@@ -407,6 +407,7 @@ def test_scrambler_analyze_malformed_table_is_bad_table(tmp_path, capsys):
         "repeated": (shipped + ["11110 control I"],
                      "pattern 11110 mapped twice"),
         "short": (shipped[:1], "expected 16 data symbols, got 1"),
+        "data_twice": (shipped[:1] + ["01001 data 0"] + shipped[2:], "data value 0 mapped twice"),
         "kind": (shipped + ["11111 idle I"], "unknown symbol kind 'idle'"),
     }
     for name, (lines, reason) in tables.items():
@@ -860,6 +861,34 @@ def test_scrambler_analyze_non_hex_data_symbol_is_bad_table(tmp_path, capsys):
     code, out, err = run(["scrambler", "analyze", "--table", str(table)], capsys)
     assert (code, out) == (1, "")
     assert err == "error: bad-table: data symbol 11110: need a number, got 'G'\n"
+
+
+@pytest.mark.parametrize("argv,name,text,err", [
+    (["codec", "4b5b", "--decode", "--in"], "seven.bits", "0101010\n",
+     "error: bad-length: 7 bits not a multiple of 5\n"),
+    (["plan", "--ring"], "ring.json", '{"links": 5}',
+     "error: bad-ring: links: need a list of objects\n"),
+    (["simulate", "--duration", "5000", "--config"], "cfg.json",
+     '{"n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360, "sync_allocation_us": 5}',
+     "error: bad-config: sync_allocation_us: need a list or an object\n"),
+])
+def test_each_input_refusal_is_one_line(tmp_path, capsys, argv, name, text, err):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run([*argv, str(path)], capsys) == (1, "", err)
+
+
+def test_simulate_runs_a_poisson_source_of_rate_zero_and_sends_nothing(tmp_path, capsys):
+    code, out, err = _simulate_config(tmp_path, capsys, {
+        "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,
+        "traffic": [{"station": 1, "class": "async", "rate_mbps": 0}]})
+    assert (code, err) == (0, "")
+    assert out == ("metric,value,unit\nthroughput,0,fraction\nduration,5000,us\n"
+                   "warmup,1000,us\ntoken_visits,167,count\nsync_bytes_sent,0,bytes\n"
+                   "async_bytes_sent,0,bytes\nsync_bytes_delivered,0,bytes\n"
+                   "async_bytes_delivered,0,bytes\nsync_frames_in_flight,0,frames\n"
+                   "async_frames_in_flight,0,frames\nmax_sync_gap,90,us\n"
+                   "mean_access_delay,,us\nmax_access_delay,,us\n")
 
 
 def test_loaders_raise_one_input_error_naming_the_file(tmp_path):

@@ -32,7 +32,8 @@ def test_table_structure():
     assert kinds.count("control") >= 1
     assert len(table.symbols) == 16 + kinds.count("control")
     assert table.version == "1"
-    assert sorted(s.value for s in table.by_nibble.values()) == list(range(16))
+    assert [table.by_code[f"{table.code_values[v]:05b}"].meaning
+            for v in range(16)] == [f"{v:X}" for v in range(16)]
 
 
 def test_encode_expansion():

@@ -44,7 +44,7 @@ def test_seed_state():
     # every frame starts from all ones, which its first 7 bits read out;
     # each call is a new frame
     assert SEED_BITS == (1,) * 7
-    assert keystream(7) == [1] * 7
+    assert keystream(7) == bytes([1] * 7)   # one 0/1 byte per bit
     assert scramble([0] * 7) == scramble([0] * 7) == [1] * 7
 
 
@@ -77,7 +77,7 @@ def test_state_never_all_zero():
 
 
 def test_keystream_rejects_negative_length():
-    assert keystream(0) == []
+    assert keystream(0) == b""
     with pytest.raises(ValueError):
         keystream(-1)
 

@@ -7,7 +7,8 @@ manifest needs, nor ``typing``, as a record is a ``fddilab.record``,
 which never reads its string annotations. Nor does it load a handler's
 module before that handler runs: ``mac_sim``, ``fddi2``, ``spm`` and
 ``scrambler`` load with their subcommand, ``fractions`` (with
-``decimal``) with the modules that compute exactly, and ``json`` (with
+``decimal``) with the exact arithmetic of ``mac_sim`` and of the SPE
+bandwidth, which ``rates`` does not run, and ``json`` (with
 ``re``) with a JSON report, a manifest or an input file in JSON.
 ``argparse`` (with ``gettext`` and ``re``) loads only for a command line
 that is not plainly spelled: help, usage and usage errors. The
@@ -94,6 +95,13 @@ def test_simulate_runs_in_a_fresh_process(tmp_path):
     assert (startup, code) == ([], 0)
     assert {"fddilab.mac_sim", "fractions", "json"} <= set(run)
     assert out.read_bytes() == (GOLDEN / "simulate" / "readme.out.csv").read_bytes()
+
+
+def test_rates_loads_only_spm():
+    """The rate table counts whole kbps: it loads neither ``fractions`` nor ``re``."""
+    stdout, _, result = _fresh_process("rates")
+    assert result == ([], ["fddilab.spm"], 0)
+    assert stdout == (GOLDEN / "cli" / "rates.stdout").read_text()
 
 
 def test_fddi2_plan_loads_no_fractions():
