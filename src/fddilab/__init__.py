@@ -73,10 +73,14 @@ def exact(value):
 
 def read_input(path: str, tag: str, parse=str):
     """``parse`` of an input file's text. Text that is not UTF-8, or that
-    ``parse`` (e.g. json.loads) rejects, is an InputError naming the file."""
+    ``parse`` (e.g. json.loads) rejects, is an InputError naming the file;
+    an InputError that ``parse`` raises gets the file as its ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse(fh.read())
+        except InputError as exc:   # worded already: keep its message
+            exc.path = path
+            raise
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: {exc}", tag, path) from None
 

@@ -10,10 +10,12 @@ handler returns its report and, for a failing verdict, the InputError
 that explains it; ``dispatch`` alone writes the report to --out or
 stdout, writes the manifest and the error line, and picks the exit code.
 A call is a fresh process, so a handler imports its own module when it
-runs, and json loads with the first JSON report or manifest. A command
-line is read from one table of subcommands, COMMANDS: ``_match`` reads a
-plainly spelled one, and argparse, loaded only then, everything else,
-which includes writing help, usage and usage errors.
+runs, but for phy_codec and link_planner, which load with cli as their
+tables are part of start-up; json loads with the first JSON report or
+manifest. A command line is read from one table of subcommands,
+COMMANDS: ``_match`` reads a plainly spelled one, and argparse, loaded
+only then, everything else, which includes writing help, usage and
+usage errors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 import types
 from collections.abc import Callable
 
-from . import InputError, __version__, link_planner, phy_codec, read_input, record
+from . import InputError, __version__, link_planner, phy_codec, read_input, record, shown
 from .phy_codec import bits_to_text
 
 CSV = "csv"
@@ -221,7 +223,7 @@ def cmd_scrambler(args) -> tuple[str, InputError | None]:
         return bits_to_text(scrambler.keystream(args.bits)) + "\n", None
     # analyze
     if args.table:
-        table = phy_codec.parse_code_table(read_input(args.table, phy_codec.BAD_TABLE))
+        table = read_input(args.table, phy_codec.BAD_TABLE, phy_codec.parse_code_table)
     else:
         table = phy_codec.default_code_table()
     report = scrambler.longest_valid_match(table)
@@ -248,8 +250,8 @@ def cmd_sonet_map(args) -> tuple[str, InputError | None]:
         ("capacity_per_frame", layout.capacity_bits, "bits", COMPUTED),
         ("payload_bits", len(bits), "bits", COMPUTED),
         ("max_user_run", max(layout.user_runs), "bytes", COMPUTED),
-        ("spe_bandwidth_published", spm.spe_bandwidth(), "Mbps", GIVEN),
-        ("spe_bandwidth_recomputed", float(spm.spe_bandwidth_recomputed()), "Mbps", COMPUTED),
+        ("spe_bandwidth_published", spm.SPE_PUBLISHED_PAYLOAD_MBPS, "Mbps", GIVEN),
+        ("spe_bandwidth_recomputed", spm.SPE_RECOMPUTED_PAYLOAD_MBPS, "Mbps", COMPUTED),
         ("roundtrip", "ok", "", COMPUTED))
     _write(emit_report(rows, ["metric", "value", "unit", "provenance"], args.format),
            args.report, sys.stderr)
@@ -286,7 +288,7 @@ def cmd_fddi2_plan(args) -> tuple[str, InputError | None]:
     from . import fddi2
     letters = args.modes.lower().replace(",", "")
     if len(letters) != fddi2.WBC_COUNT or set(letters) - set("ip"):
-        raise InputError(f"need {fddi2.WBC_COUNT} chars of i/p, got {args.modes!r}",
+        raise InputError(f"need {fddi2.WBC_COUNT} chars of i/p, got {shown(args.modes)}",
                          "bad-modes")
     modes = [fddi2.ISOCHRONOUS if c == "i" else fddi2.PACKET for c in letters]
     allocation = fddi2.allocate(modes, fddi2.load_requests_file(args.requests))

@@ -14,7 +14,7 @@ import math
 import os
 from collections.abc import Sequence
 
-from . import Field, InputError, Violation, read, read_input, record, whole
+from . import Field, InputError, Violation, read, read_input, record, shown, whole
 
 # SC/ST-style connector insertion loss assumed when a link does not
 # state its own losses.
@@ -159,7 +159,7 @@ def _resolve(media: str | MediaSpec) -> MediaSpec:
         return media
     spec = default_media_table().get(media)
     if spec is None:
-        raise UnknownMediaError(f"unknown medium {media!r}")
+        raise UnknownMediaError(f"unknown medium {shown(media)}")
     return spec
 
 

@@ -356,7 +356,7 @@ def run_simulation(cfg: RingConfig, load: TrafficModel, duration_us,
                 raise InputError(f"traffic[{idx}].{name}: station {at} out of range", BAD_CONFIG)
         if src.traffic_class not in (SYNC, ASYNC):
             raise InputError(f"traffic[{idx}].class: unknown traffic class "
-                             f"{src.traffic_class!r}", BAD_CONFIG)
+                             f"{shown(src.traffic_class)}", BAD_CONFIG)
         row = queues[src.traffic_class]
         if row[src.station] is not None:
             raise InputError(f"traffic[{idx}].station: duplicate traffic source for "
@@ -581,8 +581,4 @@ def config_from_dict(doc: dict) -> tuple[RingConfig, TrafficModel]:
 def load_config_file(path: str) -> tuple[RingConfig, TrafficModel]:
     """Read a simulation config file (README "Simulation config"); malformed
     input raises InputError tagged bad-config."""
-    try:
-        return config_from_dict(read_input(path, BAD_CONFIG, json.loads))
-    except InputError as exc:
-        exc.path = path
-        raise
+    return read_input(path, BAD_CONFIG, lambda text: config_from_dict(json.loads(text)))

@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import ne
 
-from . import Field, InputError, read_input, read_one, record
+from . import Field, InputError, read_input, read_one, record, shown
 
 FDDI_CODE_BIT_RATE_BPS = 125_000_000  # 4b/5b expands 4 data bits to 5 code bits
 
@@ -72,7 +72,7 @@ def _read_digits(path: str, alphabet: str, values: bytes) -> bytes:
     digits = "".join(read_input(path, BAD_SYMBOL).split()).encode()
     if digits.translate(None, alphabet.encode()):
         bad = set(digits.decode()) - set(alphabet)
-        raise InputError(f"{sorted(bad)} not in {alphabet!r}", BAD_SYMBOL)
+        raise InputError(f"{shown(sorted(bad))} not in {alphabet!r}", BAD_SYMBOL, path)
     return digits.translate(values)
 
 
@@ -183,14 +183,15 @@ class CodeTable:
         self.code_values, self.nibble_values = bytearray([_NONE] * 256), bytearray([_NONE] * 256)
         for sym in self.symbols:
             if len(sym.code) != SYMBOL_BITS or set(sym.code) - {"0", "1"}:
-                raise InputError(f"malformed code pattern {sym.code!r}", BAD_TABLE)
+                raise InputError(f"malformed code pattern {shown(sym.code)}", BAD_TABLE)
             if sym.code in self.by_code:
                 raise InputError(f"pattern {sym.code} mapped twice", BAD_TABLE)
             self.by_code[sym.code] = sym
             if sym.kind == "data":
                 value = read_one(sym.meaning, DATA_VALUE, BAD_TABLE, sym.code)
                 if not 0 <= value <= 15:
-                    raise InputError(f"data value {sym.meaning} not one hex digit", BAD_TABLE)
+                    raise InputError(f"data value {shown(sym.meaning)} not one hex digit",
+                                     BAD_TABLE)
                 if self.code_values[value] != _NONE:
                     raise InputError(f"data value {value:x} mapped twice", BAD_TABLE)
                 self.code_values[value] = code = int(sym.code, 2)
@@ -213,10 +214,10 @@ def parse_code_table(text: str) -> CodeTable:
             continue
         fields = line.split()
         if len(fields) != 3:
-            raise InputError(f"bad code-table record: {raw!r}", BAD_TABLE)
+            raise InputError(f"bad code-table record: {shown(raw)}", BAD_TABLE)
         code, kind, meaning = fields
         if kind not in ("data", "control"):
-            raise InputError(f"unknown symbol kind {kind!r}", BAD_TABLE)
+            raise InputError(f"unknown symbol kind {shown(kind)}", BAD_TABLE)
         symbols.append(Symbol4b5b(code=code, kind=kind, meaning=meaning))
     return CodeTable(symbols, version=version)
 

@@ -47,8 +47,10 @@ PAYLOAD_KBPS = {
 
 # Published payload figure for the STM-1 SPE available to the FDDI mapping.
 # Note it does NOT equal 2349*8/125 = 150.336; it corresponds to 2176
-# bytes per frame. The sonet-map report gives both numbers.
+# bytes per frame. The sonet-map report gives both numbers, in Mbps; an
+# int / int division rounds once, so it equals float(Fraction(18792, 125)).
 SPE_PUBLISHED_PAYLOAD_MBPS = 139.264
+SPE_RECOMPUTED_PAYLOAD_MBPS = SPE_BYTES * 8 / FRAME_US
 
 # Byte classification tags
 PATH_OVERHEAD = "path_overhead"
@@ -110,17 +112,6 @@ def kbps_to_mbps_str(kbps: int) -> str:
     return f"{whole}.{frac:03d}".rstrip("0")
 
 
-def spe_bandwidth() -> float:
-    """The published STM-1 SPE bandwidth available to the mapping, in Mbps."""
-    return SPE_PUBLISHED_PAYLOAD_MBPS
-
-
-def spe_bandwidth_recomputed():
-    """2349 bytes x 8 bits / 125 us, recomputed as an exact Fraction, in Mbps."""
-    from fractions import Fraction   # not at load time: only this figure needs it
-    return Fraction(SPE_BYTES * 8, FRAME_US)
-
-
 @record
 class SpeLayout:
     """Per-byte classification of one SPE, and its frame bits as one record.
@@ -150,9 +141,10 @@ def build_spe_layout() -> SpeLayout:
 
     Runs of MAX_USER_RUN_BYTES user-affectable bytes alternate with one
     fixed-stuff byte, and each full run carries a stuff-control bit in its
-    byte STUFF_CONTROL_BYTE.
+    byte STUFF_CONTROL_BYTE. The nine rows are alike, and a row ends in
+    user bytes while the next begins with its overhead byte, so no run
+    crosses a row: the layout is one row's, SPE_ROWS times.
     """
-    # every row is alike: the overhead byte, then user runs between fixed stuff
     row = [PATH_OVERHEAD]
     while len(row) < SPE_COLS:
         run = [USER_DATA] * min(MAX_USER_RUN_BYTES, SPE_COLS - len(row))
@@ -161,14 +153,15 @@ def build_spe_layout() -> SpeLayout:
         if len(run) == MAX_USER_RUN_BYTES:
             run[STUFF_CONTROL_BYTE] = STUFF_CONTROL
         row += run + [FIXED_STUFF]
-    tags = tuple(row[:SPE_COLS] * SPE_ROWS)
-    mask = "".join(_USER_MASK.get(tag, "--------") for tag in tags)
+    del row[SPE_COLS:]
+    mask = "".join(_USER_MASK.get(tag, "--------") for tag in row)
     runs = [(bit, len(list(run))) for bit, run in groupby(mask)]   # ("u" or "-", length)
     frame = "".join(f"{n}{'s' if bit == 'u' else 'x'}" for bit, n in runs)
     user = "".join(f"{n}s" for bit, n in runs if bit == "u")
-    user_runs = [len(list(run)) for affected, run in groupby(tags, _USER_MASK.__contains__)
-                 if affected]
-    return SpeLayout(tags, struct.Struct(frame), struct.Struct(user), tuple(user_runs))
+    user_runs = tuple(len(list(run)) for affected, run in groupby(row, _USER_MASK.__contains__)
+                      if affected)
+    return SpeLayout(tuple(row) * SPE_ROWS, struct.Struct(frame * SPE_ROWS),
+                     struct.Struct(user * SPE_ROWS), user_runs * SPE_ROWS)
 
 
 @record

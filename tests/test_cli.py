@@ -871,11 +871,49 @@ def test_scrambler_analyze_non_hex_data_symbol_is_bad_table(tmp_path, capsys):
     (["simulate", "--duration", "5000", "--config"], "cfg.json",
      '{"n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360, "sync_allocation_us": 5}',
      "error: bad-config: sync_allocation_us: need a list or an object\n"),
+    (["simulate", "--duration", "5000", "--config"], "cfg.json",
+     '{"n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,'
+     ' "traffic": [{"station": 0, "class": "isochronous", "rate_mbps": 5}]}',
+     "error: bad-config: traffic[0].class: unknown traffic class 'isochronous'\n"),
+    (["simulate", "--duration", "5000", "--config"], "cfg.json",
+     '{"n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,'
+     ' "traffic": [{"station": 0, "class": "async", "rate_mbps": 5},'
+     ' {"station": 0, "class": "async", "rate_mbps": 2}]}',
+     "error: bad-config: traffic[1].station: duplicate traffic source for (0, 'async')\n"),
+    (["scrambler", "analyze", "--table"], "table.txt", "1111 data 0\n",
+     "error: bad-table: malformed code pattern '1111'\n"),
 ])
 def test_each_input_refusal_is_one_line(tmp_path, capsys, argv, name, text, err):
     path = tmp_path / name
     path.write_text(text)
     assert run([*argv, str(path)], capsys) == (1, "", err)
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv,text,tag", [
+    (["codec", "nrzi", "--in"], "".join(map(chr, range(0x4E00, 0x4E00 + 3000))),
+     "bad-input-symbol"),
+    (["plan", "--ring"], json.dumps({"links": [{"media": _LONG, "length_m": 5}]}),
+     "unknown-media"),
+    (["simulate", "--duration", "5000", "--config"], json.dumps({
+        "n_stations": 3, "ring_latency_us": 90, "ttrt_us": 360,
+        "traffic": [{"station": 0, "class": _LONG, "rate_mbps": 5}]}), "bad-config"),
+    (["scrambler", "analyze", "--table"], f"11110 data 0 {_LONG}\n", "bad-table"),
+    (["scrambler", "analyze", "--table"], f"11110 {_LONG} 0\n", "bad-table"),
+    (["scrambler", "analyze", "--table"], f"{'1' * 5000} data 0\n", "bad-table"),
+    (["scrambler", "analyze", "--table"], f"11110 data {'1' * 5000}\n", "bad-table"),
+    (["fddi2", "plan", "--modes", "p" * 5000, "--requests"], "a 96\n", "bad-modes"),
+], ids=["bits", "media", "class", "table-record", "symbol-kind", "code-pattern", "data-value",
+        "modes"])
+def test_a_refusal_shows_a_long_value_by_its_ends(tmp_path, capsys, argv, text, tag):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run([*argv, str(path)], capsys)
+    assert out == ""
+    _one_error_line(code, err, tag)
+    assert len(err.encode()) < 200 and " chars)" in err
 
 
 def test_simulate_runs_a_poisson_source_of_rate_zero_and_sends_nothing(tmp_path, capsys):
@@ -894,12 +932,17 @@ def test_simulate_runs_a_poisson_source_of_rate_zero_and_sends_nothing(tmp_path,
 def test_loaders_raise_one_input_error_naming_the_file(tmp_path):
     import pytest
 
-    from fddilab import InputError, fddi2, link_planner, mac_sim, phy_codec, spm
+    from fddilab import InputError, fddi2, link_planner, mac_sim, phy_codec, read_input, spm
     bad = tmp_path / "bad.txt"
     bad.write_text("not a ring\n")
     for load, tag in ((mac_sim.load_config_file, "bad-config"),
                       (link_planner.load_ring_file, "bad-ring"),
-                      (fddi2.load_requests_file, "bad-requests")):
+                      (fddi2.load_requests_file, "bad-requests"),
+                      (phy_codec.read_bits, "bad-input-symbol"),
+                      (phy_codec.read_nibbles, "bad-input-symbol"),
+                      # as scrambler analyze --table reads it
+                      (lambda path: read_input(path, phy_codec.BAD_TABLE,
+                                               phy_codec.parse_code_table), "bad-table")):
         with pytest.raises(InputError) as err:
             load(str(bad))
         assert (err.value.tag, err.value.path) == (tag, str(bad))

@@ -142,6 +142,16 @@ def test_mixed_ends_wavelength_guard():
         mixed_ends_check("UTP", "MF", 100)
 
 
+def test_mixed_ends_and_rise_fall_refuse_a_pairing_they_do_not_cover():
+    # SMF is a 1300 nm optical device with no published ranges or edge rates
+    with pytest.raises(ValueError) as err:
+        mixed_ends_check("SMF", "MF", 100)
+    assert str(err.value) == "pairing rule covers MF/LCF devices, not SMF"
+    with pytest.raises(ValueError) as err:
+        rise_fall_check("SMF", "MF")
+    assert str(err.value) == "rise/fall figures unpublished for this pairing"
+
+
 def test_rise_fall_pairings():
     assert rise_fall_check("LCF", "LCF") is True   # 4.0 ns into 4.5 ns
     assert rise_fall_check("MF", "MF") is True     # 3.5 ns into 5 ns
@@ -213,6 +223,21 @@ def test_media_table_round_trips_bit_exactly():
             fmt(spec.attenuation_db_per_km), fmt(spec.tx_rise_fall_ns),
             fmt(spec.rx_rise_fall_tol_ns), spec.status]))
     assert parse_media_table("\n".join(lines)) == table
+
+
+LCF_RECORD = "LCF optical 1300 -22 -14 -29 -14 - 500 2.0 4.0 4.5 standard"
+
+
+@pytest.mark.parametrize("text,reason", [
+    (LCF_RECORD.rsplit(" ", 1)[0],
+     "bad media record (12 fields): 'LCF optical 1300 -22 -14 -29 -14 - 500 2.0 4.0 4.5'"),
+    (f"{LCF_RECORD}\n{LCF_RECORD}", "duplicate media LCF"),
+    (LCF_RECORD.replace("-22 -14", "-22 -30"), "LCF: power range max < min"),
+], ids=["12-fields", "duplicate", "max-below-min"])
+def test_parse_media_table_refuses_a_malformed_table(text, reason):
+    with pytest.raises(ValueError) as err:
+        parse_media_table(text)
+    assert str(err.value) == reason
 
 
 def test_link_spec_validation():

@@ -30,6 +30,12 @@ def cfg_of(n=4, d=100, t=400, **kw):
 
 # --- configuration validation ----------------------------------------------
 
+def test_a_duration_of_zero_is_refused():
+    with pytest.raises(ValueError) as err:
+        run_simulation(cfg_of(), saturated_async_load([0]), duration_us=0, seed=0)
+    assert str(err.value) == "duration must be positive"
+
+
 def test_ttrt_equal_to_latency_is_allowed():
     assert validate_config(cfg_of(t=100, d=100)) == []
 

@@ -13,6 +13,8 @@ from fddilab.spm import (
     FRAME_US,
     PATH_OVERHEAD,
     SPE_BYTES,
+    SPE_PUBLISHED_PAYLOAD_MBPS,
+    SPE_RECOMPUTED_PAYLOAD_MBPS,
     STUFF_CONTROL,
     USER_DATA,
     UnknownLevelError,
@@ -22,8 +24,6 @@ from fddilab.spm import (
     kbps_to_mbps_str,
     map_fddi,
     rate_table,
-    spe_bandwidth,
-    spe_bandwidth_recomputed,
     sts_rates,
 )
 
@@ -68,18 +68,18 @@ def test_unknown_level():
 
 
 def test_spe_bandwidth_figures():
-    assert spe_bandwidth() == 139.264
-    assert spe_bandwidth() > 125  # the FDDI code-bit stream fits
-    assert spe_bandwidth_recomputed() == Fraction(2349 * 8, 125)
-    assert float(spe_bandwidth_recomputed()) == 150.336
+    assert SPE_PUBLISHED_PAYLOAD_MBPS == 139.264
+    assert SPE_PUBLISHED_PAYLOAD_MBPS > 125  # the FDDI code-bit stream fits
+    # the float division is the exact figure rounded once
+    assert SPE_RECOMPUTED_PAYLOAD_MBPS == float(Fraction(2349 * 8, 125)) == 150.336
 
 
 def test_spe_arithmetic_discrepancy_is_flagged():
     # the published 139.264 Mbps is 2176 bytes a frame, 173 short of the SPE
-    published_bytes = Fraction(str(spe_bandwidth())) * FRAME_US / 8
+    published_bytes = Fraction(str(SPE_PUBLISHED_PAYLOAD_MBPS)) * FRAME_US / 8
     assert published_bytes == 2176
     assert SPE_BYTES - published_bytes == 173
-    assert spe_bandwidth() != spe_bandwidth_recomputed()
+    assert SPE_PUBLISHED_PAYLOAD_MBPS != SPE_RECOMPUTED_PAYLOAD_MBPS
 
 
 def test_layout_overhead_and_runs():

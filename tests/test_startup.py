@@ -7,9 +7,9 @@ manifest needs, nor ``typing``, as a record is a ``fddilab.record``,
 which never reads its string annotations. Nor does it load a handler's
 module before that handler runs: ``mac_sim``, ``fddi2``, ``spm`` and
 ``scrambler`` load with their subcommand, ``fractions`` (with
-``decimal``) with the exact arithmetic of ``mac_sim`` and of the SPE
-bandwidth, which ``rates`` does not run, and ``json`` (with
-``re``) with a JSON report, a manifest or an input file in JSON.
+``decimal``) with the exact arithmetic of ``mac_sim``, which no other
+subcommand runs, and ``json`` (with ``re``) with a JSON report, a
+manifest or an input file in JSON.
 ``argparse`` (with ``gettext`` and ``re``) loads only for a command line
 that is not plainly spelled: help, usage and usage errors. The
 interpreter runs without ``site``, whose start-up hooks may import any
@@ -102,6 +102,14 @@ def test_rates_loads_only_spm():
     stdout, _, result = _fresh_process("rates")
     assert result == ([], ["fddilab.spm"], 0)
     assert stdout == (GOLDEN / "cli" / "rates.stdout").read_text()
+
+
+def test_sonet_map_loads_only_spm():
+    """The layout and both bandwidth figures need neither ``fractions`` nor ``re``."""
+    stdout, stderr, result = _fresh_process("sonet-map", "--in", str(GOLDEN / "cli" / "spe.bits"))
+    assert result == ([], ["fddilab.spm"], 0)
+    assert stdout == (GOLDEN / "cli" / "sonet_map.stdout").read_text()
+    assert stderr == (GOLDEN / "cli" / "sonet_map.stderr").read_text()
 
 
 def test_fddi2_plan_loads_no_fractions():
